@@ -18,16 +18,17 @@
 //!   recorded in PATH and exit non-zero on a >20% regression.
 //!
 //! No external dependencies: timing via `std::time::Instant`, JSON written
-//! and scanned by hand.
+//! by hand and read back through `osoffload_obs::json`.
 
 use osoffload_bench::render_table;
+use osoffload_obs::json::{self, Value};
 use osoffload_system::experiments::{
     fig4_grid_with, simulate, single_config, Scale, FIG4_LATENCIES, FIG4_THRESHOLDS,
 };
 use osoffload_system::{run_lanes, PolicyKind, SystemConfig};
 use osoffload_workload::Profile;
 use std::hint::black_box;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 /// Regression factor the CI gate tolerates (>20% slower fails).
@@ -137,22 +138,34 @@ fn best_of_ms<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
     best
 }
 
-/// Scans `json` for `"key": <number>` and returns the first match.
-fn scan_number(json: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = json.find(&needle)? + needle.len();
-    let rest = json[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == '+'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+/// Reads an archive this binary wrote earlier.
+fn read_archive(path: &Path) -> Result<Value, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
+    json::parse(&text)
 }
 
-/// Scans `json` for point `name`'s `best_ms` value (the first `best_ms`
-/// key following the name string).
-fn scan_point_ms(json: &str, name: &str) -> Option<f64> {
-    let at = json.find(&format!("\"{name}\""))?;
-    scan_number(&json[at..], "best_ms")
+/// `after.points[name].best_ms`. Looked up by key path: an archive made
+/// with `--before` holds the older numbers in a `before` section ahead
+/// of its own.
+fn after_point_ms(archive: &Value, name: &str) -> Option<f64> {
+    archive
+        .get("after")?
+        .get("points")?
+        .as_arr()?
+        .iter()
+        .find(|p| p.get("name").and_then(Value::as_str) == Some(name))?
+        .get("best_ms")?
+        .as_f64()
+}
+
+/// `after.fig4_quick_sweep_ms`.
+fn after_sweep_ms(archive: &Value) -> Option<f64> {
+    archive.get("after")?.get("fig4_quick_sweep_ms")?.as_f64()
+}
+
+/// `gate.baseline_ms`.
+fn gate_baseline_ms(archive: &Value) -> Option<f64> {
+    archive.get("gate")?.get("baseline_ms")?.as_f64()
 }
 
 fn main() {
@@ -229,16 +242,15 @@ fn main() {
         args.scale_word
     );
 
-    let before_json = args.before.as_ref().map(|p| {
-        std::fs::read_to_string(p).unwrap_or_else(|e| panic!("--before={}: {e}", p.display()))
-    });
-    let before_sweep = before_json
+    let before_json = args
+        .before
         .as_ref()
-        .and_then(|j| scan_number(j, "fig4_quick_sweep_ms"));
+        .map(|p| read_archive(p).unwrap_or_else(|e| panic!("--before={}: {e}", p.display())));
+    let before_sweep = before_json.as_ref().and_then(after_sweep_ms);
 
     let mut rows = Vec::new();
     for (p, &ms) in POINTS.iter().zip(&point_ms) {
-        let before = before_json.as_ref().and_then(|j| scan_point_ms(j, p.name));
+        let before = before_json.as_ref().and_then(|j| after_point_ms(j, p.name));
         rows.push(vec![
             p.name.to_string(),
             before.map_or_else(|| "-".into(), |b| format!("{b:.1}")),
@@ -290,7 +302,7 @@ fn main() {
     if let Some(bj) = &before_json {
         let before_points: Vec<(String, f64)> = POINTS
             .iter()
-            .filter_map(|p| scan_point_ms(bj, p.name).map(|ms| (p.name.to_string(), ms)))
+            .filter_map(|p| after_point_ms(bj, p.name).map(|ms| (p.name.to_string(), ms)))
             .collect();
         if let Some(bs) = before_sweep {
             json.push_str("  \"before\": ");
@@ -324,9 +336,9 @@ fn main() {
 
     // ---- CI gate ----
     if let Some(check) = &args.check {
-        let baseline = std::fs::read_to_string(check)
+        let baseline = read_archive(check)
             .ok()
-            .and_then(|j| scan_number(&j, "baseline_ms"))
+            .and_then(|archive| gate_baseline_ms(&archive))
             .unwrap_or_else(|| {
                 eprintln!(
                     "[bench_simulation] GATE ERROR: no baseline_ms in {}",
@@ -346,5 +358,50 @@ fn main() {
             "[bench_simulation] gate ok: lane sweep {lanes_ms:.1} ms <= {limit:.1} ms \
              (baseline {baseline:.1} ms x {MAX_REGRESSION_FACTOR})"
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// An archive made with `--before` of an archive that itself had a
+    /// `before` section: only the `after` and `gate` numbers are its own.
+    #[test]
+    fn baseline_reads_the_after_section_of_a_two_section_archive() {
+        let archive = json::parse(
+            r#"{
+  "name": "bench_simulation",
+  "before": {
+    "points": [
+      {"name": "fig4_apache_n1000_lat1000", "best_ms": 90.000},
+      {"name": "fig4_compute_baseline", "best_ms": 50.000}
+    ],
+    "fig4_quick_sweep_ms": 9000.000
+  },
+  "speedup_fig4_quick_sweep": 1.500,
+  "after": {
+    "points": [
+      {"name": "fig4_apache_n1000_lat1000", "best_ms": 60.000},
+      {"name": "fig4_compute_baseline", "best_ms": 33.000}
+    ],
+    "fig4_quick_sweep_ms": 6000.000
+  },
+  "lanes": {"width": 4, "fig4_quick_sweep_lanes_ms": 4000.000, "speedup_lanes_vs_scalar": 1.500},
+  "gate": {"metric": "fig4_quick_sweep_lanes_ms", "baseline_ms": 4000.000, "max_regression_factor": 1.2}
+}"#,
+        )
+        .unwrap();
+        assert_eq!(
+            after_point_ms(&archive, "fig4_apache_n1000_lat1000"),
+            Some(60.0)
+        );
+        assert_eq!(
+            after_point_ms(&archive, "fig4_compute_baseline"),
+            Some(33.0)
+        );
+        assert_eq!(after_point_ms(&archive, "table3_derby_n100_lat5000"), None);
+        assert_eq!(after_sweep_ms(&archive), Some(6000.0));
+        assert_eq!(gate_baseline_ms(&archive), Some(4000.0));
     }
 }

@@ -21,8 +21,8 @@
 //! the file paths so output is stable across directories).
 
 use crate::args::InspectArgs;
+use osoffload_obs::json::{self, Value};
 use osoffload_runner::journal::{self, extract_config, fnv1a64};
-use osoffload_runner::jsonv::{self, Value};
 use osoffload_runner::Outcome;
 use std::fmt::Write as _;
 use std::path::Path;
@@ -92,7 +92,7 @@ fn load(path: &str) -> Result<Artefact, String> {
                     digest: r.config_digest(),
                     config: r.config_json.clone(),
                     report: match &r.outcome {
-                        Outcome::Ok(rep) => jsonv::parse(&rep.to_json()).ok(),
+                        Outcome::Ok(rep) => json::parse(&rep.to_json()).ok(),
                         _ => None,
                     },
                     wall_ms: r.wall_ms,
@@ -108,7 +108,7 @@ fn load(path: &str) -> Result<Artefact, String> {
         );
         return Ok(Artefact::Journal { summary, rows });
     }
-    let doc = jsonv::parse(&text).map_err(|e| format!("{path}: bad JSON: {e}"))?;
+    let doc = json::parse(&text).map_err(|e| format!("{path}: bad JSON: {e}"))?;
     if doc.get("rows").is_some() && doc.get("master_seed").is_some() {
         let rows = split_rows(&text)
             .into_iter()
@@ -152,7 +152,7 @@ fn load_serve_cache(path: &str) -> Result<Artefact, String> {
             digest: e.digest.clone(),
             config: e.row.config_json.clone(),
             report: match &e.row.outcome {
-                Outcome::Ok(rep) => jsonv::parse(&rep.to_json()).ok(),
+                Outcome::Ok(rep) => json::parse(&rep.to_json()).ok(),
                 _ => None,
             },
             wall_ms: e.row.wall_ms,
@@ -185,7 +185,7 @@ fn split_rows(text: &str) -> Vec<&str> {
     while pos < bytes.len() {
         match bytes[pos] {
             b'{' => {
-                let Some(end) = skip_object(bytes, pos) else {
+                let Some(end) = json::value_end(text, pos) else {
                     break;
                 };
                 rows.push(&text[pos..end]);
@@ -198,30 +198,8 @@ fn split_rows(text: &str) -> Vec<&str> {
     rows
 }
 
-/// The byte offset one past a balanced JSON object starting at `pos`.
-fn skip_object(bytes: &[u8], mut pos: usize) -> Option<usize> {
-    let mut depth = 0usize;
-    let mut in_str = false;
-    while pos < bytes.len() {
-        match bytes[pos] {
-            b'\\' if in_str => pos += 1,
-            b'"' => in_str = !in_str,
-            b'{' if !in_str => depth += 1,
-            b'}' if !in_str => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(pos + 1);
-                }
-            }
-            _ => {}
-        }
-        pos += 1;
-    }
-    None
-}
-
 fn parse_archive_row(text: &str) -> Option<Row> {
-    let v = jsonv::parse(text).ok()?;
+    let v = json::parse(text).ok()?;
     let config = extract_config(text)?;
     let status = v.get("status").and_then(Value::as_str)?.to_string();
     let detail = match status.as_str() {
@@ -281,75 +259,9 @@ fn render_show(path: &str) -> Result<String, String> {
             out.push('\n');
             render_rows(&mut out, &rows);
         }
-        Artefact::Other(doc) => {
-            pretty(&doc, 0, &mut out);
-            out.push('\n');
-        }
+        Artefact::Other(doc) => out.push_str(&doc.to_json_pretty()),
     }
     Ok(out)
-}
-
-/// Pretty-prints a parsed JSON value with two-space indentation.
-fn pretty(v: &Value, indent: usize, out: &mut String) {
-    let pad = "  ".repeat(indent + 1);
-    match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(b) => {
-            let _ = write!(out, "{b}");
-        }
-        Value::UInt(n) => {
-            let _ = write!(out, "{n}");
-        }
-        Value::Int(n) => {
-            let _ = write!(out, "{n}");
-        }
-        Value::Float(x) => {
-            let _ = write!(out, "{x}");
-        }
-        Value::Str(s) => {
-            let _ = write!(out, "\"{}\"", json_escape(s));
-        }
-        Value::Arr(items) if items.is_empty() => out.push_str("[]"),
-        Value::Arr(items) => {
-            out.push_str("[\n");
-            for (i, item) in items.iter().enumerate() {
-                out.push_str(&pad);
-                pretty(item, indent + 1, out);
-                out.push_str(if i + 1 < items.len() { ",\n" } else { "\n" });
-            }
-            out.push_str(&"  ".repeat(indent));
-            out.push(']');
-        }
-        Value::Obj(fields) if fields.is_empty() => out.push_str("{}"),
-        Value::Obj(fields) => {
-            out.push_str("{\n");
-            for (i, (k, val)) in fields.iter().enumerate() {
-                let _ = write!(out, "{pad}\"{}\": ", json_escape(k));
-                pretty(val, indent + 1, out);
-                out.push_str(if i + 1 < fields.len() { ",\n" } else { "\n" });
-            }
-            out.push_str(&"  ".repeat(indent));
-            out.push('}');
-        }
-    }
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Renders the matches for one digest across `paths`. Returns the text
@@ -629,10 +541,16 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("osoff-inspect-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("repro.json");
-        std::fs::write(&path, "{\"seed\":18446744073709551615,\"ops\":[1,2]}").unwrap();
+        std::fs::write(
+            &path,
+            "{\"seed\":18446744073709551615,\"ops\":[1,2],\"x\":2.0}",
+        )
+        .unwrap();
         let text = render_show(path.to_str().unwrap()).expect("loads");
         assert!(text.contains("\"seed\": 18446744073709551615"), "{text}");
         assert!(text.contains("\"ops\": [\n"), "{text}");
+        // Floats keep their point, as the JSON writer renders them.
+        assert!(text.contains("\"x\": 2.0\n"), "{text}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -10,9 +10,9 @@
 //! corpus file edited into a degenerate geometry is rejected with a
 //! typed error, never a deep panic.
 
-use crate::json::Value;
 use osoffload_core::TunerConfig;
 use osoffload_mem::MemConfig;
+use osoffload_obs::json::Value;
 use osoffload_obs::TelemetryMode;
 use osoffload_system::{
     DispatchPolicy, MigrationModel, OffloadMechanism, PolicyKind, SystemConfig,
@@ -116,7 +116,7 @@ impl PolicySpec {
             }
         };
         fields.insert(0, ("kind".into(), Value::Str(kind.into())));
-        Value::Object(fields)
+        Value::Obj(fields)
     }
 
     fn from_value(v: &Value) -> Result<Self, String> {
@@ -287,15 +287,15 @@ impl FuzzCase {
     /// Serialises to a JSON object (stable field order).
     pub fn to_value(&self) -> Value {
         let opt = |o: Option<u64>| o.map_or(Value::Null, Value::UInt);
-        Value::Object(vec![
+        Value::Obj(vec![
             ("profile".into(), Value::Str(self.profile.clone())),
             (
                 "phases".into(),
-                Value::Array(
+                Value::Arr(
                     self.phases
                         .iter()
                         .map(|(at, name)| {
-                            Value::Object(vec![
+                            Value::Obj(vec![
                                 ("at".into(), Value::UInt(*at)),
                                 ("profile".into(), Value::Str(name.clone())),
                             ])
@@ -363,7 +363,7 @@ impl FuzzCase {
         let mut phases = Vec::new();
         for item in v
             .get("phases")
-            .and_then(Value::as_array)
+            .and_then(Value::as_arr)
             .ok_or("case: missing phases")?
         {
             let at = item
@@ -484,7 +484,7 @@ impl FuzzCase {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json;
+    use osoffload_obs::json;
 
     #[test]
     fn default_case_lowers_to_a_valid_config() {
@@ -530,10 +530,10 @@ mod tests {
 
     #[test]
     fn legacy_corpus_files_without_topology_fields_parse() {
-        let Value::Object(fields) = FuzzCase::default().to_value() else {
+        let Value::Obj(fields) = FuzzCase::default().to_value() else {
             unreachable!()
         };
-        let legacy = Value::Object(
+        let legacy = Value::Obj(
             fields
                 .into_iter()
                 .filter(|(k, _)| !matches!(k.as_str(), "os_cores" | "dispatch" | "os_cold_penalty"))

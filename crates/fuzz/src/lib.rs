@@ -33,7 +33,6 @@
 pub mod case;
 pub mod corpus;
 pub mod gen;
-pub mod json;
 pub mod oracle;
 pub mod shrink;
 

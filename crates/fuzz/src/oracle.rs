@@ -35,9 +35,8 @@
 //!    lane.
 
 use crate::case::FuzzCase;
-use crate::json;
 use osoffload_core::{AState, CamPredictor, ReferenceCamPredictor, RunLengthPredictor};
-use osoffload_obs::TelemetryMode;
+use osoffload_obs::{json, TelemetryMode};
 use osoffload_sim::alloc_audit;
 use osoffload_system::{LaneStepper, Phase, PolicyKind, SimReport, Simulation};
 use osoffload_workload::{Segment, ThreadWorkload};
@@ -685,7 +684,7 @@ fn check_invariants(cfg: &osoffload_system::SystemConfig, r: &SimReport) -> Resu
 /// so parse and compare key by key).
 fn report_diff(a: &SimReport, b: &SimReport) -> String {
     let (ja, jb) = (json::parse(&a.to_json()), json::parse(&b.to_json()));
-    let (Ok(json::Value::Object(fa)), Ok(json::Value::Object(fb))) = (ja, jb) else {
+    let (Ok(json::Value::Obj(fa)), Ok(json::Value::Obj(fb))) = (ja, jb) else {
         return "reports differ (unparsable)".into();
     };
     let mut out: Vec<String> = Vec::new();

@@ -9,35 +9,12 @@
 //! microsecond because the format's timestamps are µs.
 
 use crate::event::{Event, EventKind, Track};
+use crate::json::quote;
 use crate::metrics::MetricsRegistry;
 use crate::telemetry::TelemetryMode;
 use std::fmt::Write as _;
 use std::io;
 use std::path::{Path, PathBuf};
-
-/// Escapes a string's content for embedding inside JSON quotes.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Renders a string as a quoted JSON value.
-pub fn json_string(s: &str) -> String {
-    format!("\"{}\"", json_escape(s))
-}
 
 fn kind_args(kind: &EventKind) -> String {
     match kind {
@@ -110,13 +87,13 @@ pub fn chrome_trace(
                 "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":{},\
                  \"args\":{{\"name\":{}}}}}",
                 track.tid(),
-                json_string(&track.label())
+                quote(&track.label())
             ),
         );
     }
 
     for ev in events {
-        let name = json_string(ev.kind.name());
+        let name = quote(ev.kind.name());
         let cat = ev.kind.category();
         let tid = ev.track.tid();
         let args = kind_args(&ev.kind);
@@ -145,9 +122,9 @@ pub fn chrome_trace(
                     format!(
                         "{{\"name\":{},\"ph\":\"C\",\"ts\":{},\"pid\":0,\
                          \"args\":{{{}:{}}}}}",
-                        json_string(name),
+                        quote(name),
                         row.cycles,
-                        json_string(name),
+                        quote(name),
                         row.values[i]
                     ),
                 );
@@ -160,7 +137,7 @@ pub fn chrome_trace(
         if i > 0 {
             out.push(',');
         }
-        let _ = write!(out, "{}:{}", json_string(k), json_string(v));
+        let _ = write!(out, "{}:{}", quote(k), quote(v));
     }
     out.push_str("}}");
     out
@@ -252,12 +229,6 @@ mod tests {
                 },
             },
         ]
-    }
-
-    #[test]
-    fn json_escaping_covers_controls() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_string("x\u{1}"), "\"x\\u0001\"");
     }
 
     #[test]

@@ -5,7 +5,10 @@
 //! through a zero-overhead-when-disabled handle ([`Telemetry`]),
 //! epoch-sampled metric time series ([`MetricsRegistry`]), and
 //! exporters ([`RunTelemetry`], [`chrome_trace`]) that render a run as
-//! Chrome trace-event JSON, CSV, and stable-key JSON.
+//! Chrome trace-event JSON, CSV, and stable-key JSON. It also owns the
+//! workspace's JSON ([`json`]): the one value tree, parser, writer and
+//! string escaper every other crate reads and writes archives, journals,
+//! wire messages and corpus files with.
 //!
 //! Design constraints, in order:
 //!
@@ -25,11 +28,12 @@ pub mod csv;
 pub mod event;
 pub mod export;
 pub mod fsio;
+pub mod json;
 pub mod metrics;
 pub mod telemetry;
 
 pub use event::{Event, EventKind, Track};
-pub use export::{chrome_trace, json_escape, json_string, RunTelemetry};
+pub use export::{chrome_trace, RunTelemetry};
 pub use fsio::atomic_write;
 pub use metrics::{MetricId, MetricKind, MetricsRegistry, SampleRow};
 pub use telemetry::{EventBuffer, Telemetry, TelemetryMode};

@@ -164,7 +164,7 @@ impl MetricsRegistry {
             let _ = write!(
                 out,
                 "{{\"name\":{},\"kind\":\"{}\"}}",
-                crate::export::json_string(name),
+                crate::json::quote(name),
                 match kind {
                     MetricKind::Counter => "counter",
                     MetricKind::Gauge => "gauge",

@@ -8,6 +8,7 @@ use crate::journal::{self, Journal, JournalHeader};
 use crate::plan::{ExperimentPlan, Point};
 use crate::progress::Progress;
 use crate::report::config_json;
+use osoffload_obs::json;
 use osoffload_sim::{CancelToken, Cancelled, Rng64};
 use osoffload_system::{SimReport, Simulation};
 use std::io;
@@ -273,7 +274,7 @@ impl PointResult {
         let mut o = format!(
             "{{\"index\":{},\"id\":\"{}\",\"seed\":{},\"config\":{}",
             self.index,
-            crate::report::json_escape(&self.id),
+            json::escape(&self.id),
             self.seed,
             self.config_json
         );
@@ -285,7 +286,7 @@ impl PointResult {
             Outcome::Failed { panic, attempts } => {
                 o.push_str(&format!(
                     ",\"status\":\"failed\",\"panic\":\"{}\",\"attempts\":{},\"config_digest\":\"{}\"",
-                    crate::report::json_escape(panic),
+                    json::escape(panic),
                     attempts,
                     self.config_digest()
                 ));
@@ -434,7 +435,7 @@ impl SweepResult {
         let rows: Vec<String> = self.rows.iter().map(|r| r.row_json()).collect();
         format!(
             "{{\"experiment\":\"{}\",\"master_seed\":{},\"workers\":{},\"points\":{},\"failed\":{},\"timeouts\":{},\"wall_ms\":{:.3},\"rows\":[{}]}}",
-            crate::report::json_escape(&self.name),
+            json::escape(&self.name),
             self.master_seed,
             self.workers,
             self.rows.len(),

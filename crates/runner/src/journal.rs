@@ -22,8 +22,7 @@
 //! points simply re-run.
 
 use crate::executor::{Outcome, PointResult};
-use crate::jsonv::{self, Value};
-use crate::report::json_escape;
+use osoffload_obs::json::{self, Value};
 use osoffload_system::{BinaryPoint, CycleBreakdown, PredictorReport, QueueReport, SimReport};
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
@@ -57,7 +56,7 @@ impl JournalHeader {
         format!(
             "{{\"journal\":\"osoffload-runner\",\"version\":1,\"experiment\":\"{}\",\
              \"master_seed\":{},\"points\":{}}}",
-            json_escape(&self.experiment),
+            json::escape(&self.experiment),
             self.master_seed,
             self.points
         )
@@ -248,7 +247,7 @@ pub fn unwrap_envelope(line: &str) -> Option<&str> {
 }
 
 fn parse_header(body: &str) -> Result<JournalHeader, String> {
-    let v = jsonv::parse(body).map_err(|e| format!("bad header: {e}"))?;
+    let v = json::parse(body).map_err(|e| format!("bad header: {e}"))?;
     if v.get("journal").and_then(Value::as_str) != Some("osoffload-runner") {
         return Err("not an osoffload-runner journal".into());
     }
@@ -276,10 +275,10 @@ fn parse_header(body: &str) -> Result<JournalHeader, String> {
 /// about the record is off (the point then simply re-runs).
 fn restore_row(body: &str) -> Option<PointResult> {
     let stable_text = extract_stable(body)?;
-    let v = jsonv::parse(body).ok()?;
-    let stable = jsonv::parse(stable_text).ok()?;
+    let v = json::parse(body).ok()?;
+    let stable = v.get("stable")?;
     let config_json = extract_config(stable_text)?;
-    let outcome = parse_outcome(&stable)?;
+    let outcome = parse_outcome(stable)?;
     Some(PointResult {
         index: v.get("index").and_then(Value::as_usize)?,
         id: stable.get("id").and_then(Value::as_str)?.to_string(),
@@ -325,7 +324,7 @@ fn parse_outcome(stable: &Value) -> Option<Outcome> {
 /// verbatim text is retained so archives re-emit it byte-for-byte, the
 /// same contract journal resume relies on.
 pub fn restore_from_stable(stable_text: &str) -> Option<PointResult> {
-    let stable = jsonv::parse(stable_text).ok()?;
+    let stable = json::parse(stable_text).ok()?;
     let config_json = extract_config(stable_text)?;
     Some(PointResult {
         index: stable.get("index").and_then(Value::as_usize)?,
@@ -349,20 +348,12 @@ pub fn restore_from_stable(stable_text: &str) -> Option<PointResult> {
 /// is how a serve-cache row recorded at one sweep position is replayed
 /// verbatim at another without re-serialising the report.
 pub fn rekey_stable(stable: &str, index: usize, id: &str, seed: u64) -> Option<String> {
-    let bytes = stable.as_bytes();
-    let mut pos = expect_str(stable, 0, "{\"index\":")?;
-    pos = skip_number(bytes, pos)?;
-    pos = expect_str(stable, pos, ",\"id\":")?;
-    pos = skip_string(bytes, pos)?;
-    pos = expect_str(stable, pos, ",\"seed\":")?;
-    pos = skip_number(bytes, pos)?;
-    stable[pos..].starts_with(",\"config\":").then(|| {
-        format!(
-            "{{\"index\":{index},\"id\":\"{}\",\"seed\":{seed}{}",
-            json_escape(id),
-            &stable[pos..]
-        )
-    })
+    let pos = config_key_at(stable)?;
+    Some(format!(
+        "{{\"index\":{index},\"id\":\"{}\",\"seed\":{seed}{}",
+        json::escape(id),
+        &stable[pos..]
+    ))
 }
 
 /// Slices the verbatim stable-row text out of a record body. `stable`
@@ -376,81 +367,29 @@ fn extract_stable(body: &str) -> Option<&str> {
     (stable.starts_with('{') && stable.ends_with('}')).then_some(stable)
 }
 
-/// Slices the verbatim configuration JSON out of a stable-row text by
-/// walking its fixed field order: `{"index":N,"id":"...","seed":N,
-/// "config":{...},...}`. String-aware, so ids containing braces or a
-/// literal `"config"` cannot mislead it. Archive rows share the same
-/// leading field order, so `osoffload inspect` reuses this to recover
-/// the exact bytes behind an archived `config_digest`.
+/// Slices the verbatim configuration JSON out of a stable-row text.
+/// Archive rows share the stable row's leading field order, so
+/// `osoffload inspect` reuses this to recover the exact bytes behind an
+/// archived `config_digest`.
 pub fn extract_config(stable: &str) -> Option<String> {
-    let bytes = stable.as_bytes();
-    let mut pos = expect_str(stable, 0, "{\"index\":")?;
-    pos = skip_number(bytes, pos)?;
-    pos = expect_str(stable, pos, ",\"id\":")?;
-    pos = skip_string(bytes, pos)?;
-    pos = expect_str(stable, pos, ",\"seed\":")?;
-    pos = skip_number(bytes, pos)?;
-    pos = expect_str(stable, pos, ",\"config\":")?;
-    let end = skip_value(bytes, pos)?;
-    Some(stable[pos..end].to_string())
+    let start = config_key_at(stable)? + CONFIG_KEY.len();
+    let end = json::value_end(stable, start)?;
+    Some(stable[start..end].to_string())
 }
 
-fn expect_str(text: &str, pos: usize, lit: &str) -> Option<usize> {
-    text[pos..].starts_with(lit).then_some(pos + lit.len())
-}
+const CONFIG_KEY: &str = ",\"config\":";
 
-fn skip_number(bytes: &[u8], mut pos: usize) -> Option<usize> {
-    let start = pos;
-    while pos < bytes.len() && matches!(bytes[pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-    {
-        pos += 1;
+/// The byte offset of the `"config"` key in a stable-row text, found by
+/// walking its fixed leading fields `{"index":N,"id":"...","seed":N`
+/// value by value, so ids containing braces or a literal `"config"`
+/// cannot mislead it.
+fn config_key_at(stable: &str) -> Option<usize> {
+    let mut pos = 0;
+    for key in ["{\"index\":", ",\"id\":", ",\"seed\":"] {
+        pos = stable[pos..].starts_with(key).then_some(pos + key.len())?;
+        pos = json::value_end(stable, pos)?;
     }
-    (pos > start).then_some(pos)
-}
-
-fn skip_string(bytes: &[u8], mut pos: usize) -> Option<usize> {
-    if bytes.get(pos) != Some(&b'"') {
-        return None;
-    }
-    pos += 1;
-    while pos < bytes.len() {
-        match bytes[pos] {
-            b'\\' => pos += 2,
-            b'"' => return Some(pos + 1),
-            _ => pos += 1,
-        }
-    }
-    None
-}
-
-/// Skips one balanced JSON value (object, array, string, or scalar).
-fn skip_value(bytes: &[u8], pos: usize) -> Option<usize> {
-    match bytes.get(pos)? {
-        b'"' => skip_string(bytes, pos),
-        b'{' | b'[' => {
-            let mut depth = 0usize;
-            let mut p = pos;
-            while p < bytes.len() {
-                match bytes[p] {
-                    b'"' => p = skip_string(bytes, p)?,
-                    b'{' | b'[' => {
-                        depth += 1;
-                        p += 1;
-                    }
-                    b'}' | b']' => {
-                        depth -= 1;
-                        p += 1;
-                        if depth == 0 {
-                            return Some(p);
-                        }
-                    }
-                    _ => p += 1,
-                }
-            }
-            None
-        }
-        _ => skip_number(bytes, pos),
-    }
+    stable[pos..].starts_with(CONFIG_KEY).then_some(pos)
 }
 
 /// Rebuilds a [`SimReport`] from its parsed JSON, field for field —

@@ -50,7 +50,6 @@ pub mod driver;
 pub mod executor;
 pub mod fault;
 pub mod journal;
-pub mod jsonv;
 mod lane_exec;
 pub mod plan;
 mod progress;
@@ -66,6 +65,11 @@ pub use journal::{
     fnv1a64, scan_envelope_lines, Journal, JournalHeader, LoadedJournal, ScanIssue, ScanMode,
 };
 pub use plan::{ExperimentPlan, Point};
+
+/// The workspace's JSON module under its former name: the benchmark
+/// harness (`perfbench/harness`) imports `osoffload_runner::jsonv`.
+/// Code in the workspace uses [`osoffload_obs::json`] directly.
+pub use osoffload_obs::json as jsonv;
 
 // Re-exported so downstream callers name configs without an extra
 // dependency edge.

@@ -24,27 +24,10 @@
 //! previous good one stood.
 
 use crate::executor::{Outcome, SweepResult};
-use osoffload_obs::{atomic_write, chrome_trace, Event, EventKind, Track};
+use osoffload_obs::{atomic_write, chrome_trace, json, Event, EventKind, Track};
 use osoffload_system::{CycleProfile, SystemConfig};
 use std::io;
 use std::path::{Path, PathBuf};
-
-/// Minimal JSON string escaping.
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// Renders a [`SystemConfig`] as a JSON object with a stable key order.
 ///
@@ -57,8 +40,8 @@ pub fn config_json(cfg: &SystemConfig) -> String {
          \"user_cores\":{},\"os_core_contexts\":{},\"os_core_slowdown_milli\":{},\
          \"resource_adaptation\":{},\"instructions\":{},\"warmup\":{},\"seed\":{},\
          \"tuner\":{},\"mem_override\":{},\"phases\":{}}}",
-        json_escape(cfg.profile.name),
-        json_escape(&cfg.policy.to_string()),
+        json::escape(cfg.profile.name),
+        json::escape(&cfg.policy.to_string()),
         cfg.mechanism,
         cfg.migration.one_way().as_u64(),
         cfg.user_cores,
@@ -184,7 +167,7 @@ pub fn write_runner_telemetry(sweep: &SweepResult, dir: &Path) -> io::Result<Vec
             "{{\"experiment\":\"{}\",\"workers\":{},\"points\":{},\"failed\":{},\"timeouts\":{},\
              \"injected_faults\":{},\"wall_ms\":{:.3},\"idle_ms\":{:.3},\"retries\":{},\
              \"worker_profiles\":[{}]}}",
-            json_escape(&sweep.name),
+            json::escape(&sweep.name),
             sweep.workers,
             sweep.rows.len(),
             sweep.failures().count(),
@@ -209,17 +192,11 @@ pub fn write_static_table(
     rows: &[Vec<String>],
     dir: &Path,
 ) -> io::Result<PathBuf> {
-    let headers: Vec<String> = headers
-        .iter()
-        .map(|h| format!("\"{}\"", json_escape(h)))
-        .collect();
+    let headers: Vec<String> = headers.iter().map(|h| json::quote(h)).collect();
     let rows: Vec<String> = rows
         .iter()
         .map(|row| {
-            let cells: Vec<String> = row
-                .iter()
-                .map(|c| format!("\"{}\"", json_escape(c)))
-                .collect();
+            let cells: Vec<String> = row.iter().map(|c| json::quote(c)).collect();
             format!("[{}]", cells.join(","))
         })
         .collect();
@@ -228,7 +205,7 @@ pub fn write_static_table(
         &path,
         format!(
             "{{\"experiment\":\"{}\",\"kind\":\"static\",\"headers\":[{}],\"rows\":[{}]}}",
-            json_escape(name),
+            json::escape(name),
             headers.join(","),
             rows.join(",")
         )
@@ -266,12 +243,6 @@ mod tests {
             assert!(j.contains(key), "missing {key} in {j}");
         }
         assert_eq!(j.matches('{').count(), j.matches('}').count());
-    }
-
-    #[test]
-    fn escaping_handles_quotes_and_control() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
     }
 
     #[test]

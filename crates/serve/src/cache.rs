@@ -45,11 +45,10 @@
 //! so a crash mid-compaction leaves either the old or the new cache,
 //! never a mangled hybrid.
 
-use osoffload_obs::atomic_write;
+use osoffload_obs::{atomic_write, json};
 use osoffload_runner::journal::{
     envelope, restore_from_stable, scan_envelope_lines, Journal, ScanMode,
 };
-use osoffload_runner::jsonv;
 use osoffload_runner::PointResult;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -130,7 +129,7 @@ fn parse_record(body: &str) -> Result<CacheEntry, String> {
         .find(",\"stable\":")
         .ok_or("record missing stable row")?;
     let config = &rest[..stable_at];
-    jsonv::parse(config).map_err(|e| format!("record config unparsable: {e}"))?;
+    json::parse(config).map_err(|e| format!("record config unparsable: {e}"))?;
     let stable = rest[stable_at + ",\"stable\":".len()..]
         .strip_suffix('}')
         .ok_or("record not brace-terminated")?;

@@ -11,8 +11,7 @@
 //! served from cache on the next attempt.
 
 use crate::wire;
-use osoffload_obs::json_escape;
-use osoffload_runner::jsonv::{self, Value};
+use osoffload_obs::json::{self, Value};
 use osoffload_runner::{backoff_delay_ms, ExperimentPlan};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -62,12 +61,12 @@ pub fn submit_request_line(plan: &ExperimentPlan) -> Result<String, String> {
             .map_err(|why| format!("point {} ({}): {why}", p.index, p.id))?;
         points.push(format!(
             "{{\"id\":\"{}\",\"config\":{wire_text}}}",
-            json_escape(&p.id)
+            json::escape(&p.id)
         ));
     }
     Ok(format!(
         "{{\"op\":\"submit\",\"experiment\":\"{}\",\"master_seed\":{},\"points\":[{}]}}\n",
-        json_escape(plan.name()),
+        json::escape(plan.name()),
         plan.master_seed(),
         points.join(",")
     ))
@@ -161,8 +160,8 @@ pub fn submit_once(
         }
         let text = line.trim_end();
         on_event(text);
-        let event = jsonv::parse(text)
-            .map_err(|e| SubmitError::Protocol(format!("bad event line: {e}")))?;
+        let event =
+            json::parse(text).map_err(|e| SubmitError::Protocol(format!("bad event line: {e}")))?;
         if event.get("ok").map(|v| matches!(v, Value::Bool(false))) == Some(true) {
             return Err(SubmitError::Refused {
                 error: event

@@ -60,8 +60,8 @@
 
 use crate::cache::ResultCache;
 use crate::wire;
-use osoffload_obs::{atomic_write, json_escape, MetricId, MetricsRegistry};
-use osoffload_runner::jsonv::{self, Value};
+use osoffload_obs::json::{self, Value};
+use osoffload_obs::{atomic_write, MetricId, MetricsRegistry};
 use osoffload_runner::report::write_sweep;
 use osoffload_runner::{run_plan_hooked, ExecHooks, ExperimentPlan, Outcome, RunnerOptions};
 use std::collections::VecDeque;
@@ -258,7 +258,7 @@ impl std::fmt::Debug for Daemon {
 }
 
 fn err_line(why: &str) -> String {
-    format!("{{\"ok\":false,\"error\":\"{}\"}}\n", json_escape(why))
+    format!("{{\"ok\":false,\"error\":\"{}\"}}\n", json::escape(why))
 }
 
 fn valid_experiment_name(name: &str) -> bool {
@@ -528,7 +528,7 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
         // would only confuse a confused peer further.
         Err(ReadLineError::Gone) => return,
     };
-    let request = match jsonv::parse(line.trim_end()) {
+    let request = match json::parse(line.trim_end()) {
         Ok(v) => v,
         Err(why) => {
             let _ = out.write_all(err_line(&format!("bad request: {why}")).as_bytes());
@@ -817,7 +817,7 @@ fn handle_submit(
             "{{\"event\":\"point\",\"index\":{},\"id\":\"{}\",\"digest\":\"{}\",\
              \"cached\":{},\"status\":\"{}\"}}\n",
             row.index,
-            json_escape(&row.id),
+            json::escape(&row.id),
             digests[row.index],
             cached,
             status
@@ -873,7 +873,7 @@ fn handle_submit(
              \"misses\":{misses},\"failed\":{failed},\"evicted\":{evicted},\
              \"archive\":\"{}\"}}\n",
             sweep.rows.len(),
-            json_escape(&archive.display().to_string())
+            json::escape(&archive.display().to_string())
         )
         .as_bytes(),
     );

@@ -17,9 +17,9 @@
 
 use osoffload_core::TunerConfig;
 use osoffload_mem::MemConfig;
-use osoffload_obs::{json_escape, TelemetryMode};
+use osoffload_obs::json::{self, Value};
+use osoffload_obs::TelemetryMode;
 use osoffload_runner::journal::fnv1a64;
-use osoffload_runner::jsonv::Value;
 use osoffload_runner::report::config_json;
 use osoffload_sim::Instret;
 use osoffload_system::{DispatchPolicy, OffloadMechanism, PolicyKind, SystemConfig};
@@ -234,7 +234,7 @@ pub fn config_to_json(cfg: &SystemConfig) -> Result<String, String> {
          \"os_cores\":{},\"dispatch\":\"{}\",\"os_cold_penalty\":{},\"resource_adaptation\":{},\
          \"user_cores\":{},\"instructions\":{},\"warmup\":{},\"seed\":{},\"tuner\":{},\
          \"half_l2_cores\":{}}}",
-        json_escape(profile_name(&cfg.profile)?),
+        json::escape(profile_name(&cfg.profile)?),
         phases.join(","),
         policy_json(&cfg.policy),
         match cfg.mechanism {
@@ -371,11 +371,10 @@ pub fn config_from_json(v: &Value) -> Result<SystemConfig, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use osoffload_runner::jsonv;
 
     fn round_trip(cfg: &SystemConfig) {
         let wire = config_to_json(cfg).expect("encode");
-        let parsed = jsonv::parse(&wire).expect("parse");
+        let parsed = json::parse(&wire).expect("parse");
         let back = config_from_json(&parsed).expect("decode");
         assert_eq!(
             format!("{back:?}"),
@@ -515,7 +514,7 @@ mod tests {
         ] {
             let mutated = base.replace(needle, replacement);
             assert_ne!(mutated, base, "mutation {why:?} must apply");
-            let parsed = jsonv::parse(&mutated).expect("parse");
+            let parsed = json::parse(&mutated).expect("parse");
             assert!(config_from_json(&parsed).is_err(), "{why} must be rejected");
         }
     }

@@ -562,6 +562,13 @@ fn hostile_requests_get_errors_not_panics() {
         assert!(err.contains("refused") || err.contains("closed"), "{err}");
     }
 
+    // Half a megabyte of nesting inside the line bound: the parser's
+    // depth limit answers it; unbounded recursion would overflow the
+    // handler's stack and abort the whole daemon.
+    let deep = "[".repeat(1 << 19) + "\n";
+    let answer = raw_request(port, deep.as_bytes());
+    assert!(answer.contains("nesting too deep"), "{answer}");
+
     // The daemon survives all of it.
     assert!(client::ping(port).expect("ping").contains("\"ok\":true"));
     client::stop(port).expect("stop");

@@ -1,5 +1,5 @@
-//! Lane-parallel sweep execution: advance K co-resident simulations in
-//! lockstep over a shared workload tape.
+//! Lane-parallel sweep execution: run K co-resident simulations over a
+//! shared workload tape.
 //!
 //! Every figure/table sweep evaluates the *same* workload shape
 //! (profile, phase schedule, thread count, seed) under many policy ×
@@ -11,20 +11,17 @@
 //! [`TapeRegistry`]), and replay is a linear scan over packed
 //! 17-byte records instead of a chain of RNG and sampler draws.
 //!
-//! Lanes are scheduled by minimum retired-instruction count, each lane
-//! advancing up to a *quantum* of retired instructions per turn. With
-//! tapes fully materialised up front the best schedule is the
-//! degenerate one — run each lane to completion before starting the
-//! next (the default, `quantum = u64::MAX`): interleaving turns evicts
+//! Each phase (warm-up, then the measured region) runs every lane to
+//! its target in turn. With tapes fully materialised up front this is
+//! the fastest schedule: interleaving lanes in lockstep quanta evicts
 //! every other lane's simulated cache/TLB/predictor arrays from the
-//! host cache and measures slower at every width we tried. Bounded
-//! quanta (`OSOFFLOAD_LANE_QUANTUM`) remain for experiments that want
-//! the cursors to move through the tape together. Either way a lane
-//! that reaches its budget falls out of the rotation, stragglers catch
-//! up scalar-style, and rejoining costs nothing — each lane owns its
-//! complete architectural state, so its report is **bit-identical** to
-//! [`Simulation::run`] on the same configuration by construction
-//! (`tests/bit_identity.rs` lane matrix and fuzz oracle 8 prove it).
+//! host cache and measured 10-20% slower (64 Ki-instruction quanta on
+//! the fig4 grid). A tape's contents depend only on its workload shape,
+//! never on when or for which lane it is extended, and each lane owns
+//! its complete architectural state, so lane order cannot change a
+//! report: each is **bit-identical** to [`Simulation::run`] on the same
+//! configuration by construction (`tests/bit_identity.rs` lane matrix
+//! and fuzz oracle 8 prove it).
 //!
 //! The measured regions of all lanes run under a single
 //! `alloc_audit` region. That requires the tape to be fully
@@ -54,13 +51,6 @@ pub fn tape_compatible(a: &SystemConfig, b: &SystemConfig) -> bool {
         && a.profile == b.profile
         && a.phases == b.phases
 }
-
-/// Default quantum: run each lane to completion before the next starts.
-/// Lockstep interleaving only helps when tapes are materialised lazily
-/// at the pack frontier; with up-front materialisation it just thrashes
-/// per-lane simulator state out of the host cache (measured ~10-20%
-/// slower at 64 Ki-instruction quanta on the fig4 grid).
-const DEFAULT_QUANTUM: u64 = u64::MAX;
 
 /// A cache of workload tapes keyed by [`tape_compatible`] shape.
 ///
@@ -108,8 +98,7 @@ struct Lane {
     warmup: u64,
 }
 
-/// K co-resident simulations advanced in lockstep over shared
-/// workload tapes.
+/// K co-resident simulations run over shared workload tapes.
 ///
 /// Configurations that are [`tape_compatible`] share one tape; a pack
 /// may mix several shapes (each gets its own tape) — scheduling is
@@ -138,7 +127,6 @@ struct Lane {
 pub struct LaneStepper {
     lanes: Vec<Lane>,
     tapes: Vec<SharedTape>,
-    quantum: u64,
 }
 
 impl LaneStepper {
@@ -195,15 +183,7 @@ impl LaneStepper {
             });
         }
         let tapes = shapes.into_iter().map(|(_, t)| t).collect();
-        let quantum = std::env::var("OSOFFLOAD_LANE_QUANTUM")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(DEFAULT_QUANTUM);
-        Ok(LaneStepper {
-            lanes,
-            tapes,
-            quantum,
-        })
+        Ok(LaneStepper { lanes, tapes })
     }
 
     /// Number of lanes in the pack.
@@ -215,9 +195,7 @@ impl LaneStepper {
     /// in construction order, each bit-identical to
     /// [`Simulation::run`] on the lane's configuration.
     pub fn run(mut self) -> Vec<SimReport> {
-        // Warm-up: always step the lane with the fewest retired
-        // instructions among those still below their warm-up budget.
-        Self::stride(&mut self.lanes, self.quantum, |l| l.warmup);
+        Self::run_each(&mut self.lanes, |l| l.warmup);
 
         // Warm-up → measured transition per lane. All allocating setup
         // (trace, tuner, telemetry) happens here, before the single
@@ -251,7 +229,7 @@ impl LaneStepper {
 
         // One audited measured region across the whole pack.
         alloc_audit::region_enter();
-        Self::stride(&mut self.lanes, self.quantum, |l| l.measure);
+        Self::run_each(&mut self.lanes, |l| l.measure);
         alloc_audit::region_exit();
 
         self.lanes
@@ -261,35 +239,13 @@ impl LaneStepper {
             .collect()
     }
 
-    /// Advances lanes in lockstep at `quantum`-instruction granularity:
-    /// repeatedly picks the lane with the fewest retired instructions
-    /// among those still below `target` and steps it segment by segment
-    /// until it has retired another `quantum`. Finished lanes drop out
-    /// of the rotation; the last stragglers run scalar-style.
-    fn stride(lanes: &mut [Lane], quantum: u64, target: impl Fn(&Lane) -> u64) {
-        loop {
-            let mut next: Option<(usize, Instret)> = None;
-            for (i, l) in lanes.iter().enumerate() {
-                let retired = l.sim.retired();
-                if retired < Instret::new(target(l)) {
-                    let better = match next {
-                        Some((_, best)) => retired < best,
-                        None => true,
-                    };
-                    if better {
-                        next = Some((i, retired));
-                    }
-                }
-            }
-            let Some((i, retired)) = next else { break };
-            let stop = Instret::new(
-                retired
-                    .as_u64()
-                    .saturating_add(quantum)
-                    .min(target(&lanes[i])),
-            );
-            while lanes[i].sim.retired() < stop {
-                lanes[i].sim.step_segment();
+    /// Steps each lane, in order, segment by segment until it has
+    /// retired `target` instructions.
+    fn run_each(lanes: &mut [Lane], target: impl Fn(&Lane) -> u64) {
+        for lane in lanes {
+            let stop = Instret::new(target(lane));
+            while lane.sim.retired() < stop {
+                lane.sim.step_segment();
             }
         }
     }

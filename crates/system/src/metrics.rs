@@ -165,24 +165,6 @@ pub struct SimReport {
     pub tuner_events: usize,
 }
 
-/// Minimal JSON string escaping (the report's strings are ASCII
-/// identifiers, but stay correct for arbitrary content).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 impl SimReport {
     /// Aggregate throughput (instructions per cycle). Convenience
     /// accessor mirroring the paper's headline metric.
@@ -225,7 +207,7 @@ impl SimReport {
             o.push_str("\":");
             o.push_str(&value);
         };
-        let s = |v: &str| format!("\"{}\"", json_escape(v));
+        let s = osoffload_obs::json::quote;
         let opt = |v: Option<u64>| v.map_or("null".to_string(), |n| n.to_string());
         field(&mut o, "profile", s(&self.profile));
         field(&mut o, "policy", s(&self.policy));
