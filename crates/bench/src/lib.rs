@@ -1,30 +1,13 @@
-//! Shared helpers for the `osoffload-bench` experiment binaries.
+//! Shared helpers for the `osoffload-bench` experiment binary.
 //!
-//! Each binary under `src/bin/` regenerates one table or figure of the
-//! paper (see `DESIGN.md`'s experiment index). This library holds the
-//! bits they share: scale-argument parsing and plain-text table
-//! rendering.
+//! `osoffload-bench <name> [quick|full|paper] [runner flags]` regenerates
+//! one table or figure of the paper (see `DESIGN.md`'s experiment index);
+//! its registry lives in `src/main.rs`. This library holds what the
+//! experiments and the `bench_simulation` perf gate share: argument
+//! parsing, the runner glue, and plain-text table rendering.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-use osoffload_system::experiments::Scale;
-
-/// Parses the experiment scale from the process arguments.
-///
-/// Accepts `quick`, `full`, or `paper` (with or without a `--` prefix);
-/// defaults to [`Scale::full`]. Unknown arguments abort with usage help
-/// so a typo cannot silently fall back to a different experiment length.
-pub fn scale_from_args() -> Scale {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first() {
-        None => Scale::full(),
-        Some(arg) => Scale::from_arg(arg).unwrap_or_else(|| {
-            eprintln!("usage: <bin> [quick|full|paper]   (default: full)");
-            std::process::exit(2);
-        }),
-    }
-}
 
 /// Renders rows as an aligned plain-text table with a header rule.
 ///
@@ -93,54 +76,36 @@ pub fn spark(values: &[f64], lo: f64, hi: f64) -> String {
         .collect()
 }
 
-/// Glue between the experiment binaries and the parallel runner.
+/// Glue between the experiments and the parallel runner.
 ///
-/// Every ported binary follows the same shape: parse the scale word
-/// plus runner flags, hand its `*_with` driver to [`harness::run`]
-/// (which executes the simulation points concurrently, streams
-/// progress to stderr, and archives a JSON results file under
+/// Every sweep follows the same shape: hand its driver to
+/// [`harness::run`] (which executes the simulation points concurrently,
+/// streams progress to stderr, and archives a JSON results file under
 /// `results/`), then print its table from the returned rows.
 pub mod harness {
     use osoffload_runner::{report, run_driver, RunnerOptions};
     use osoffload_system::experiments::{Evaluator, Scale};
 
-    /// Parses `[quick|full|paper]` plus the runner flags
+    /// Parses `<experiment> [quick|full|paper]` plus the runner flags
     /// (`--workers=N`/`-jN`, `--retries=N`, `--quiet`, `--out=DIR`,
     /// `--telemetry`, `--trace-out=DIR`, `--profile`, `--journal=FILE`,
     /// `--resume=FILE`, `--resume-retry-failed`, `--deadline-ms=N`,
-    /// `--backoff-ms=N`, `--canonical`, `--inject-faults=SEED`) from the
-    /// process arguments. Unknown arguments abort with usage help.
-    pub fn parse_args() -> (Scale, RunnerOptions) {
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        let (opts, rest) = RunnerOptions::parse_flags(&args);
-        let scale = match rest.first() {
-            None => Scale::full(),
-            Some(arg) if rest.len() == 1 => Scale::from_arg(arg).unwrap_or_else(|| usage()),
-            Some(_) => usage(),
+    /// `--backoff-ms=N`, `--canonical`, `--inject-faults=SEED`,
+    /// `--lanes=N`). The scale defaults to [`Scale::full`].
+    ///
+    /// Returns `None` when the name is missing or the scale word, a flag
+    /// or an extra argument is not recognised — so a typo cannot
+    /// silently fall back to a different experiment. A malformed flag
+    /// value aborts with a message on stderr.
+    pub fn parse_args(args: &[String]) -> Option<(&str, Scale, RunnerOptions)> {
+        let (name, args) = args.split_first()?;
+        let (opts, rest) = RunnerOptions::parse_flags(args);
+        let scale = match rest.as_slice() {
+            [] => Scale::full(),
+            [word] => Scale::from_arg(word)?,
+            _ => return None,
         };
-        (scale, opts)
-    }
-
-    fn usage() -> ! {
-        eprintln!(
-            "usage: <bin> [quick|full|paper] [--workers=N] [--retries=N] [--quiet] [--out=DIR]"
-        );
-        eprintln!("             [--telemetry] [--trace-out=DIR] [--profile] [--journal=FILE]");
-        eprintln!("             [--resume=FILE] [--resume-retry-failed] [--deadline-ms=N]");
-        eprintln!("             [--backoff-ms=N] [--canonical] [--inject-faults=SEED]");
-        eprintln!("             [--lanes=N]");
-        eprintln!("       (default scale: full; default workers: all hardware threads)");
-        eprintln!("       --telemetry writes per-point Chrome traces + epoch metrics and");
-        eprintln!("       runner self-profiling under results/telemetry/ (see TELEMETRY.md)");
-        eprintln!("       --profile writes per-point cycle-attribution profiles (collapsed");
-        eprintln!("       stacks + top-N tables) under results/profile/ (see TELEMETRY.md)");
-        eprintln!("       --journal/--resume give crash-safe checkpointed campaigns");
-        eprintln!("       (--resume-retry-failed re-attempts journaled failures), and");
-        eprintln!("       --deadline-ms/--inject-faults add watchdogs and chaos testing");
-        eprintln!("       (see ROBUSTNESS.md)");
-        eprintln!("       --lanes picks the lane-pack width for tape-sharing sweeps");
-        eprintln!("       (0 = auto, 1 = scalar path; see EXPERIMENTS.md)");
-        std::process::exit(2);
+        Some((name, scale, opts))
     }
 
     /// Runs an experiment driver with its points executed in parallel,

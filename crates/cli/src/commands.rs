@@ -24,10 +24,7 @@ fn build_config(a: &RunArgs, policy: PolicyKind) -> SystemConfig {
         b = b.resource_adaptation(m);
     }
     if a.tuner {
-        // Scale the paper's 25 M-instruction epochs to the run length so
-        // the estimator completes several rounds.
-        let divisor = (25_000_000 / (a.instructions / 40).max(1)).max(1);
-        b = b.tuner(TunerConfig::scaled_down(divisor));
+        b = b.tuner(TunerConfig::for_run_length(a.instructions));
     }
     b.build()
 }

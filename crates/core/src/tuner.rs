@@ -77,6 +77,14 @@ impl TunerConfig {
             ..p
         }
     }
+
+    /// [`scaled_down`](Self::scaled_down) in proportion to a run of
+    /// `instructions` measured instructions, aiming for ~40 sampling
+    /// epochs so the estimator completes several sample/stable rounds.
+    pub fn for_run_length(instructions: u64) -> Self {
+        let epoch = Self::paper_default().sample_epoch.as_u64();
+        Self::scaled_down((epoch / (instructions / 40).max(1)).max(1))
+    }
 }
 
 /// What the tuner wants the system to do for the next epoch.
@@ -465,5 +473,18 @@ mod tests {
         let c = TunerConfig::scaled_down(1_000);
         assert_eq!(c.candidates, TunerConfig::paper_default().candidates);
         assert_eq!(c.sample_epoch, Instret::new(25_000));
+    }
+
+    #[test]
+    fn run_length_scaling_targets_forty_epochs() {
+        let c = TunerConfig::for_run_length(500_000);
+        let d = TunerConfig::scaled_down(2_000);
+        assert_eq!(c.sample_epoch, d.sample_epoch);
+        assert_eq!(c.stable_base, d.stable_base);
+        assert_eq!(c.stable_cap, d.stable_cap);
+        assert_eq!(c.sample_epoch, Instret::new(12_500));
+        // A zero-length run must not divide by zero.
+        let z = TunerConfig::for_run_length(0);
+        assert_eq!(z.sample_epoch, Instret::new(1));
     }
 }

@@ -4,15 +4,21 @@
 //!
 //! | Function | Paper artefact |
 //! |---|---|
-//! | [`fig1`] | Figure 1 — overhead of software-instrumenting all OS entry points |
-//! | [`fig3`] | Figure 3 — binary off-load decision accuracy vs threshold `N` |
-//! | [`fig4`] | Figure 4 — normalized IPC vs `N` across migration latencies |
-//! | [`fig5`] | Figure 5 — SI vs DI vs HI at conservative/aggressive latencies |
-//! | [`table3`] | Table III — OS-core utilisation vs `N` |
-//! | [`scalability`] | §V-C — user-core scaling against one OS core |
-//! | [`fig6_scalability`] | "Figure 6" — N user × M OS cores, per dispatch policy (beyond the paper) |
+//! | [`fig1_with`] | Figure 1 — overhead of software-instrumenting all OS entry points |
+//! | [`fig3_with`] | Figure 3 — binary off-load decision accuracy vs threshold `N` |
+//! | [`fig4_grid_with`] | Figure 4 — normalized IPC vs `N` across migration latencies |
+//! | [`fig5_with`] | Figure 5 — SI vs DI vs HI at conservative/aggressive latencies |
+//! | [`table3_with`] | Table III — OS-core utilisation vs `N` |
+//! | [`scalability_with`] | §V-C — user-core scaling against one OS core |
+//! | [`fig6_scalability_with`] | "Figure 6" — N user × M OS cores, per dispatch policy (beyond the paper) |
 //! | [`predictor_accuracy`] | §III-A — exact/±5% accuracy, CAM vs RAM, sizing |
 //! | [`tuner_trace`] | §III-B — dynamic-`N` estimator convergence |
+//! | [`half_l2`] | §V-B — two 512 KB L2s vs the 1 MB baseline |
+//! | [`mechanism_ablation`] | §II — thread migration vs RPC-style off-load |
+//! | [`sensitivity_with`] | memory-substrate sensitivity of the benefit |
+//!
+//! The `osoffload-bench` binary runs each of them by name
+//! (`osoffload-bench fig4 quick`; see its experiment registry).
 //!
 //! The paper's runs simulate hundreds of millions of instructions on
 //! Simics; this reproduction exposes a [`Scale`] knob so the same
@@ -20,14 +26,17 @@
 //! regeneration. Shapes are stable across scales; absolute numbers
 //! tighten as runs lengthen.
 //!
-//! Every driver also comes in a `*_with` variant taking an
-//! [`Evaluator`] — the hook the `osoffload-runner` crate uses to first
-//! *enumerate* a driver's simulation points (recording each requested
-//! [`SystemConfig`]) and later *replay* it against reports computed in
-//! parallel. The enumeration order of every driver is independent of
-//! the report values, which is what makes that two-pass scheme exact.
+//! Every sweep driver takes an [`Evaluator`]. Pass `&mut simulate` to
+//! run its points in place, one after another. The `osoffload-runner`
+//! crate uses the same hook to first *enumerate* a driver's simulation
+//! points (recording each requested [`SystemConfig`]) and later
+//! *replay* it against reports computed in parallel. The enumeration
+//! order of every driver is independent of the report values, which is
+//! what makes that two-pass scheme exact. For the same reason a driver
+//! must not fail on the placeholder reports the enumeration pass
+//! serves.
 
-use crate::config::{PolicyKind, SystemConfig};
+use crate::config::{PolicyKind, SystemConfig, SystemConfigBuilder};
 use crate::metrics::{BinaryPoint, SimReport};
 use crate::simulation::Simulation;
 use osoffload_core::{TunerConfig, TunerEvent};
@@ -80,7 +89,7 @@ impl Scale {
         }
     }
 
-    /// Parses `quick` / `full` / `paper` (used by the bench binaries).
+    /// Parses `quick` / `full` / `paper` (used by `osoffload-bench`).
     pub fn from_arg(arg: &str) -> Option<Scale> {
         match arg {
             "quick" | "--quick" => Some(Scale::quick()),
@@ -119,6 +128,24 @@ pub fn simulate(cfg: SystemConfig) -> SimReport {
     Simulation::new(cfg).run()
 }
 
+/// A [`SystemConfig`] builder for `profile` under `policy` with the
+/// given one-way migration latency, sized and seeded by `scale` — what
+/// every experiment configuration shares; callers add their own knobs.
+pub fn scaled_builder(
+    profile: Profile,
+    policy: PolicyKind,
+    migration_latency: u64,
+    scale: Scale,
+) -> SystemConfigBuilder {
+    SystemConfig::builder()
+        .profile(profile)
+        .policy(policy)
+        .migration_latency(migration_latency)
+        .instructions(scale.instructions)
+        .warmup(scale.warmup)
+        .seed(scale.seed)
+}
+
 /// Builds the standard experiment topology as a [`SystemConfig`].
 pub fn single_config(
     profile: Profile,
@@ -127,32 +154,9 @@ pub fn single_config(
     user_cores: usize,
     scale: Scale,
 ) -> SystemConfig {
-    SystemConfig::builder()
-        .profile(profile)
-        .policy(policy)
-        .migration_latency(migration_latency)
+    scaled_builder(profile, policy, migration_latency, scale)
         .user_cores(user_cores)
-        .instructions(scale.instructions)
-        .warmup(scale.warmup)
-        .seed(scale.seed)
         .build()
-}
-
-/// Runs one simulation with the standard experiment topology.
-pub fn run_single(
-    profile: Profile,
-    policy: PolicyKind,
-    migration_latency: u64,
-    user_cores: usize,
-    scale: Scale,
-) -> SimReport {
-    simulate(single_config(
-        profile,
-        policy,
-        migration_latency,
-        user_cores,
-        scale,
-    ))
 }
 
 /// Baseline reports for a profile group, computed once and reused.
@@ -210,11 +214,6 @@ pub struct Fig1Row {
 /// the instrumentation cost but off-loading itself is disabled
 /// (threshold = ∞), isolating pure decision overhead — the paper's
 /// argument for single-cycle hardware decisions.
-pub fn fig1(scale: Scale, costs: &[u64]) -> Vec<Fig1Row> {
-    fig1_with(scale, costs, &mut simulate)
-}
-
-/// [`fig1`] with a pluggable [`Evaluator`].
 pub fn fig1_with(scale: Scale, costs: &[u64], eval: Evaluator<'_>) -> Vec<Fig1Row> {
     let mut rows = Vec::new();
     for (name, profiles) in workload_groups(scale) {
@@ -262,11 +261,6 @@ pub struct Fig3Row {
 /// Figure 3: binary prediction hit rate for core-migration trigger
 /// thresholds — whether `(predicted > N) == (actual > N)` across the
 /// paper's `N` grid.
-pub fn fig3(scale: Scale) -> Vec<Fig3Row> {
-    fig3_with(scale, &mut simulate)
-}
-
-/// [`fig3`] with a pluggable [`Evaluator`].
 pub fn fig3_with(scale: Scale, eval: Evaluator<'_>) -> Vec<Fig3Row> {
     let mut rows = Vec::new();
     for (name, profiles) in workload_groups(scale) {
@@ -323,16 +317,8 @@ pub const FIG4_LATENCIES: &[u64] = &[0, 100, 500, 1_000, 5_000];
 
 /// Figure 4: normalized IPC relative to the uni-processor baseline when
 /// varying the off-loading overhead and the switch trigger threshold.
-pub fn fig4(scale: Scale) -> Vec<Fig4Cell> {
-    fig4_with_grid(scale, FIG4_LATENCIES, FIG4_THRESHOLDS)
-}
-
-/// [`fig4`] over a custom latency/threshold grid.
-pub fn fig4_with_grid(scale: Scale, latencies: &[u64], thresholds: &[u64]) -> Vec<Fig4Cell> {
-    fig4_grid_with(scale, latencies, thresholds, &mut simulate)
-}
-
-/// [`fig4_with_grid`] with a pluggable [`Evaluator`].
+///
+/// The paper's grid is [`FIG4_LATENCIES`] × [`FIG4_THRESHOLDS`].
 pub fn fig4_grid_with(
     scale: Scale,
     latencies: &[u64],
@@ -398,11 +384,6 @@ pub const FIG5_LATENCIES: &[(&str, u64)] = &[("conservative", 5_000), ("aggressi
 /// and HI pick the best threshold on the Figure 4 grid per workload —
 /// the idealised outcome of the §III-B dynamic estimator, which both
 /// schemes would run in deployment.
-pub fn fig5(scale: Scale) -> Vec<Fig5Row> {
-    fig5_with(scale, &mut simulate)
-}
-
-/// [`fig5`] with a pluggable [`Evaluator`].
 pub fn fig5_with(scale: Scale, eval: Evaluator<'_>) -> Vec<Fig5Row> {
     let mut rows = Vec::new();
     let di_cost = 120;
@@ -483,11 +464,6 @@ pub const TABLE3_THRESHOLDS: &[u64] = &[100, 1_000, 5_000, 10_000];
 /// Table III: percentage of total execution time spent on the OS core
 /// using selective migration based on threshold `N` (5,000-cycle
 /// off-loading overhead, server workloads).
-pub fn table3(scale: Scale) -> Vec<Table3Row> {
-    table3_with(scale, &mut simulate)
-}
-
-/// [`table3`] with a pluggable [`Evaluator`].
 pub fn table3_with(scale: Scale, eval: Evaluator<'_>) -> Vec<Table3Row> {
     Profile::all_server()
         .into_iter()
@@ -538,11 +514,6 @@ pub struct ScalabilityRow {
 
 /// §V-C: scaling 1, 2, and 4 user cores against a single OS core
 /// (SPECjbb2005, `N = 100`, 1,000-cycle off-loading overhead).
-pub fn scalability(scale: Scale) -> Vec<ScalabilityRow> {
-    scalability_with(scale, &mut simulate)
-}
-
-/// [`scalability`] with a pluggable [`Evaluator`].
 pub fn scalability_with(scale: Scale, eval: Evaluator<'_>) -> Vec<ScalabilityRow> {
     let profile = Profile::specjbb();
     let policy = PolicyKind::HardwarePredictor { threshold: 100 };
@@ -615,11 +586,6 @@ pub const FIG6_RATIOS: &[(usize, usize)] =
 /// (HI, `N = 100`, 1,000-cycle off-loading overhead).
 ///
 /// [`DispatchPolicy`]: crate::topology::DispatchPolicy
-pub fn fig6_scalability(scale: Scale) -> Vec<Fig6Row> {
-    fig6_scalability_with(scale, &mut simulate)
-}
-
-/// [`fig6_scalability`] with a pluggable [`Evaluator`].
 pub fn fig6_scalability_with(scale: Scale, eval: Evaluator<'_>) -> Vec<Fig6Row> {
     fig6_scalability_grid_with(
         scale,
@@ -629,7 +595,7 @@ pub fn fig6_scalability_with(scale: Scale, eval: Evaluator<'_>) -> Vec<Fig6Row> 
     )
 }
 
-/// [`fig6_scalability`] over a custom ratio/policy grid.
+/// [`fig6_scalability_with`] over a custom ratio/policy grid.
 pub fn fig6_scalability_grid_with(
     scale: Scale,
     ratios: &[(usize, usize)],
@@ -647,17 +613,11 @@ pub fn fig6_scalability_grid_with(
                 let mut mean_util = 0.0;
                 let mut max_util = 0.0f64;
                 for p in &profiles {
-                    let cfg = SystemConfig::builder()
-                        .profile(p.clone())
-                        .policy(policy)
-                        .migration_latency(1_000)
+                    let cfg = scaled_builder(p.clone(), policy, 1_000, scale)
                         .user_cores(user_cores)
                         .os_cores(os_cores)
                         .dispatch(dispatch)
                         .os_cold_penalty(500)
-                        .instructions(scale.instructions)
-                        .warmup(scale.warmup)
-                        .seed(scale.seed)
                         .build();
                     let r = eval(cfg);
                     throughput += r.throughput;
@@ -719,6 +679,7 @@ pub fn predictor_accuracy(
     scale: Scale,
     cam_sizes: &[usize],
     dm_sizes: &[usize],
+    eval: Evaluator<'_>,
 ) -> Vec<PredictorAccuracyRow> {
     let mut rows = Vec::new();
     for (name, profiles) in workload_groups(scale) {
@@ -727,8 +688,11 @@ pub fn predictor_accuracy(
             let mut close = 0.0;
             let mut under = 0.0;
             for p in profiles.iter() {
-                let r = run_single(p.clone(), policy, 1_000, 1, scale);
-                let pr = r.predictor.expect("HI reports predictor stats");
+                // Every HI run reports predictor stats; only the
+                // runner's enumeration-pass placeholders lack them.
+                let pr = eval(single_config(p.clone(), policy, 1_000, 1, scale))
+                    .predictor
+                    .unwrap_or_default();
                 exact += pr.exact;
                 close += pr.within_5pct;
                 under += pr.underestimates;
@@ -790,26 +754,19 @@ pub struct HalfL2Row {
 /// §V-B: "even an off-loading model with two 512 KB L2 caches can
 /// out-perform the single-core baseline with a 1 MB L2 cache if the
 /// off-loading latency is under 1,000 cycles."
-pub fn half_l2(scale: Scale, latencies: &[u64]) -> Vec<HalfL2Row> {
+pub fn half_l2(scale: Scale, latencies: &[u64], eval: Evaluator<'_>) -> Vec<HalfL2Row> {
     let mut rows = Vec::new();
     let policy = PolicyKind::HardwarePredictor { threshold: 100 };
     for (name, profiles) in workload_groups(scale) {
-        let baselines = group_baselines(&profiles, scale, &mut simulate);
+        let baselines = group_baselines(&profiles, scale, eval);
         for &latency in latencies {
-            let full =
-                group_normalized(&profiles, &baselines, policy, latency, scale, &mut simulate);
+            let full = group_normalized(&profiles, &baselines, policy, latency, scale, eval);
             let mut half_acc = 0.0;
             for (p, base) in profiles.iter().zip(&baselines) {
-                let cfg = SystemConfig::builder()
-                    .profile(p.clone())
-                    .policy(policy)
-                    .migration_latency(latency)
-                    .instructions(scale.instructions)
-                    .warmup(scale.warmup)
-                    .seed(scale.seed)
+                let cfg = scaled_builder(p.clone(), policy, latency, scale)
                     .mem_override(osoffload_mem::MemConfig::half_l2_variant(2))
                     .build();
-                half_acc += Simulation::new(cfg).run().normalized_to(base);
+                half_acc += eval(cfg).normalized_to(base);
             }
             rows.push(HalfL2Row {
                 workload: name.clone(),
@@ -844,26 +801,24 @@ pub struct MechanismRow {
 /// RPC transport frees the user core during remote execution, so the
 /// sibling thread overlaps — quantifying what the paper's untaken design
 /// point would have bought.
-pub fn mechanism_ablation(scale: Scale, latencies: &[u64]) -> Vec<MechanismRow> {
+pub fn mechanism_ablation(
+    scale: Scale,
+    latencies: &[u64],
+    eval: Evaluator<'_>,
+) -> Vec<MechanismRow> {
     use crate::migration::OffloadMechanism;
     let mut rows = Vec::new();
     let policy = PolicyKind::HardwarePredictor { threshold: 100 };
     for (name, profiles) in workload_groups(scale) {
-        let baselines = group_baselines(&profiles, scale, &mut simulate);
+        let baselines = group_baselines(&profiles, scale, eval);
         for &latency in latencies {
-            let run_mech = |mech: OffloadMechanism| {
+            let mut run_mech = |mech: OffloadMechanism| {
                 let mut acc = 0.0;
                 for (p, base) in profiles.iter().zip(&baselines) {
-                    let cfg = SystemConfig::builder()
-                        .profile(p.clone())
-                        .policy(policy)
-                        .migration_latency(latency)
+                    let cfg = scaled_builder(p.clone(), policy, latency, scale)
                         .mechanism(mech)
-                        .instructions(scale.instructions)
-                        .warmup(scale.warmup)
-                        .seed(scale.seed)
                         .build();
-                    acc += Simulation::new(cfg).run().normalized_to(base);
+                    acc += eval(cfg).normalized_to(base);
                 }
                 acc / profiles.len() as f64
             };
@@ -898,11 +853,6 @@ pub struct SensitivityRow {
 /// memory-system parameters around it change? Both the baseline and the
 /// off-loading run share each varied substrate, so the ratio isolates
 /// the policy's benefit from the substrate shift itself.
-pub fn sensitivity(scale: Scale, profile: Profile) -> Vec<SensitivityRow> {
-    sensitivity_with(scale, profile, &mut simulate)
-}
-
-/// [`sensitivity`] with a pluggable [`Evaluator`].
 pub fn sensitivity_with(
     scale: Scale,
     profile: Profile,
@@ -918,16 +868,11 @@ pub fn sensitivity_with(
             let cores = if kind.is_baseline() { 1 } else { 2 };
             let mut mem = MemConfig::paper_baseline(cores);
             patch(&mut mem);
-            let cfg = SystemConfig::builder()
-                .profile(profile.clone())
-                .policy(kind)
-                .migration_latency(1_000)
-                .instructions(scale.instructions)
-                .warmup(scale.warmup)
-                .seed(scale.seed)
-                .mem_override(mem)
-                .build();
-            eval(cfg)
+            eval(
+                scaled_builder(profile.clone(), kind, 1_000, scale)
+                    .mem_override(mem)
+                    .build(),
+            )
         };
         let base = run(PolicyKind::Baseline);
         let offl = run(policy);
@@ -971,16 +916,9 @@ pub fn sensitivity_with(
 /// epochs in proportion to the run length, so the estimator completes
 /// several sample/stable rounds within the simulated window.
 pub fn tuner_trace(scale: Scale, profile: Profile) -> (SimReport, Vec<TunerEvent>) {
-    // Aim for ~40 sampling epochs within the measured region.
-    let divisor = (25_000_000 / (scale.instructions / 40).max(1)).max(1);
-    let cfg = SystemConfig::builder()
-        .profile(profile)
-        .policy(PolicyKind::HardwarePredictor { threshold: 1_000 })
-        .migration_latency(1_000)
-        .instructions(scale.instructions)
-        .warmup(scale.warmup)
-        .seed(scale.seed)
-        .tuner(TunerConfig::scaled_down(divisor))
+    let hi = PolicyKind::HardwarePredictor { threshold: 1_000 };
+    let cfg = scaled_builder(profile, hi, 1_000, scale)
+        .tuner(TunerConfig::for_run_length(scale.instructions))
         .build();
     Simulation::new(cfg).run_with_tuner_trace()
 }
@@ -1015,7 +953,7 @@ mod tests {
 
     #[test]
     fn fig1_reports_positive_overhead_for_servers() {
-        let rows = fig1(tiny(), &[200]);
+        let rows = fig1_with(tiny(), &[200], &mut simulate);
         let apache = rows.iter().find(|r| r.workload == "apache").unwrap();
         assert!(
             apache.overhead_pct > 0.0,
@@ -1026,7 +964,7 @@ mod tests {
 
     #[test]
     fn fig3_has_full_grid() {
-        let rows = fig3(tiny());
+        let rows = fig3_with(tiny(), &mut simulate);
         assert_eq!(rows.len(), 4);
         for row in rows {
             assert_eq!(row.points.len(), 5);
@@ -1038,14 +976,14 @@ mod tests {
 
     #[test]
     fn fig4_grid_dimensions() {
-        let cells = fig4_with_grid(tiny(), &[100], &[100, 10_000]);
+        let cells = fig4_grid_with(tiny(), &[100], &[100, 10_000], &mut simulate);
         assert_eq!(cells.len(), 4 * 2);
         assert!(cells.iter().all(|c| c.normalized_ipc > 0.0));
     }
 
     #[test]
     fn table3_covers_server_workloads() {
-        let rows = table3(tiny());
+        let rows = table3_with(tiny(), &mut simulate);
         assert_eq!(rows.len(), 3);
         for row in &rows {
             assert_eq!(row.utilization.len(), 4);
@@ -1054,7 +992,7 @@ mod tests {
 
     #[test]
     fn scalability_rows_scale_cores() {
-        let rows = scalability(tiny());
+        let rows = scalability_with(tiny(), &mut simulate);
         let cores: Vec<usize> = rows.iter().map(|r| r.user_cores).collect();
         assert_eq!(cores, vec![1, 2, 4]);
         // Queue delays grow with sharing.
@@ -1086,14 +1024,14 @@ mod tests {
 
     #[test]
     fn predictor_accuracy_rows() {
-        let rows = predictor_accuracy(tiny(), &[200], &[1500]);
+        let rows = predictor_accuracy(tiny(), &[200], &[1500], &mut simulate);
         assert_eq!(rows.len(), 4 * 2);
         assert!(rows.iter().all(|r| r.within_5pct >= r.exact));
     }
 
     #[test]
     fn half_l2_rows_cover_grid() {
-        let rows = half_l2(tiny(), &[100]);
+        let rows = half_l2(tiny(), &[100], &mut simulate);
         assert_eq!(rows.len(), 4);
         for r in &rows {
             assert!(r.full_l2 > 0.0 && r.half_l2 > 0.0);
@@ -1102,7 +1040,7 @@ mod tests {
 
     #[test]
     fn remote_call_never_slower_for_servers() {
-        let rows = mechanism_ablation(tiny(), &[1_000]);
+        let rows = mechanism_ablation(tiny(), &[1_000], &mut simulate);
         let apache = rows.iter().find(|r| r.workload == "apache").unwrap();
         assert!(
             apache.remote_call >= apache.thread_migration * 0.98,
@@ -1114,7 +1052,7 @@ mod tests {
 
     #[test]
     fn sensitivity_covers_all_parameters() {
-        let rows = sensitivity(tiny(), Profile::apache());
+        let rows = sensitivity_with(tiny(), Profile::apache(), &mut simulate);
         assert_eq!(rows.len(), 9);
         assert!(rows.iter().all(|r| r.normalized > 0.5));
         let params: std::collections::HashSet<&str> =

@@ -4,8 +4,8 @@
 //! reproducing the *observable* behaviour of the paper's workloads. This
 //! module measures what a profile actually generates — OS instruction
 //! share, invocation-length distribution, instruction mix, AState
-//! diversity — so the claim can be checked mechanically (the
-//! `calibration` bench binary prints the table; unit tests pin the
+//! diversity — so the claim can be checked mechanically
+//! (`osoffload-bench calibration` prints the table; unit tests pin the
 //! tolerances).
 
 use crate::generator::{Segment, ThreadWorkload};

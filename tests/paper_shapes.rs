@@ -4,7 +4,7 @@
 //! tolerances so CI stays fast while the shapes remain stable.
 
 use osoffload::system::experiments::{
-    fig3, fig4_with_grid, run_single, scalability, table3, Scale,
+    fig3_with, fig4_grid_with, scalability_with, simulate, single_config, table3_with, Scale,
 };
 use osoffload::system::PolicyKind;
 use osoffload::workload::Profile;
@@ -16,6 +16,17 @@ fn scale() -> Scale {
         seed: 0x5EED,
         compute_profiles: 1,
     }
+}
+
+/// One sequential run with the standard experiment topology.
+fn run_single(
+    profile: Profile,
+    policy: PolicyKind,
+    latency: u64,
+    cores: usize,
+    s: Scale,
+) -> osoffload::system::SimReport {
+    simulate(single_config(profile, policy, latency, cores, s))
 }
 
 fn normalized(profile: Profile, policy: PolicyKind, latency: u64) -> f64 {
@@ -106,7 +117,7 @@ fn compute_workloads_are_insensitive() {
 #[test]
 fn fig4_driver_matches_direct_runs() {
     let s = scale();
-    let cells = fig4_with_grid(s, &[100], &[100]);
+    let cells = fig4_grid_with(s, &[100], &[100], &mut simulate);
     let apache = cells
         .iter()
         .find(|c| c.workload == "apache")
@@ -123,7 +134,7 @@ fn fig4_driver_matches_direct_runs() {
 
 #[test]
 fn binary_decision_accuracy_is_high_for_servers() {
-    let rows = fig3(scale());
+    let rows = fig3_with(scale(), &mut simulate);
     for row in rows.iter().filter(|r| r.workload != "compute") {
         for p in &row.points {
             assert!(
@@ -163,7 +174,7 @@ fn predictor_accuracy_matches_paper_band() {
 
 #[test]
 fn os_core_utilization_falls_with_threshold_and_orders_workloads() {
-    let rows = table3(scale());
+    let rows = table3_with(scale(), &mut simulate);
     for row in &rows {
         let utils: Vec<f64> = row.utilization.iter().map(|&(_, u)| u).collect();
         for w in utils.windows(2) {
@@ -191,7 +202,7 @@ fn os_core_utilization_falls_with_threshold_and_orders_workloads() {
 
 #[test]
 fn queue_delay_explodes_with_user_core_count() {
-    let rows = scalability(scale());
+    let rows = scalability_with(scale(), &mut simulate);
     assert!(rows[1].mean_queue_delay > rows[0].mean_queue_delay);
     assert!(
         rows[2].mean_queue_delay > 2.0 * rows[1].mean_queue_delay,

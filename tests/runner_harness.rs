@@ -2,7 +2,7 @@
 //! determinism, parity with the sequential drivers, and fault isolation.
 
 use osoffload::runner::{run_driver, run_plan_with, ExperimentPlan, Outcome, RunnerOptions};
-use osoffload::system::experiments::{self, fig4_grid_with, single_config, Scale};
+use osoffload::system::experiments::{self, fig4_grid_with, simulate, single_config, Scale};
 use osoffload::system::PolicyKind;
 use osoffload::workload::Profile;
 
@@ -75,24 +75,42 @@ fn sweep_rows_identical_across_worker_counts() {
     );
 }
 
+/// Runs `driver` sequentially and through the runner's record/replay
+/// bridge, asserting identical rows; returns the sweep's point count.
+fn assert_parity<R: PartialEq + std::fmt::Debug>(
+    name: &str,
+    driver: impl Fn(experiments::Evaluator<'_>) -> R,
+) -> usize {
+    let sequential = driver(&mut simulate);
+    let (parallel, sweep) = run_driver(name, tiny().seed, &quiet(4), &driver);
+    assert!(sweep.failures().next().is_none(), "{name}");
+    assert_eq!(parallel, Some(sequential), "{name}");
+    sweep.rows.len()
+}
+
 /// The record/replay bridge reproduces the sequential driver's rows
-/// exactly — same grid, same seeds, same floating-point results.
+/// exactly — same grid, same seeds, same floating-point results. The
+/// drivers that read optional report fields also prove their record
+/// pass survives the runner's placeholder reports.
 #[test]
 fn parallel_fig4_matches_sequential_fig4() {
     let scale = tiny();
-    let lats = [100u64];
-    let thrs = [100u64, 10_000];
-    let sequential = experiments::fig4_with_grid(scale, &lats, &thrs);
-    let (parallel, sweep) = run_driver("fig4-parity", scale.seed, &quiet(4), |ev| {
-        fig4_grid_with(scale, &lats, &thrs, ev)
+    let points = assert_parity("fig4-parity", |ev| {
+        fig4_grid_with(scale, &[100], &[100, 10_000], ev)
     });
-    assert!(sweep.failures().next().is_none());
-    assert_eq!(
-        sweep.rows.len(),
-        12,
-        "4 baselines + 4 groups x 1 lat x 2 thresholds"
-    );
-    assert_eq!(parallel.as_deref(), Some(&sequential[..]));
+    assert_eq!(points, 12, "4 baselines + 4 groups x 1 lat x 2 thresholds");
+    let points = assert_parity("half-l2-parity", |ev| {
+        experiments::half_l2(scale, &[100], ev)
+    });
+    assert_eq!(points, 12, "4 baselines + 4 groups x (full + half L2)");
+    let points = assert_parity("mechanism-parity", |ev| {
+        experiments::mechanism_ablation(scale, &[100], ev)
+    });
+    assert_eq!(points, 12, "4 baselines + 4 groups x 2 transports");
+    let points = assert_parity("predictor-accuracy-parity", |ev| {
+        experiments::predictor_accuracy(scale, &[50], &[375], ev)
+    });
+    assert_eq!(points, 8, "4 groups x (CAM + direct-mapped)");
 }
 
 /// A point that panics is recorded as failed with its configuration and
