@@ -22,7 +22,7 @@
 
 use crate::args::InspectArgs;
 use osoffload_obs::json::{self, Value};
-use osoffload_runner::journal::{self, extract_config, fnv1a64};
+use osoffload_runner::journal::{self, config_digest, extract_config};
 use osoffload_runner::Outcome;
 use std::fmt::Write as _;
 use std::path::Path;
@@ -219,7 +219,7 @@ fn parse_archive_row(text: &str) -> Option<Row> {
         id: v.get("id").and_then(Value::as_str)?.to_string(),
         status,
         detail,
-        digest: format!("{:016x}", fnv1a64(config.as_bytes())),
+        digest: config_digest(&config),
         config,
         report: v.get("report").cloned(),
         wall_ms: v.get("wall_ms").and_then(Value::as_f64).unwrap_or(0.0),
@@ -561,7 +561,7 @@ mod tests {
         let text = std::fs::read_to_string(&path).unwrap();
         let row = split_rows(&text)[0];
         let config = extract_config(row).unwrap();
-        let digest = format!("{:016x}", fnv1a64(config.as_bytes()));
+        let digest = config_digest(&config);
         let (out, found) = render_find(&digest, std::slice::from_ref(&path)).unwrap();
         assert!(found, "{out}");
         assert!(out.contains("config: {"), "{out}");
@@ -574,7 +574,6 @@ mod tests {
     fn find_and_show_search_serve_caches_too() {
         use osoffload_runner::{record_plan, run_plan, RunnerOptions};
         use osoffload_serve::cache::ResultCache;
-        use osoffload_serve::wire;
         use osoffload_system::experiments::{single_config, Scale};
 
         let dir = std::env::temp_dir().join(format!("osoff-inspect-cache-{}", std::process::id()));
@@ -606,8 +605,7 @@ mod tests {
         let row = &sweep.rows[0];
         let cache_path = dir.join("cache.wal");
         let mut cache = ResultCache::open(&cache_path, 0).unwrap();
-        let wire_text = wire::config_to_json(&plan.points()[0].config).unwrap();
-        assert!(cache.insert(&wire_text, row).unwrap());
+        assert!(cache.insert(&row.config_json, row).unwrap());
         drop(cache);
 
         let path = cache_path.to_str().unwrap().to_string();

@@ -2,10 +2,12 @@
 //! simulation run.
 //!
 //! A [`FuzzCase`] is deliberately *not* a [`SystemConfig`]: it names a
-//! catalog profile instead of embedding one, and collapses the policy
-//! and memory options into flat enums, so that a case can be archived as
-//! a few lines of JSON, diffed against [`FuzzCase::default`], and
-//! shrunk field by field. [`FuzzCase::to_config`] lowers it to a real
+//! catalog profile instead of embedding one, and collapses the tuner and
+//! memory options into a scale factor and a flag, so that a case can be
+//! archived as a few lines of JSON, diffed against [`FuzzCase::default`],
+//! and shrunk field by field. The policy is a [`PolicyKind`], archived
+//! as the system codec's policy object ([`PolicyKind::to_value`]).
+//! [`FuzzCase::to_config`] lowers a case to a real
 //! configuration, running [`SystemConfig::validate`] on the way — a
 //! corpus file edited into a degenerate geometry is rejected with a
 //! typed error, never a deep panic.
@@ -19,153 +21,6 @@ use osoffload_system::{
 };
 use osoffload_workload::Profile;
 
-/// Serialisable mirror of [`PolicyKind`] (the fuzzed subset).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PolicySpec {
-    /// No off-loading.
-    Baseline,
-    /// Off-load everything.
-    Always,
-    /// CAM-backed hardware predictor.
-    Hi {
-        /// Off-load threshold in instructions.
-        threshold: u64,
-    },
-    /// Direct-mapped hardware predictor.
-    HiDm {
-        /// Off-load threshold in instructions.
-        threshold: u64,
-    },
-    /// CAM predictor with explicit capacity.
-    HiSized {
-        /// Off-load threshold in instructions.
-        threshold: u64,
-        /// CAM entry count.
-        entries: usize,
-    },
-    /// Software dynamic instrumentation.
-    Di {
-        /// Off-load threshold in instructions.
-        threshold: u64,
-        /// Per-entry instrumentation cost in cycles.
-        cost: u64,
-    },
-    /// Off-line profiling + static instrumentation.
-    Si {
-        /// Stub cost in cycles.
-        stub_cost: u64,
-    },
-    /// Oracle decisions on the true run length.
-    Oracle {
-        /// Off-load threshold in instructions.
-        threshold: u64,
-    },
-}
-
-impl PolicySpec {
-    /// Lowers to the simulator's policy enum.
-    pub fn to_policy(self) -> PolicyKind {
-        match self {
-            PolicySpec::Baseline => PolicyKind::Baseline,
-            PolicySpec::Always => PolicyKind::AlwaysOffload,
-            PolicySpec::Hi { threshold } => PolicyKind::HardwarePredictor { threshold },
-            PolicySpec::HiDm { threshold } => {
-                PolicyKind::HardwarePredictorDirectMapped { threshold }
-            }
-            PolicySpec::HiSized { threshold, entries } => {
-                PolicyKind::HardwarePredictorSized { threshold, entries }
-            }
-            PolicySpec::Di { threshold, cost } => {
-                PolicyKind::DynamicInstrumentation { threshold, cost }
-            }
-            PolicySpec::Si { stub_cost } => PolicyKind::StaticInstrumentation { stub_cost },
-            PolicySpec::Oracle { threshold } => PolicyKind::Oracle { threshold },
-        }
-    }
-
-    fn to_value(self) -> Value {
-        let mut fields = Vec::new();
-        let kind = match self {
-            PolicySpec::Baseline => "baseline",
-            PolicySpec::Always => "always",
-            PolicySpec::Hi { threshold } => {
-                fields.push(("threshold".into(), Value::UInt(threshold)));
-                "hi"
-            }
-            PolicySpec::HiDm { threshold } => {
-                fields.push(("threshold".into(), Value::UInt(threshold)));
-                "hi-dm"
-            }
-            PolicySpec::HiSized { threshold, entries } => {
-                fields.push(("threshold".into(), Value::UInt(threshold)));
-                fields.push(("entries".into(), Value::UInt(entries as u64)));
-                "hi-sized"
-            }
-            PolicySpec::Di { threshold, cost } => {
-                fields.push(("threshold".into(), Value::UInt(threshold)));
-                fields.push(("cost".into(), Value::UInt(cost)));
-                "di"
-            }
-            PolicySpec::Si { stub_cost } => {
-                fields.push(("stub_cost".into(), Value::UInt(stub_cost)));
-                "si"
-            }
-            PolicySpec::Oracle { threshold } => {
-                fields.push(("threshold".into(), Value::UInt(threshold)));
-                "oracle"
-            }
-        };
-        fields.insert(0, ("kind".into(), Value::Str(kind.into())));
-        Value::Obj(fields)
-    }
-
-    fn from_value(v: &Value) -> Result<Self, String> {
-        let kind = v
-            .get("kind")
-            .and_then(Value::as_str)
-            .ok_or("policy: missing kind")?;
-        let threshold = || {
-            v.get("threshold")
-                .and_then(Value::as_u64)
-                .ok_or_else(|| format!("policy {kind}: missing threshold"))
-        };
-        match kind {
-            "baseline" => Ok(PolicySpec::Baseline),
-            "always" => Ok(PolicySpec::Always),
-            "hi" => Ok(PolicySpec::Hi {
-                threshold: threshold()?,
-            }),
-            "hi-dm" => Ok(PolicySpec::HiDm {
-                threshold: threshold()?,
-            }),
-            "hi-sized" => Ok(PolicySpec::HiSized {
-                threshold: threshold()?,
-                entries: v
-                    .get("entries")
-                    .and_then(Value::as_usize)
-                    .ok_or("policy hi-sized: missing entries")?,
-            }),
-            "di" => Ok(PolicySpec::Di {
-                threshold: threshold()?,
-                cost: v
-                    .get("cost")
-                    .and_then(Value::as_u64)
-                    .ok_or("policy di: missing cost")?,
-            }),
-            "si" => Ok(PolicySpec::Si {
-                stub_cost: v
-                    .get("stub_cost")
-                    .and_then(Value::as_u64)
-                    .ok_or("policy si: missing stub_cost")?,
-            }),
-            "oracle" => Ok(PolicySpec::Oracle {
-                threshold: threshold()?,
-            }),
-            other => Err(format!("policy: unknown kind {other:?}")),
-        }
-    }
-}
-
 /// One generated (or shrunken, or archived) simulation case.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FuzzCase {
@@ -174,7 +29,7 @@ pub struct FuzzCase {
     /// Phase switches: `(at_instruction, profile_name)`.
     pub phases: Vec<(u64, String)>,
     /// Decision policy.
-    pub policy: PolicySpec,
+    pub policy: PolicyKind,
     /// One-way migration latency in cycles.
     pub migration_one_way: u64,
     /// Whether off-loads use remote calls instead of thread migration.
@@ -212,7 +67,7 @@ impl Default for FuzzCase {
         FuzzCase {
             profile: "apache".into(),
             phases: Vec::new(),
-            policy: PolicySpec::Hi { threshold: 500 },
+            policy: PolicyKind::HardwarePredictor { threshold: 500 },
             migration_one_way: 5_000,
             remote_call: false,
             os_core_slowdown_milli: 1_000,
@@ -252,7 +107,7 @@ impl FuzzCase {
         let mut cfg = SystemConfig {
             profile,
             phases,
-            policy: self.policy.to_policy(),
+            policy: self.policy,
             migration: MigrationModel::new(self.migration_one_way),
             mechanism: if self.remote_call {
                 OffloadMechanism::RemoteCall
@@ -332,27 +187,9 @@ impl FuzzCase {
 
     /// Deserialises from the [`to_value`](Self::to_value) format.
     pub fn from_value(v: &Value) -> Result<Self, String> {
-        let str_field = |key: &str| {
-            v.get(key)
-                .and_then(Value::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("case: missing string {key:?}"))
-        };
-        let u64_field = |key: &str| {
-            v.get(key)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| format!("case: missing integer {key:?}"))
-        };
-        let usize_field = |key: &str| {
-            v.get(key)
-                .and_then(Value::as_usize)
-                .ok_or_else(|| format!("case: missing integer {key:?}"))
-        };
-        let bool_field = |key: &str| {
-            v.get(key)
-                .and_then(Value::as_bool)
-                .ok_or_else(|| format!("case: missing bool {key:?}"))
-        };
+        let u64_field = |key: &str| v.field("case", key, Value::as_u64);
+        let usize_field = |key: &str| v.field("case", key, Value::as_usize);
+        let bool_field = |key: &str| v.field("case", key, Value::as_bool);
         let opt_field = |key: &str| match v.get(key) {
             None | Some(Value::Null) => Ok(None),
             Some(val) => val
@@ -361,25 +198,15 @@ impl FuzzCase {
                 .ok_or_else(|| format!("case: bad optional integer {key:?}")),
         };
         let mut phases = Vec::new();
-        for item in v
-            .get("phases")
-            .and_then(Value::as_arr)
-            .ok_or("case: missing phases")?
-        {
-            let at = item
-                .get("at")
-                .and_then(Value::as_u64)
-                .ok_or("case: phase missing at")?;
-            let name = item
-                .get("profile")
-                .and_then(Value::as_str)
-                .ok_or("case: phase missing profile")?;
+        for item in v.field("case", "phases", Value::as_arr)? {
+            let at = item.field("phase", "at", Value::as_u64)?;
+            let name = item.field("phase", "profile", Value::as_str)?;
             phases.push((at, name.to_string()));
         }
         Ok(FuzzCase {
-            profile: str_field("profile")?,
+            profile: v.field("case", "profile", Value::as_str)?.to_string(),
             phases,
-            policy: PolicySpec::from_value(v.get("policy").ok_or("case: missing policy")?)?,
+            policy: PolicyKind::from_value(v.field("case", "policy", Some)?)?,
             migration_one_way: u64_field("migration_one_way")?,
             remote_call: bool_field("remote_call")?,
             os_core_slowdown_milli: u64_field("os_core_slowdown_milli")?,
@@ -503,7 +330,7 @@ mod tests {
         let case = FuzzCase {
             profile: "derby".into(),
             phases: vec![(20_000, "mcf".into())],
-            policy: PolicySpec::Di {
+            policy: PolicyKind::DynamicInstrumentation {
                 threshold: 1_000,
                 cost: 120,
             },
@@ -544,29 +371,6 @@ mod tests {
     }
 
     #[test]
-    fn every_policy_spec_round_trips() {
-        for policy in [
-            PolicySpec::Baseline,
-            PolicySpec::Always,
-            PolicySpec::Hi { threshold: 1 },
-            PolicySpec::HiDm { threshold: 2 },
-            PolicySpec::HiSized {
-                threshold: 3,
-                entries: 8,
-            },
-            PolicySpec::Di {
-                threshold: 4,
-                cost: 5,
-            },
-            PolicySpec::Si { stub_cost: 6 },
-            PolicySpec::Oracle { threshold: 7 },
-        ] {
-            let v = policy.to_value();
-            assert_eq!(PolicySpec::from_value(&v).unwrap(), policy);
-        }
-    }
-
-    #[test]
     fn degenerate_cases_are_rejected_not_panicked() {
         let mut case = FuzzCase {
             profile: "no-such-workload".into(),
@@ -582,7 +386,7 @@ mod tests {
             .contains("need a measured region"));
 
         case = FuzzCase::default();
-        case.policy = PolicySpec::HiSized {
+        case.policy = PolicyKind::HardwarePredictorSized {
             threshold: 500,
             entries: 0,
         };

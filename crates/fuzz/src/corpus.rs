@@ -65,31 +65,20 @@ impl CorpusEntry {
 
     /// Parses an entry back from its JSON form.
     pub fn from_value(v: &Value) -> Result<CorpusEntry, String> {
-        let version = v
-            .get("format_version")
-            .and_then(Value::as_u64)
-            .ok_or("missing format_version")?;
+        let version = v.field("corpus entry", "format_version", Value::as_u64)?;
         if version != FORMAT_VERSION {
             return Err(format!(
                 "unsupported corpus format {version} (this build reads {FORMAT_VERSION})"
             ));
         }
-        let oracle_name = v
-            .get("oracle")
-            .and_then(Value::as_str)
-            .ok_or("missing oracle")?;
+        let oracle_name = v.field("corpus entry", "oracle", Value::as_str)?;
         let oracle = OracleKind::parse(oracle_name)
             .ok_or_else(|| format!("unknown oracle {oracle_name:?}"))?;
-        let case_seed = v
-            .get("case_seed")
-            .and_then(Value::as_u64)
-            .ok_or("missing case_seed")?;
+        let case_seed = v.field("corpus entry", "case_seed", Value::as_u64)?;
         let detail = v
-            .get("detail")
-            .and_then(Value::as_str)
-            .ok_or("missing detail")?
+            .field("corpus entry", "detail", Value::as_str)?
             .to_string();
-        let case = FuzzCase::from_value(v.get("case").ok_or("missing case")?)?;
+        let case = FuzzCase::from_value(v.field("corpus entry", "case", Some)?)?;
         Ok(CorpusEntry {
             oracle,
             case_seed,

@@ -9,9 +9,9 @@
 //! * any single case replays from just its case seed (which is what the
 //!   corpus archives), without re-running the cases before it.
 
-use crate::case::{FuzzCase, PolicySpec};
+use crate::case::FuzzCase;
 use osoffload_sim::{Rng64, SeedSequence};
-use osoffload_system::DispatchPolicy;
+use osoffload_system::{DispatchPolicy, PolicyKind};
 use osoffload_workload::Profile;
 
 /// Streams [`FuzzCase`]s derived from a master seed.
@@ -57,22 +57,22 @@ pub fn generate(case_seed: u64) -> FuzzCase {
     let profile = pick(&mut rng, &profiles).to_string();
     let threshold = pick(&mut rng, &[0u64, 100, 500, 1_000, 5_000, 10_000]);
     let policy = match rng.next_u64() % 10 {
-        0 => PolicySpec::Baseline,
-        1 => PolicySpec::Always,
-        2 | 3 => PolicySpec::Hi { threshold },
-        4 => PolicySpec::HiDm { threshold },
-        5 => PolicySpec::HiSized {
+        0 => PolicyKind::Baseline,
+        1 => PolicyKind::AlwaysOffload,
+        2 | 3 => PolicyKind::HardwarePredictor { threshold },
+        4 => PolicyKind::HardwarePredictorDirectMapped { threshold },
+        5 => PolicyKind::HardwarePredictorSized {
             threshold,
             entries: pick(&mut rng, &[1usize, 8, 64, 200]),
         },
-        6 | 7 => PolicySpec::Di {
+        6 | 7 => PolicyKind::DynamicInstrumentation {
             threshold,
             cost: pick(&mut rng, &[50u64, 120, 250]),
         },
-        8 => PolicySpec::Si {
+        8 => PolicyKind::StaticInstrumentation {
             stub_cost: pick(&mut rng, &[10u64, 25]),
         },
-        _ => PolicySpec::Oracle { threshold },
+        _ => PolicyKind::Oracle { threshold },
     };
 
     // Sizes kept small enough that a full oracle battery on one case is
@@ -86,7 +86,7 @@ pub fn generate(case_seed: u64) -> FuzzCase {
         _ => instructions / 2,
     };
 
-    let offloading = !matches!(policy, PolicySpec::Baseline);
+    let offloading = !policy.is_baseline();
     let mut case = FuzzCase {
         profile,
         phases: Vec::new(),
@@ -114,7 +114,9 @@ pub fn generate(case_seed: u64) -> FuzzCase {
     // The tuner only composes with threshold policies.
     if matches!(
         case.policy,
-        PolicySpec::Hi { .. } | PolicySpec::HiDm { .. } | PolicySpec::HiSized { .. }
+        PolicyKind::HardwarePredictor { .. }
+            | PolicyKind::HardwarePredictorDirectMapped { .. }
+            | PolicyKind::HardwarePredictorSized { .. }
     ) && rare(&mut rng, 6)
     {
         // paper epochs / 2500 ≈ 10k-instruction sample epochs — several
@@ -198,19 +200,8 @@ mod tests {
             .map(|c| c.dispatch.label())
             .collect();
         assert_eq!(dispatches.len(), 4, "all dispatch policies generated");
-        let policies: std::collections::HashSet<&'static str> = cases
-            .iter()
-            .map(|c| match c.policy {
-                PolicySpec::Baseline => "baseline",
-                PolicySpec::Always => "always",
-                PolicySpec::Hi { .. } => "hi",
-                PolicySpec::HiDm { .. } => "hi-dm",
-                PolicySpec::HiSized { .. } => "hi-sized",
-                PolicySpec::Di { .. } => "di",
-                PolicySpec::Si { .. } => "si",
-                PolicySpec::Oracle { .. } => "oracle",
-            })
-            .collect();
+        let policies: std::collections::HashSet<&'static str> =
+            cases.iter().map(|c| c.policy.label()).collect();
         assert_eq!(policies.len(), 8, "all policy kinds generated");
     }
 }

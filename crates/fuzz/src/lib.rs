@@ -36,7 +36,7 @@ pub mod gen;
 pub mod oracle;
 pub mod shrink;
 
-pub use case::{FuzzCase, PolicySpec};
+pub use case::FuzzCase;
 pub use corpus::CorpusEntry;
 pub use gen::CaseGen;
 pub use oracle::{OracleFailure, OracleKind};

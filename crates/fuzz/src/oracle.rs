@@ -389,11 +389,11 @@ fn check_lane_stepper(case: &FuzzCase) -> Result<(), String> {
     // rejects) are skipped; the base case itself must lower.
     let mut variant_cases = vec![base.clone()];
     variant_cases.push(FuzzCase {
-        policy: crate::case::PolicySpec::Always,
+        policy: PolicyKind::AlwaysOffload,
         ..base.clone()
     });
     variant_cases.push(FuzzCase {
-        policy: crate::case::PolicySpec::Hi { threshold: 100 },
+        policy: PolicyKind::HardwarePredictor { threshold: 100 },
         ..base.clone()
     });
     variant_cases.push(FuzzCase {

@@ -195,8 +195,8 @@ pub fn shrink(case: &FuzzCase, oracle: OracleKind) -> Shrunk {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::case::PolicySpec;
     use crate::gen;
+    use osoffload_system::PolicyKind;
 
     /// A synthetic "bug": an oracle that fails whenever the case uses
     /// the remote-call mechanism with more than one user core. The
@@ -234,7 +234,7 @@ mod tests {
         case.remote_call = true;
         case.resource_adaptation = None;
         case.user_cores = 4;
-        case.policy = PolicySpec::Di {
+        case.policy = PolicyKind::DynamicInstrumentation {
             threshold: 5_000,
             cost: 250,
         };

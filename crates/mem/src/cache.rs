@@ -82,7 +82,10 @@ impl CacheGeometry {
             return Err(GeometryError::ZeroWays);
         }
         let lines = size_bytes / crate::addr::LINE_BYTES;
-        if lines == 0 || !lines.is_multiple_of(ways as u64) {
+        if lines == 0
+            || !size_bytes.is_multiple_of(crate::addr::LINE_BYTES)
+            || !lines.is_multiple_of(ways as u64)
+        {
             return Err(GeometryError::NotLineMultiple { size_bytes, ways });
         }
         let sets = lines / ways as u64;

@@ -66,6 +66,20 @@ impl Value {
         }
     }
 
+    /// The value at `key` of this object read through `get` (such as
+    /// [`Value::as_u64`]), or an error naming `what` and `key` when the
+    /// key is absent or holds another type.
+    pub fn field<'a, T>(
+        &'a self,
+        what: &str,
+        key: &str,
+        get: impl FnOnce(&'a Value) -> Option<T>,
+    ) -> Result<T, String> {
+        self.get(key)
+            .and_then(get)
+            .ok_or_else(|| format!("{what} missing {key}"))
+    }
+
     /// The value as an exact `u64`, if it is a non-negative integer.
     pub fn as_u64(&self) -> Option<u64> {
         match self {

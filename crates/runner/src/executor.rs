@@ -7,7 +7,6 @@ use crate::fault::{FaultConfig, FaultPlan, InjectedPanic, PointFaults};
 use crate::journal::{self, Journal, JournalHeader};
 use crate::plan::{ExperimentPlan, Point};
 use crate::progress::Progress;
-use crate::report::config_json;
 use osoffload_obs::json;
 use osoffload_sim::{CancelToken, Cancelled, Rng64};
 use osoffload_system::{SimReport, Simulation};
@@ -223,7 +222,9 @@ pub struct PointResult {
     pub id: String,
     /// The seed the run used.
     pub seed: u64,
-    /// JSON rendering of the point's configuration (stable key order).
+    /// The point's configuration as
+    /// [`SystemConfig::to_json`](osoffload_system::SystemConfig::to_json)
+    /// renders it.
     pub config_json: String,
     /// Report or failure.
     pub outcome: Outcome,
@@ -256,11 +257,11 @@ impl PointResult {
         matches!(self.outcome, Outcome::Ok(_))
     }
 
-    /// FNV-1a digest of the point's configuration JSON, archived with
-    /// failed rows so any failure is reproducible from the archive
-    /// alone.
+    /// The [`journal::config_digest`] of the point's configuration,
+    /// archived with failed rows so any failure is reproducible from the
+    /// archive alone.
     pub fn config_digest(&self) -> String {
-        format!("{:016x}", journal::fnv1a64(self.config_json.as_bytes()))
+        journal::config_digest(&self.config_json)
     }
 
     /// The deterministic portion of the row as JSON: everything except
@@ -741,7 +742,7 @@ pub fn run_plan_ctx_hooked(
                 assert!(row.index < n, "journal row index out of range");
                 assert_eq!(
                     row.config_json,
-                    config_json(&points[row.index].config),
+                    points[row.index].config.to_json(),
                     "journal row {} does not match the plan's configuration",
                     row.index
                 );
@@ -790,7 +791,7 @@ pub fn run_plan_ctx_hooked(
         assert_eq!(row.index, i, "prefilled row index mismatch");
         assert_eq!(
             row.config_json,
-            config_json(&points[i].config),
+            points[i].config.to_json(),
             "prefilled row {i} does not match the plan's configuration"
         );
         if row.is_ok() {
@@ -958,7 +959,7 @@ pub fn run_plan_ctx_hooked(
                         index: i,
                         id: point.id.clone(),
                         seed: point.config.seed,
-                        config_json: config_json(&point.config),
+                        config_json: point.config.to_json(),
                         outcome,
                         wall_ms,
                         start_ms,

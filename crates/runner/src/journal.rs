@@ -3,8 +3,9 @@
 //!
 //! The journal is a line-oriented append-only file. Line one is a
 //! header identifying the campaign (experiment name, master seed, point
-//! count); every subsequent line records one completed point. Each line
-//! is an envelope `{"fnv":"<16-hex>","body":<body>}` whose checksum is
+//! count) and the format version; every subsequent line records one
+//! completed point. Each line is an envelope
+//! `{"fnv":"<16-hex>","body":<body>}` whose checksum is
 //! FNV-1a over the body's bytes, and every append is flushed with
 //! `fdatasync` before the point is acknowledged — a crash can lose at
 //! most the point that was in flight, never a point the runner reported
@@ -19,7 +20,9 @@
 //! The loader is deliberately forgiving: a torn final line (the classic
 //! crash artefact), a checksum mismatch, or trailing garbage ends the
 //! parse at the last good record instead of failing the resume — those
-//! points simply re-run.
+//! points simply re-run. A header of another format version is refused:
+//! version 1 journals carry a lossy configuration encoding, so their
+//! rows cannot be matched to a plan's points.
 
 use crate::executor::{Outcome, PointResult};
 use osoffload_obs::json::{self, Value};
@@ -28,8 +31,8 @@ use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
 use std::path::Path;
 
-/// The 64-bit FNV-1a hash of `bytes` — the journal's line checksum, and
-/// the digest archived with failed rows (`config_digest`).
+/// The 64-bit FNV-1a hash of `bytes` — the journal's line checksum,
+/// and the hash behind [`config_digest`].
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
@@ -38,6 +41,17 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     }
     hash
 }
+
+/// The digest that names one configuration: FNV-1a over its
+/// [`SystemConfig::to_json`](osoffload_system::SystemConfig::to_json)
+/// bytes, as 16 hex digits. Archived with failed rows, keyed on by the
+/// serve cache and looked up by `osoffload inspect find`.
+pub fn config_digest(config_json: &str) -> String {
+    format!("{:016x}", fnv1a64(config_json.as_bytes()))
+}
+
+/// The journal format version this build writes and resumes from.
+const VERSION: u64 = 2;
 
 /// The campaign identity a journal belongs to; resume refuses a journal
 /// whose header does not match the plan being run.
@@ -54,7 +68,7 @@ pub struct JournalHeader {
 impl JournalHeader {
     fn body(&self) -> String {
         format!(
-            "{{\"journal\":\"osoffload-runner\",\"version\":1,\"experiment\":\"{}\",\
+            "{{\"journal\":\"osoffload-runner\",\"version\":{VERSION},\"experiment\":\"{}\",\
              \"master_seed\":{},\"points\":{}}}",
             json::escape(&self.experiment),
             self.master_seed,
@@ -251,23 +265,18 @@ fn parse_header(body: &str) -> Result<JournalHeader, String> {
     if v.get("journal").and_then(Value::as_str) != Some("osoffload-runner") {
         return Err("not an osoffload-runner journal".into());
     }
-    if v.get("version").and_then(Value::as_u64) != Some(1) {
-        return Err("unsupported journal version".into());
+    let version = v.get("version").and_then(Value::as_u64).unwrap_or(0);
+    if version != VERSION {
+        // Version 1 rows carry a lossy config encoding that cannot be
+        // matched to a plan's points.
+        return Err(format!(
+            "journal version {version} cannot be resumed; this build reads version {VERSION}"
+        ));
     }
     Ok(JournalHeader {
-        experiment: v
-            .get("experiment")
-            .and_then(Value::as_str)
-            .ok_or("header missing experiment")?
-            .to_string(),
-        master_seed: v
-            .get("master_seed")
-            .and_then(Value::as_u64)
-            .ok_or("header missing master_seed")?,
-        points: v
-            .get("points")
-            .and_then(Value::as_usize)
-            .ok_or("header missing points")?,
+        experiment: v.field("header", "experiment", Value::as_str)?.to_string(),
+        master_seed: v.field("header", "master_seed", Value::as_u64)?,
+        points: v.field("header", "points", Value::as_usize)?,
     })
 }
 
@@ -394,8 +403,7 @@ fn config_key_at(stable: &str) -> Option<usize> {
 
 /// Rebuilds a [`SimReport`] from its parsed JSON, field for field —
 /// including `cycle_breakdown`, whose all-integer components round-trip
-/// exactly. Journals written before it was serialised restore it as
-/// zeroes (back-compat defaulting, same as `dispatch`).
+/// exactly.
 fn restore_report(v: &Value) -> Option<SimReport> {
     let f = |key: &str| v.get(key).and_then(Value::as_f64);
     let u = |key: &str| v.get(key).and_then(Value::as_u64);
@@ -405,6 +413,7 @@ fn restore_report(v: &Value) -> Option<SimReport> {
         Some(val) => val.as_u64().map(Some),
     };
     let queue = v.get("queue")?;
+    let cb = v.get("cycle_breakdown")?;
     let predictor = match v.get("predictor") {
         Some(Value::Null) | None => None,
         Some(p) => Some(PredictorReport {
@@ -422,13 +431,7 @@ fn restore_report(v: &Value) -> Option<SimReport> {
         migration_one_way: u("migration_one_way")?,
         user_cores: us("user_cores")?,
         os_cores: us("os_cores")?,
-        // Absent in journals written before the topology fields existed;
-        // default rather than reject so old journals still resume.
-        dispatch: v
-            .get("dispatch")
-            .and_then(Value::as_str)
-            .unwrap_or_default()
-            .to_string(),
+        dispatch: v.get("dispatch").and_then(Value::as_str)?.to_string(),
         threads: us("threads")?,
         instructions: u("instructions")?,
         cycles: u("cycles")?,
@@ -471,20 +474,15 @@ fn restore_report(v: &Value) -> Option<SimReport> {
             p99_delay: queue.get("p99_delay").and_then(Value::as_u64)?,
         },
         predictor,
-        // Absent in journals written before the breakdown was archived;
-        // default rather than reject so old journals still resume.
-        cycle_breakdown: match v.get("cycle_breakdown") {
-            Some(cb) => CycleBreakdown {
-                base: cb.get("base").and_then(Value::as_u64)?,
-                fetch: cb.get("fetch").and_then(Value::as_u64)?,
-                data: cb.get("data").and_then(Value::as_u64)?,
-                tlb: cb.get("tlb").and_then(Value::as_u64)?,
-                branch: cb.get("branch").and_then(Value::as_u64)?,
-                migration: cb.get("migration").and_then(Value::as_u64)?,
-                queue_wait: cb.get("queue_wait").and_then(Value::as_u64)?,
-                decision: cb.get("decision").and_then(Value::as_u64)?,
-            },
-            None => CycleBreakdown::default(),
+        cycle_breakdown: CycleBreakdown {
+            base: cb.get("base").and_then(Value::as_u64)?,
+            fetch: cb.get("fetch").and_then(Value::as_u64)?,
+            data: cb.get("data").and_then(Value::as_u64)?,
+            tlb: cb.get("tlb").and_then(Value::as_u64)?,
+            branch: cb.get("branch").and_then(Value::as_u64)?,
+            migration: cb.get("migration").and_then(Value::as_u64)?,
+            queue_wait: cb.get("queue_wait").and_then(Value::as_u64)?,
+            decision: cb.get("decision").and_then(Value::as_u64)?,
         },
         binary_accuracy: v
             .get("binary_accuracy")?
@@ -719,7 +717,7 @@ mod tests {
             index: 0,
             id: "ok-point".into(),
             seed: 7,
-            config_json: crate::report::config_json(&cfg),
+            config_json: cfg.to_json(),
             outcome: Outcome::Ok(Box::new(report.clone())),
             wall_ms: 3.0,
             start_ms: 0.0,

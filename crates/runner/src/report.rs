@@ -10,6 +10,11 @@
 //!  "attempts":1,"injected_faults":0,"attempt_ms":[12.3]}
 //! ```
 //!
+//! `config` is the point's full configuration as
+//! [`SystemConfig::to_json`] renders it, so the FNV-1a
+//! [`config_digest`](crate::journal::config_digest) of those bytes names
+//! exactly one configuration.
+//!
 //! Failed points carry `"status":"failed"`, a `"panic"` message, an
 //! `"attempts"` count and a `"config_digest"` instead of `"report"`;
 //! watchdog-cancelled points carry `"status":"timeout"` with their
@@ -29,33 +34,10 @@ use osoffload_system::{CycleProfile, SystemConfig};
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// Renders a [`SystemConfig`] as a JSON object with a stable key order.
-///
-/// The emitter is hand-rolled like
-/// [`SimReport::to_json`](osoffload_system::SimReport::to_json): the
-/// approved dependency set has no serialisation framework.
+/// [`SystemConfig::to_json`], under the name the benchmark harness
+/// (`perfbench/harness`) imports.
 pub fn config_json(cfg: &SystemConfig) -> String {
-    format!(
-        "{{\"profile\":\"{}\",\"policy\":\"{}\",\"mechanism\":\"{:?}\",\"migration_one_way\":{},\
-         \"user_cores\":{},\"os_core_contexts\":{},\"os_core_slowdown_milli\":{},\
-         \"resource_adaptation\":{},\"instructions\":{},\"warmup\":{},\"seed\":{},\
-         \"tuner\":{},\"mem_override\":{},\"phases\":{}}}",
-        json::escape(cfg.profile.name),
-        json::escape(&cfg.policy.to_string()),
-        cfg.mechanism,
-        cfg.migration.one_way().as_u64(),
-        cfg.user_cores,
-        cfg.os_core_contexts,
-        cfg.os_core_slowdown_milli,
-        cfg.resource_adaptation
-            .map_or("null".to_string(), |m| m.to_string()),
-        cfg.instructions,
-        cfg.warmup,
-        cfg.seed,
-        cfg.tuner.is_some(),
-        cfg.mem_override.is_some(),
-        cfg.phases.len()
-    )
+    cfg.to_json()
 }
 
 /// Writes a sweep's results to `<dir>/<plan name>.json` atomically
@@ -217,33 +199,7 @@ pub fn write_static_table(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use osoffload_system::PolicyKind;
-    use osoffload_workload::Profile;
     use std::fs;
-
-    #[test]
-    fn config_json_is_flat_and_stable() {
-        let cfg = SystemConfig::builder()
-            .profile(Profile::derby())
-            .policy(PolicyKind::HardwarePredictor { threshold: 500 })
-            .migration_latency(1_000)
-            .instructions(50_000)
-            .seed(11)
-            .build();
-        let j = config_json(&cfg);
-        assert!(j.starts_with('{') && j.ends_with('}'));
-        for key in [
-            "\"profile\":\"derby\"",
-            "\"policy\":\"HI (N=500)\"",
-            "\"mechanism\":\"ThreadMigration\"",
-            "\"migration_one_way\":1000",
-            "\"seed\":11",
-            "\"tuner\":false",
-        ] {
-            assert!(j.contains(key), "missing {key} in {j}");
-        }
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-    }
 
     #[test]
     fn runner_telemetry_writes_trace_and_summary() {

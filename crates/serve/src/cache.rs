@@ -3,11 +3,15 @@
 //!
 //! The cache file reuses the envelope line format of
 //! [`osoffload_runner::journal`]: line one is a header
-//! (`{"journal":"osoffload-serve-cache","version":1}`), and every
+//! (`{"journal":"osoffload-serve-cache","version":2}`), and every
 //! subsequent line records one completed point as
-//! `{"digest":"<16-hex>","stamp":N,"config":<wire config>,"stable":<stable row>}`
-//! — the `stable` key deliberately last, like the runner's journal, so
-//! the original archive text can be sliced back out byte-for-byte.
+//! `{"digest":"<16-hex>","stamp":N,"stable":<stable row>}` — the
+//! `stable` key deliberately last, like the runner's journal, so the
+//! original archive text can be sliced back out byte-for-byte. The
+//! stable row's `config` is the point's full
+//! [`SystemConfig::to_json`](osoffload_system::SystemConfig::to_json)
+//! encoding, and `digest` is its
+//! [`config_digest`](osoffload_runner::journal::config_digest).
 //! Every insert is an fsynced append, so a killed daemon restarts warm
 //! with everything it ever acknowledged.
 //!
@@ -24,19 +28,20 @@
 //!   the file stays usable. A torn, unterminated tail (the classic
 //!   `kill -9` artefact) is discarded silently, exactly as the runner's
 //!   `--resume` does.
-//! - **Records store the full wire configuration.** The 64-bit digest
-//!   keys the index, but the archive-side `config_json` it hashes omits
-//!   topology fields, so colliding configurations are possible. Lookup
-//!   therefore requires digest *and* wire-config equality: a collision
-//!   recomputes rather than ever serving the wrong row.
+//! - **Lookup compares configurations, not just digests.** The 64-bit
+//!   digest keys the index, and lookup also requires the row's own
+//!   configuration to equal the requested one byte for byte, so a hash
+//!   collision recomputes rather than ever serving the wrong row.
+//! - **An older cache opens empty.** A version 1 file keyed its records
+//!   by a lossy configuration encoding; it loads as zero entries with
+//!   one warning and is rewritten with the current header.
 //!
 //! Each record carries a monotone **stamp** — virtual seconds since the
 //! cache was first created, never wall-clock time, so replaying a WAL
 //! is deterministic. A freshly opened cache resumes its clock from the
 //! largest stamp on disk and advances it with a monotonic timer; when a
 //! TTL is configured ([`ResultCache::open_limited`]), entries whose age
-//! exceeds it are evicted durably at open/compaction time. Records
-//! written before stamps existed load as stamp `0` (maximally old).
+//! exceeds it are evicted durably at open/compaction time.
 //!
 //! Duplicate digests are last-wins (a re-inserted row supersedes the
 //! old one and counts as freshest for eviction). When the loader had to
@@ -45,7 +50,7 @@
 //! so a crash mid-compaction leaves either the old or the new cache,
 //! never a mangled hybrid.
 
-use osoffload_obs::{atomic_write, json};
+use osoffload_obs::atomic_write;
 use osoffload_runner::journal::{
     envelope, restore_from_stable, scan_envelope_lines, Journal, ScanMode,
 };
@@ -55,19 +60,19 @@ use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 /// Header body of a serve cache file (line one, enveloped).
-pub const HEADER_BODY: &str = "{\"journal\":\"osoffload-serve-cache\",\"version\":1}";
+pub const HEADER_BODY: &str = "{\"journal\":\"osoffload-serve-cache\",\"version\":2}";
 
-/// One cached point: its digest key, the full wire configuration the
-/// digest was computed from, and the restored result row (whose
+/// Header body of a version 1 cache, whose records are dropped on open.
+const V1_HEADER_BODY: &str = "{\"journal\":\"osoffload-serve-cache\",\"version\":1}";
+
+/// One cached point: its digest key and the restored result row (whose
 /// `stable_json` is the verbatim archive text).
 #[derive(Debug, Clone)]
 pub struct CacheEntry {
-    /// 16-hex-digit FNV-1a digest of the point's archive `config_json`.
+    /// The [`PointResult::config_digest`] of the cached row.
     pub digest: String,
     /// Monotone insertion stamp (virtual seconds, not wall clock).
     pub stamp: u64,
-    /// The point's full wire configuration (collision guard).
-    pub config: String,
     /// The cached row, restored as if resumed from a journal.
     pub row: PointResult,
 }
@@ -75,10 +80,9 @@ pub struct CacheEntry {
 impl CacheEntry {
     fn body(&self) -> String {
         format!(
-            "{{\"digest\":\"{}\",\"stamp\":{},\"config\":{},\"stable\":{}}}",
+            "{{\"digest\":\"{}\",\"stamp\":{},\"stable\":{}}}",
             self.digest,
             self.stamp,
-            self.config,
             self.row.stable_json()
         )
     }
@@ -105,32 +109,20 @@ fn parse_record(body: &str) -> Result<CacheEntry, String> {
     let rest = body
         .strip_prefix("{\"digest\":\"")
         .ok_or("record does not start with a digest")?;
-    let digest = rest.get(..16).ok_or("record digest truncated")?;
+    let (digest, rest) = rest.split_at_checked(16).ok_or("record digest truncated")?;
     if !digest.bytes().all(|b| b.is_ascii_hexdigit()) {
         return Err(format!("record digest {digest:?} is not hex"));
     }
-    // The stamp is optional: records written before cache TTLs existed
-    // omit it and load as maximally old.
-    let mut stamp = 0u64;
-    let rest = if let Some(after) = rest[16..].strip_prefix("\",\"stamp\":") {
-        let digits = after.bytes().take_while(u8::is_ascii_digit).count();
-        stamp = after[..digits]
-            .parse()
-            .map_err(|_| "record stamp is not a number".to_string())?;
-        after[digits..]
-            .strip_prefix(",\"config\":")
-            .ok_or("record missing config")?
-    } else {
-        rest[16..]
-            .strip_prefix("\",\"config\":")
-            .ok_or("record missing config")?
-    };
-    let stable_at = rest
-        .find(",\"stable\":")
-        .ok_or("record missing stable row")?;
-    let config = &rest[..stable_at];
-    json::parse(config).map_err(|e| format!("record config unparsable: {e}"))?;
-    let stable = rest[stable_at + ",\"stable\":".len()..]
+    let rest = rest
+        .strip_prefix("\",\"stamp\":")
+        .ok_or("record missing stamp")?;
+    let digits = rest.bytes().take_while(u8::is_ascii_digit).count();
+    let stamp = rest[..digits]
+        .parse()
+        .map_err(|_| "record stamp is not a number".to_string())?;
+    let stable = rest[digits..]
+        .strip_prefix(",\"stable\":")
+        .ok_or("record missing stable row")?
         .strip_suffix('}')
         .ok_or("record not brace-terminated")?;
     let row = restore_from_stable(stable).ok_or("record stable row does not restore")?;
@@ -146,7 +138,6 @@ fn parse_record(body: &str) -> Result<CacheEntry, String> {
     Ok(CacheEntry {
         digest: digest.to_string(),
         stamp,
-        config: config.to_string(),
         row,
     })
 }
@@ -158,6 +149,16 @@ fn load_entries(path: &Path) -> Result<(Vec<CacheEntry>, Vec<String>), String> {
     let Some(&(header_lineno, header_body)) = lines.first() else {
         return Err(format!("cache {} has no header line", path.display()));
     };
+    if header_lineno == 1 && header_body == V1_HEADER_BODY {
+        return Ok((
+            Vec::new(),
+            vec![format!(
+                "cache {} is version 1, keyed by a lossy configuration encoding; \
+                 its records are dropped",
+                path.display()
+            )],
+        ));
+    }
     if header_lineno != 1 || header_body != HEADER_BODY {
         return Err(format!(
             "cache {} has an unrecognised header; refusing to treat it as a serve cache",
@@ -300,11 +301,11 @@ impl ResultCache {
         self.stamp_base + self.opened.elapsed().as_secs()
     }
 
-    /// The entry for `digest` — only if its stored wire configuration is
+    /// The entry for `digest` — only if its row's configuration is
     /// byte-equal to `config` (the digest-collision guard).
     pub fn lookup(&self, digest: &str, config: &str) -> Option<&CacheEntry> {
         let entry = &self.entries[*self.index.get(digest)?];
-        (entry.config == config).then_some(entry)
+        (entry.row.config_json == config).then_some(entry)
     }
 
     /// Serves a cached row re-keyed to a new plan position: the stored
@@ -328,7 +329,8 @@ impl ResultCache {
     /// Inserts a completed row under its configuration digest, appending
     /// it to the WAL (fsynced) before it becomes visible. Returns `true`
     /// if the row was cached, `false` if it was refused (failed rows are
-    /// never cached). A duplicate digest supersedes the old entry.
+    /// never cached), and an error if the row's configuration is not
+    /// `config`. A duplicate digest supersedes the old entry.
     pub fn insert(&mut self, config: &str, row: &PointResult) -> Result<bool, String> {
         self.insert_stamped(config, row, self.now_stamp())
     }
@@ -341,13 +343,18 @@ impl ResultCache {
         row: &PointResult,
         stamp: u64,
     ) -> Result<bool, String> {
+        if row.config_json != config {
+            return Err(format!(
+                "row {} ({}) was computed for another configuration",
+                row.index, row.id
+            ));
+        }
         if !row.is_ok() {
             return Ok(false);
         }
         let entry = CacheEntry {
             digest: row.config_digest(),
             stamp,
-            config: config.to_string(),
             row: row.clone(),
         };
         self.writer

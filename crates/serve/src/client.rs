@@ -175,9 +175,8 @@ pub fn submit_once(
         if event.get("event").and_then(Value::as_str) == Some("done") {
             let field = |key: &str| {
                 event
-                    .get(key)
-                    .and_then(Value::as_u64)
-                    .ok_or_else(|| SubmitError::Protocol(format!("done event missing {key}")))
+                    .field("done event", key, Value::as_u64)
+                    .map_err(SubmitError::Protocol)
             };
             return Ok(SubmitOutcome {
                 points: field("points")?,
@@ -186,9 +185,8 @@ pub fn submit_once(
                 failed: field("failed")?,
                 evicted: field("evicted")?,
                 archive: event
-                    .get("archive")
-                    .and_then(Value::as_str)
-                    .ok_or_else(|| SubmitError::Protocol("done event missing archive".into()))?
+                    .field("done event", "archive", Value::as_str)
+                    .map_err(SubmitError::Protocol)?
                     .to_string(),
             });
         }

@@ -40,7 +40,7 @@
 //! execution itself.
 //!
 //! Every submitted configuration is rebuilt through
-//! [`wire::config_from_json`] — and therefore through
+//! [`SystemConfig::from_json`] — and therefore through
 //! `SystemConfig::try_build` — before it can reach the executor, so a
 //! malformed or hostile request gets an error line, never a panic.
 //! Completed points are appended to the cache WAL as they finish
@@ -59,11 +59,12 @@
 //! direct `--canonical` run of the same plan.
 
 use crate::cache::ResultCache;
-use crate::wire;
 use osoffload_obs::json::{self, Value};
 use osoffload_obs::{atomic_write, MetricId, MetricsRegistry};
+use osoffload_runner::journal::config_digest;
 use osoffload_runner::report::write_sweep;
 use osoffload_runner::{run_plan_hooked, ExecHooks, ExperimentPlan, Outcome, RunnerOptions};
+use osoffload_system::SystemConfig;
 use std::collections::VecDeque;
 use std::io::{BufRead, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -274,7 +275,7 @@ struct SubmitPoint {
     id: String,
     wire: String,
     digest: String,
-    config: osoffload_system::SystemConfig,
+    config: SystemConfig,
 }
 
 /// A bounded handoff queue between the accept loop and the worker pool.
@@ -696,44 +697,30 @@ fn submit_entry(shared: &Shared, request: &Value, out: &TcpStream) {
 }
 
 fn lower_submit(request: &Value) -> Result<(String, u64, Vec<SubmitPoint>), String> {
-    let experiment = request
-        .get("experiment")
-        .and_then(Value::as_str)
-        .ok_or("submit missing experiment")?;
+    let experiment = request.field("submit", "experiment", Value::as_str)?;
     if !valid_experiment_name(experiment) {
         return Err(format!(
             "experiment name {experiment:?} must be 1-64 chars of [A-Za-z0-9._-]"
         ));
     }
-    let master_seed = request
-        .get("master_seed")
-        .and_then(Value::as_u64)
-        .ok_or("submit missing master_seed")?;
-    let raw_points = request
-        .get("points")
-        .and_then(Value::as_arr)
-        .ok_or("submit missing points")?;
+    let master_seed = request.field("submit", "master_seed", Value::as_u64)?;
+    let raw_points = request.field("submit", "points", Value::as_arr)?;
     if raw_points.is_empty() {
         return Err("submit has no points".into());
     }
     let mut points = Vec::with_capacity(raw_points.len());
     for (i, p) in raw_points.iter().enumerate() {
-        let id = p
-            .get("id")
-            .and_then(Value::as_str)
-            .ok_or_else(|| format!("point {i}: missing id"))?;
-        let config = wire::config_from_json(
-            p.get("config")
-                .ok_or_else(|| format!("point {i}: missing config"))?,
-        )
-        .map_err(|why| format!("point {i}: {why}"))?;
+        let what = format!("point {i}:");
+        let id = p.field(&what, "id", Value::as_str)?;
+        let config = SystemConfig::from_json(p.field(&what, "config", Some)?)
+            .map_err(|why| format!("{what} {why}"))?;
         // Re-canonicalise: cache comparisons use the daemon's own
         // rendering, never client-supplied bytes.
-        let wire_text = wire::config_to_json(&config).map_err(|why| format!("point {i}: {why}"))?;
+        let wire = config.to_json();
         points.push(SubmitPoint {
             id: id.to_string(),
-            digest: wire::digest(&config),
-            wire: wire_text,
+            digest: config_digest(&wire),
+            wire,
             config,
         });
     }

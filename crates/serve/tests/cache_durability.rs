@@ -159,7 +159,7 @@ fn corrupt_and_garbage_records_are_skipped_not_poison() {
     let old = corrupted.remove(flip);
     corrupted.insert(flip, if old == 'x' { 'y' } else { 'x' });
     // `envelope` already newline-terminates its line.
-    let unrestorable = envelope("{\"digest\":\"0123456789abcdef\",\"config\":{},\"stable\":{}}");
+    let unrestorable = envelope("{\"digest\":\"0123456789abcdef\",\"stamp\":0,\"stable\":{}}");
     let mangled = format!(
         "{}\n{}\nnot an envelope at all\n{}\n{}{}\n",
         lines[0], lines[1], corrupted, unrestorable, lines[3]
@@ -234,17 +234,20 @@ fn digest_collision_requires_config_equality() {
     let rows = sample_rows();
     let dir = scratch("collide");
     let path = populated_cache(&dir, &rows[..1]);
-    let cache = ResultCache::open(&path, 0).expect("open");
+    let mut cache = ResultCache::open(&path, 0).expect("open");
     let (wire_text, row) = &rows[0];
     let digest = row.config_digest();
     assert!(cache.lookup(&digest, wire_text).is_some());
-    // Same digest, different full configuration: must MISS (the
-    // archive-side config_json omits topology fields, so collisions are
-    // possible; serving across one would return the wrong row).
+    // Same digest, different configuration: must MISS (a 64-bit digest
+    // can collide; serving across a collision would return the wrong
+    // row).
     let other = wire_text.replace("\"os_cores\":1", "\"os_cores\":2");
     assert_ne!(&other, wire_text);
     assert!(cache.lookup(&digest, &other).is_none());
     assert!(cache.serve(&digest, &other, 0, "x", row.seed).is_none());
+    // Nor may a row be filed under a configuration it was not computed
+    // for.
+    assert!(cache.insert(&other, row).is_err());
 }
 
 #[test]
@@ -338,49 +341,45 @@ fn ttl_eviction_is_by_stamp_age_and_durable() {
 }
 
 #[test]
-fn stampless_legacy_records_load_as_maximally_old() {
+fn version_1_caches_open_empty_and_are_rewritten() {
     let rows = sample_rows();
-    let dir = scratch("legacy");
+    let dir = scratch("v1");
     let path = dir.join("cache.wal");
-    // A record written before stamps existed: no "stamp" key at all.
+    // A version 1 file: records keyed by the lossy archive encoding and
+    // carrying a second copy of the configuration.
     let (wire_text, row) = &rows[0];
-    let legacy_body = format!(
-        "{{\"digest\":\"{}\",\"config\":{},\"stable\":{}}}",
+    let v1_record = format!(
+        "{{\"digest\":\"{}\",\"stamp\":3,\"config\":{},\"stable\":{}}}",
         row.config_digest(),
         wire_text,
         row.stable_json()
     );
     std::fs::write(
         &path,
-        format!("{}{}", envelope(HEADER_BODY), envelope(&legacy_body)),
+        format!(
+            "{}{}",
+            envelope("{\"journal\":\"osoffload-serve-cache\",\"version\":1}"),
+            envelope(&v1_record)
+        ),
     )
-    .expect("write legacy cache");
+    .expect("write version 1 cache");
 
-    let mut cache = ResultCache::open(&path, 0).expect("open legacy");
-    assert!(cache.warnings().is_empty(), "{:?}", cache.warnings());
-    assert_eq!(cache.len(), 1);
+    let mut cache = ResultCache::open(&path, 0).expect("a version 1 cache opens");
+    assert!(cache.is_empty(), "version 1 records are dropped");
+    assert_eq!(cache.warnings().len(), 1, "{:?}", cache.warnings());
     assert_eq!(
-        cache.entries()[0].stamp,
-        0,
-        "stampless records are maximally old"
+        std::fs::read_to_string(&path).expect("read"),
+        envelope(HEADER_BODY),
+        "the file is rewritten with the current header"
     );
-    assert!(
-        cache.lookup(&row.config_digest(), wire_text).is_some(),
-        "legacy records stay servable"
-    );
-
-    // Advance the cache clock by inserting a newer entry, then apply a
-    // TTL: the legacy record (age 500) expires, the fresh one survives.
-    let (new_wire, new_row) = &rows[1];
-    assert!(cache
-        .insert_stamped(new_wire, new_row, 500)
-        .expect("insert newer"));
+    assert!(cache.insert(wire_text, row).expect("insert"));
     drop(cache);
-    let aged = ResultCache::open_limited(&path, 0, 100).expect("reopen with ttl");
-    assert_eq!(aged.len(), 1);
+
+    let reopened = ResultCache::open(&path, 0).expect("reopen");
+    assert!(reopened.warnings().is_empty(), "{:?}", reopened.warnings());
     assert!(
-        aged.lookup(&new_row.config_digest(), new_wire).is_some(),
-        "only the fresh entry survives the TTL"
+        reopened.lookup(&row.config_digest(), wire_text).is_some(),
+        "the insert after the upgrade is durable"
     );
 }
 

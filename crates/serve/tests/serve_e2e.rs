@@ -9,8 +9,10 @@
 use osoffload_runner::{record_plan, report, run_plan, RunnerOptions};
 use osoffload_serve::client::{self, RetryPolicy, SubmitError};
 use osoffload_serve::daemon::{Daemon, ServeOptions};
-use osoffload_system::experiments::{single_config, Evaluator, Scale};
-use osoffload_system::PolicyKind;
+use osoffload_system::experiments::{
+    fig6_scalability_grid_with, sensitivity_with, single_config, Evaluator, Scale,
+};
+use osoffload_system::{DispatchPolicy, PolicyKind};
 use osoffload_workload::Profile;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -208,6 +210,40 @@ fn resubmitted_sweep_is_all_hits_and_byte_identical() {
     let metrics =
         std::fs::read_to_string(dir.join("served/serve-metrics.csv")).expect("metrics exported");
     assert!(metrics.contains("serve.cache.hits"), "{metrics}");
+}
+
+/// Plans whose points differ only in dispatch policy or memory
+/// substrate: each configuration has its own digest, so a warm
+/// resubmission is served entirely from cache. Sensitivity repeats the
+/// paper-baseline substrate in three probes; those rows share one entry.
+#[test]
+fn warm_dispatch_and_memory_grids_are_all_hits() {
+    let dir = scratch("grids");
+    let (port, handle) = start_daemon(serve_opts(&dir));
+    let warm_is_all_hits = |name: &str, points: u64, driver: &dyn Fn(Evaluator<'_>)| {
+        let direct = direct_archive(name, &dir.join("direct"), driver);
+        let cold = submit(port, name, driver);
+        assert_eq!((cold.points, cold.failed), (points, 0), "{name}");
+        let warm = submit(port, name, driver);
+        assert_eq!(
+            (warm.hits, warm.misses, warm.failed),
+            (points, 0, 0),
+            "{name}: a warm resubmission must be all hits"
+        );
+        assert_eq!(
+            std::fs::read(&warm.archive).expect("read warm archive"),
+            direct,
+            "{name}: warm served archive != direct canonical archive"
+        );
+    };
+    warm_is_all_hits("e2e-fig6", 32, &|ev| {
+        fig6_scalability_grid_with(tiny(), &[(4, 1), (16, 4)], &DispatchPolicy::ALL, ev);
+    });
+    warm_is_all_hits("e2e-sensitivity", 18, &|ev| {
+        sensitivity_with(tiny(), Profile::apache(), ev);
+    });
+    client::stop(port).expect("stop");
+    handle.join().expect("daemon thread").expect("daemon exit");
 }
 
 #[test]
@@ -548,15 +584,14 @@ fn hostile_requests_get_errors_not_panics() {
         "{\"op\":\"frobnicate\"}\n",
         "{\"op\":\"submit\"}\n",
         "{\"op\":\"submit\",\"experiment\":\"../etc\",\"master_seed\":1,\"points\":[]}\n",
-        // Config that would trip a builder assertion if range checks
-        // did not run first.
+        // A zero OS-core slowdown, which validation refuses.
         "{\"op\":\"submit\",\"experiment\":\"x\",\"master_seed\":1,\"points\":[{\"id\":\"p\",\
          \"config\":{\"profile\":\"apache\",\"phases\":[],\"policy\":{\"kind\":\"baseline\"},\
          \"mechanism\":\"thread-migration\",\"migration_one_way\":0,\
          \"os_core_slowdown_milli\":0,\"os_core_contexts\":1,\"os_cores\":1,\
          \"dispatch\":\"least-loaded\",\"os_cold_penalty\":0,\"resource_adaptation\":null,\
          \"user_cores\":1,\"instructions\":1000,\"warmup\":100,\"seed\":1,\"tuner\":null,\
-         \"half_l2_cores\":null}}]}\n",
+         \"mem\":null}}]}\n",
     ] {
         let err = client::submit(port, request, |_| {}).expect_err("must be refused");
         assert!(err.contains("refused") || err.contains("closed"), "{err}");

@@ -2,11 +2,13 @@
 //! every possible crash point (including torn writes), deterministic
 //! fault-plan replay, and watchdog timeouts.
 
+use osoffload::mem::MemConfig;
+use osoffload::runner::journal::envelope;
 use osoffload::runner::{
     run_plan, run_plan_with, ExperimentPlan, FaultConfig, FaultPlan, Outcome, RunnerOptions,
 };
 use osoffload::system::experiments::{single_config, Scale};
-use osoffload::system::PolicyKind;
+use osoffload::system::{DispatchPolicy, PolicyKind, SystemConfig};
 use osoffload::workload::Profile;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -254,41 +256,74 @@ fn resume_retry_failed_reattempts_failed_rows() {
 }
 
 /// A resume must refuse a journal that belongs to a different campaign
-/// rather than silently mixing results.
+/// rather than silently mixing results: another master seed, a plan
+/// that differs only in dispatch policy or memory override, or a
+/// version 1 journal, whose lossy config encoding could not tell those
+/// apart (refused with an error naming the file).
 #[test]
 fn resume_refuses_a_mismatched_journal() {
-    let plan = seeded_plan();
-    let journal = temp_journal("mismatch");
-    run_plan(
-        &plan,
-        &RunnerOptions {
-            journal: Some(journal.clone()),
-            ..canonical(1)
-        },
-    );
-    let mut other = ExperimentPlan::new("crash", 0xBEEF); // different master seed
-    let scale = tiny();
-    other.push(
-        "p0".to_string(),
-        single_config(
+    let refusal = |plan: &ExperimentPlan, journal: &PathBuf| {
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_plan(
+                plan,
+                &RunnerOptions {
+                    resume: Some(journal.clone()),
+                    ..canonical(1)
+                },
+            )
+        }));
+        let payload = outcome.expect_err("the journal must be refused");
+        let _ = std::fs::remove_file(journal);
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_default()
+    };
+    let one_point = |master_seed: u64, patch: &dyn Fn(&mut SystemConfig)| {
+        let mut cfg = single_config(
             Profile::apache(),
             PolicyKind::HardwarePredictor { threshold: 100 },
             1_000,
             1,
-            scale,
+            tiny(),
+        );
+        patch(&mut cfg);
+        let mut plan = ExperimentPlan::new("crash", master_seed);
+        plan.push("p0".to_string(), cfg);
+        plan
+    };
+    let mut slow_dram = MemConfig::paper_baseline(2);
+    slow_dram.dram_latency = 500;
+    let half_l2 = |c: &mut SystemConfig| c.mem_override = Some(MemConfig::half_l2_variant(2));
+    for (journaled, resumed) in [
+        (seeded_plan(), one_point(0xBEEF, &|_| {})),
+        (
+            one_point(1, &|_| {}),
+            one_point(1, &|c| c.dispatch = DispatchPolicy::RoundRobin),
         ),
-    );
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        (
+            one_point(1, &half_l2),
+            one_point(1, &|c| c.mem_override = Some(slow_dram.clone())),
+        ),
+    ] {
+        let journal = temp_journal("mismatch");
         run_plan(
-            &other,
+            &journaled,
             &RunnerOptions {
-                resume: Some(journal.clone()),
+                journal: Some(journal.clone()),
                 ..canonical(1)
             },
-        )
-    }));
-    assert!(outcome.is_err(), "mismatched journal must be rejected");
-    let _ = std::fs::remove_file(&journal);
+        );
+        refusal(&resumed, &journal);
+    }
+
+    let journal = temp_journal("v1");
+    let v1_header = "{\"journal\":\"osoffload-runner\",\"version\":1,\"experiment\":\"crash\",\
+                     \"master_seed\":65261,\"points\":4}";
+    std::fs::write(&journal, envelope(v1_header)).expect("write a version 1 journal");
+    let why = refusal(&seeded_plan(), &journal);
+    assert!(why.contains(&journal.display().to_string()), "{why}");
+    assert!(why.contains("version 1"), "{why}");
 }
 
 /// The same fault plan replayed over the same campaign injects the same

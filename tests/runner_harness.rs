@@ -1,9 +1,13 @@
 //! Integration tests for the parallel experiment harness: worker-count
 //! determinism, parity with the sequential drivers, and fault isolation.
 
-use osoffload::runner::{run_driver, run_plan_with, ExperimentPlan, Outcome, RunnerOptions};
+use osoffload::obs::json;
+use osoffload::runner::journal::config_digest;
+use osoffload::runner::{
+    record_plan, run_driver, run_plan_with, ExperimentPlan, Outcome, RunnerOptions,
+};
 use osoffload::system::experiments::{self, fig4_grid_with, simulate, single_config, Scale};
-use osoffload::system::PolicyKind;
+use osoffload::system::{PolicyKind, SystemConfig};
 use osoffload::workload::Profile;
 
 fn tiny() -> Scale {
@@ -141,4 +145,62 @@ fn panicking_point_does_not_kill_the_sweep() {
     assert!(json.contains("\"status\":\"ok\""));
     // The failed row still records which configuration it was.
     assert!(sweep.rows[1].config_json.contains("\"profile\":\"apache\""));
+}
+
+/// A digest names one configuration: within each of these plans two
+/// points share a digest exactly when their configurations are equal
+/// field for field, and every encoding decodes back to the same bytes.
+#[test]
+fn digests_name_exactly_one_configuration() {
+    let scale = tiny();
+    // (plan, distinct configurations among its points)
+    let plans = [
+        (
+            record_plan("fig6_scalability", scale.seed, |ev| {
+                experiments::fig6_scalability_with(scale, ev)
+            }),
+            112,
+        ),
+        (
+            record_plan("sensitivity", scale.seed, |ev| {
+                experiments::sensitivity_with(scale, Profile::apache(), ev)
+            }),
+            14,
+        ),
+        (
+            record_plan("predictor_accuracy", scale.seed, |ev| {
+                experiments::predictor_accuracy(scale, &[25, 50, 100, 200, 400], &[375, 1500], ev)
+            }),
+            28,
+        ),
+        (
+            record_plan("scalability", scale.seed, |ev| {
+                experiments::scalability_with(scale, ev)
+            }),
+            6,
+        ),
+    ];
+    for (plan, distinct) in &plans {
+        let points = plan.points();
+        let texts: Vec<String> = points.iter().map(|p| p.config.to_json()).collect();
+        for text in &texts {
+            let back = SystemConfig::from_json(&json::parse(text).expect("parse"))
+                .unwrap_or_else(|e| panic!("{}: {e}", plan.name()));
+            assert_eq!(&back.to_json(), text, "{}", plan.name());
+        }
+        let debug: Vec<String> = points.iter().map(|p| format!("{:?}", p.config)).collect();
+        let digests: Vec<String> = texts.iter().map(|t| config_digest(t)).collect();
+        for i in 0..points.len() {
+            for j in 0..i {
+                assert_eq!(
+                    digests[i] == digests[j],
+                    debug[i] == debug[j],
+                    "{}: points {j} and {i}",
+                    plan.name()
+                );
+            }
+        }
+        let unique: std::collections::HashSet<&String> = digests.iter().collect();
+        assert_eq!(unique.len(), *distinct, "{}", plan.name());
+    }
 }
