@@ -189,8 +189,8 @@ usage: osoffload-bench <experiment> [quick|full|paper] [--workers=N]
        (--resume-retry-failed re-attempts journaled failures), and
        --deadline-ms/--inject-faults add watchdogs and chaos testing
        (see ROBUSTNESS.md)
-       --lanes picks the lane-pack width for tape-sharing sweeps
-       (0 = auto, 1 = scalar path; see EXPERIMENTS.md)";
+       --lanes sets how many points of one workload shape a worker
+       claims at once (0 = auto, 1 = scalar path; see EXPERIMENTS.md)";
 
 fn usage() -> ! {
     eprintln!("{USAGE}\n\nexperiments:");

@@ -128,7 +128,7 @@ pub enum ServeArgs {
         out: String,
         /// Worker threads per sweep (`0` = auto).
         workers: usize,
-        /// Lane-pack width (`0` = auto).
+        /// Lane claim-unit width (`0` = auto).
         lanes: usize,
         /// Retries per failing point.
         retries: u32,

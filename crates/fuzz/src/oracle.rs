@@ -28,11 +28,13 @@
 //!    reconcile exactly with the report's own cycle accounting
 //!    (decision overhead, migration, queue wait, throttle);
 //! 8. **lane-stepper** — replaying the case through the lane engine
-//!    ([`LaneStepper`]) at widths 1, 2, 4 and 8, co-resident with
+//!    ([`LaneStepper`]) at widths 1, 2, 4 and 8, on one tape with
 //!    policy/latency variants of itself (so lanes diverge in offload
 //!    decisions and rejoin on shared tape positions), must produce a
 //!    report byte-identical to the scalar [`Simulation::run`] for every
-//!    lane.
+//!    lane; for the cases the alloc oracle audits (no phases, no tuner)
+//!    the measured regions must also allocate nothing, although replay
+//!    records the tape inside them.
 
 use crate::case::FuzzCase;
 use osoffload_core::{AState, CamPredictor, ReferenceCamPredictor, RunLengthPredictor};
@@ -60,9 +62,10 @@ pub enum OracleKind {
     /// Profiling-on vs profiling-off report identity, plus the profile's
     /// phase totals reconciling with the report's cycle accounting.
     Profile,
-    /// Lane-engine replay at widths 1/2/4/8, mixed with co-resident
-    /// variants, vs memoised scalar runs: every lane's report must be
-    /// byte-identical to [`Simulation::run`].
+    /// Lane-engine replay at widths 1/2/4/8, mixed with variants on one
+    /// tape, vs memoised scalar runs: every lane's report must be
+    /// byte-identical to [`Simulation::run`], and audited cases must
+    /// replay without a measured-region allocation.
     LaneStepper,
 }
 
@@ -366,15 +369,17 @@ fn check_crash_recovery(case: &FuzzCase) -> Result<(), String> {
     result
 }
 
-/// Lane-engine differential check: the case and three co-resident
-/// variants of it (a different threshold, an always-offload lane, and a
-/// different migration latency — all [`tape_compatible`] with the
-/// original, none identical in behaviour) are packed into lanes at
-/// widths 1, 2, 4 and 8 and compared against memoised scalar runs.
-/// Mixing variants makes the lanes *diverge* (different offload
-/// decisions at the same tape position) and *rejoin* (identical drawn
-/// segments either side), which is exactly the sharing the tape replay
-/// must never let leak between lanes.
+/// Lane-engine differential check: the case and three variants of it
+/// (a different threshold, an always-offload lane, and a different
+/// migration latency — all [`tape_compatible`] with the original, none
+/// identical in behaviour) are packed into lanes at widths 1, 2, 4 and
+/// 8 and compared against memoised scalar runs. Mixing variants makes
+/// the lanes *diverge* (different offload decisions at the same tape
+/// position) and *rejoin* (identical drawn segments either side), which
+/// is exactly the sharing the tape replay must never let leak between
+/// lanes. Cases the alloc oracle audits must also replay without a
+/// measured-region allocation: the tape's reservation bound is what
+/// keeps on-demand recording off the heap.
 ///
 /// [`tape_compatible`]: osoffload_system::tape_compatible
 fn check_lane_stepper(case: &FuzzCase) -> Result<(), String> {
@@ -384,7 +389,7 @@ fn check_lane_stepper(case: &FuzzCase) -> Result<(), String> {
     base.instructions = base.instructions.clamp(2_000, 30_000);
     base.warmup = base.warmup.min(base.instructions / 4);
 
-    // Co-resident variants sharing the base case's workload shape.
+    // Variants sharing the base case's workload shape.
     // Variants that fail to lower (a policy the rest of the case
     // rejects) are skipped; the base case itself must lower.
     let mut variant_cases = vec![base.clone()];
@@ -410,13 +415,21 @@ fn check_lane_stepper(case: &FuzzCase) -> Result<(), String> {
     // Memoised scalar references, one per variant, computed on first
     // use (width 1 only ever needs the first).
     let mut scalar: Vec<Option<SimReport>> = vec![None; variants.len()];
+    let audited = base.phases.is_empty() && base.tuner_scale.is_none();
     for width in [1usize, 2, 4, 8] {
         let configs: Vec<_> = (0..width)
             .map(|i| variants[i % variants.len()].clone())
             .collect();
-        let reports = LaneStepper::new(configs)
-            .map_err(|e| format!("width {width}: stepper rejected configs: {e}"))?
-            .run();
+        let stepper = LaneStepper::new(configs)
+            .map_err(|e| format!("width {width}: stepper rejected configs: {e}"))?;
+        let _ = alloc_audit::take_region_allocs();
+        let reports = stepper.run();
+        let allocs = alloc_audit::take_region_allocs();
+        if audited && allocs != 0 {
+            return Err(format!(
+                "width {width}: lane measured regions allocated {allocs} times"
+            ));
+        }
         for (lane, report) in reports.iter().enumerate() {
             let v = lane % variants.len();
             let reference =

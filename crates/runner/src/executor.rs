@@ -9,7 +9,7 @@ use crate::plan::{ExperimentPlan, Point};
 use crate::progress::Progress;
 use osoffload_obs::json;
 use osoffload_sim::{CancelToken, Cancelled, Rng64};
-use osoffload_system::{SimReport, Simulation};
+use osoffload_system::{shape_units, SimReport, Simulation};
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -67,14 +67,13 @@ pub struct RunnerOptions {
     pub fault_seed: Option<u64>,
     /// An explicit fault plan (takes precedence over `fault_seed`).
     pub fault_plan: Option<FaultPlan>,
-    /// Lane-pack width for the lane-parallel sweep engine: `0` = auto
-    /// (currently 4), `1` forces the scalar per-point path, `N > 1`
-    /// packs up to N tape-compatible points per [`LaneStepper`] run.
+    /// Claim-unit width for the lane path: `0` = auto (currently 4),
+    /// `1` forces the scalar per-point path, `N > 1` has each worker
+    /// claim up to N points of one workload shape at a time and replay
+    /// them, one after another, over its recorded tape of that shape.
     /// Reports are bit-identical either way; telemetry, profiling,
     /// fault-injection, and deadline sweeps always take the scalar
     /// path.
-    ///
-    /// [`LaneStepper`]: osoffload_system::LaneStepper
     pub lanes: usize,
 }
 
@@ -588,7 +587,7 @@ pub fn run_plan(plan: &ExperimentPlan, opts: &RunnerOptions) -> SweepResult {
 /// [`run_plan`] with embedding hooks: `hooks.prefill` rows are
 /// installed before any worker starts (those points are never
 /// evaluated), and `hooks.on_point` observes every row as it becomes
-/// final. Prefilled sweeps take the scalar path — lane packs would
+/// final. Prefilled sweeps take the scalar path — claim units would
 /// straddle already-served points — but rows are bit-identical either
 /// way, so a cached archive still compares bytes-equal to a lane run.
 pub fn run_plan_hooked(
@@ -600,13 +599,14 @@ pub fn run_plan_hooked(
     // raise it, keeping deadline-free runs on the token-free path.
     let armed = opts.deadline_ms.is_some();
     if !hooks.has_prefill() && crate::lane_exec::eligible(opts) {
-        // Lane path: points are served from lane packs (see
-        // `lane_exec`), each report bit-identical to the scalar
-        // evaluation below.
+        // Lane path: workers claim units of one workload shape and
+        // replay their tape of it (see `lane_exec`), each report
+        // bit-identical to the scalar evaluation below.
         let width = crate::lane_exec::effective_lanes(opts);
-        let packs = crate::lane_exec::LanePacks::build(plan.points(), width);
-        let points = plan.points();
-        return run_plan_ctx_hooked(plan, opts, hooks, move |p, _ctx| packs.eval(points, p));
+        let units = shape_units(plan.points().iter().map(|p| &p.config), width);
+        return run_units(plan, opts, hooks, &units, |p, _ctx| {
+            crate::lane_exec::eval(&p.config)
+        });
     }
     if !opts.telemetry && !opts.profile {
         return run_plan_ctx_hooked(plan, opts, hooks, |p, ctx| {
@@ -662,8 +662,8 @@ pub fn run_plan_with(
 
 /// Executes `plan` with a caller-supplied evaluator.
 ///
-/// Points are claimed from a shared atomic index by `opts.workers`
-/// scoped threads. A panicking evaluation is caught, retried up to
+/// Points are claimed in plan order from a shared atomic index by
+/// `opts.workers` scoped threads. A panicking evaluation is caught, retried up to
 /// `opts.retries` times (with exponential backoff and deterministic
 /// jitter between attempts), and finally recorded as
 /// [`Outcome::Failed`] — one bad point never aborts the sweep. Rows
@@ -700,9 +700,24 @@ pub fn run_plan_ctx_hooked(
     hooks: ExecHooks<'_>,
     eval: impl Fn(&Point, &EvalCtx) -> SimReport + Sync,
 ) -> SweepResult {
+    let units: Vec<Vec<usize>> = (0..plan.len()).map(|i| vec![i]).collect();
+    run_units(plan, opts, hooks, &units, eval)
+}
+
+/// The executor behind every `run_plan*` entry point: workers claim
+/// `units` (lists of point indices covering the plan once) in order
+/// from a shared atomic index, and evaluate each member as its own
+/// attempt.
+fn run_units(
+    plan: &ExperimentPlan,
+    opts: &RunnerOptions,
+    hooks: ExecHooks<'_>,
+    units: &[Vec<usize>],
+    eval: impl Fn(&Point, &EvalCtx) -> SimReport + Sync,
+) -> SweepResult {
     let points = plan.points();
     let n = points.len();
-    let workers = opts.effective_workers(n);
+    let workers = opts.effective_workers(units.len());
     let deadline = opts.deadline_ms;
 
     let fault_plan: Option<FaultPlan> = opts.fault_plan.clone().or_else(|| {
@@ -875,13 +890,13 @@ pub fn run_plan_ctx_hooked(
             let active_workers = &active_workers;
             let stop_watchdog = &stop_watchdog;
             scope.spawn(move || {
-                loop {
-                    let i = next.0.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
+                // Claim a unit at a time; its members are evaluated in
+                // order, each as its own attempt.
+                let claims =
+                    std::iter::from_fn(|| units.get(next.0.fetch_add(1, Ordering::Relaxed)));
+                for &i in claims.flatten() {
                     if slots[i].lock().expect("result slot poisoned").is_some() {
-                        continue; // restored from the journal
+                        continue; // restored from the journal or prefilled
                     }
                     let point = &points[i];
                     let faults: PointFaults = fault_plan
@@ -1041,7 +1056,7 @@ pub fn run_plan_ctx_hooked(
 mod tests {
     use super::*;
     use crate::plan::ExperimentPlan;
-    use osoffload_system::{PolicyKind, SystemConfig};
+    use osoffload_system::{DispatchPolicy, PolicyKind, SystemConfig};
     use osoffload_workload::Profile;
 
     fn plan(n: usize) -> ExperimentPlan {
@@ -1101,45 +1116,63 @@ mod tests {
 
     #[test]
     fn lane_path_rows_match_scalar_path() {
-        // Real simulations, two shapes (seeds), mixed policies: the
-        // lane path must reproduce the scalar rows bit-for-bit.
-        let mut plan = ExperimentPlan::new("lane-int", 5);
-        for (i, (threshold, seed)) in [(100u64, 1u64), (5_000, 2), (900, 1), (100, 2)]
-            .iter()
-            .enumerate()
-        {
-            plan.push_pinned(
-                format!("p{i}"),
-                SystemConfig::builder()
-                    .profile(Profile::apache())
-                    .policy(PolicyKind::HardwarePredictor {
-                        threshold: *threshold,
-                    })
-                    .instructions(20_000)
-                    .warmup(5_000)
-                    .seed(*seed)
-                    .build(),
+        // Real simulations: the lane path must reproduce the scalar rows
+        // bit-for-bit, whatever the unit width.
+        let check = |plan: &ExperimentPlan, lanes: usize| {
+            let quiet = RunnerOptions {
+                quiet: true,
+                workers: 2,
+                canonical: true,
+                ..RunnerOptions::default()
+            };
+            let scalar = run_plan(
+                plan,
+                &RunnerOptions {
+                    lanes: 1,
+                    ..quiet.clone()
+                },
             );
-        }
-        let quiet = RunnerOptions {
-            quiet: true,
-            workers: 2,
-            canonical: true,
-            ..RunnerOptions::default()
+            let lane = run_plan(plan, &RunnerOptions { lanes, ..quiet });
+            assert_eq!(scalar.failures().count(), 0);
+            assert_eq!(lane.failures().count(), 0);
+            let a: Vec<String> = scalar.rows.iter().map(|r| r.row_json()).collect();
+            let b: Vec<String> = lane.rows.iter().map(|r| r.row_json()).collect();
+            assert_eq!(a, b, "lanes={lanes}");
         };
-        let scalar = run_plan(
-            &plan,
-            &RunnerOptions {
-                lanes: 1,
-                ..quiet.clone()
-            },
-        );
-        let lanes = run_plan(&plan, &RunnerOptions { lanes: 4, ..quiet });
-        assert_eq!(scalar.failures().count(), 0);
-        assert_eq!(lanes.failures().count(), 0);
-        let a: Vec<String> = scalar.rows.iter().map(|r| r.row_json()).collect();
-        let b: Vec<String> = lanes.rows.iter().map(|r| r.row_json()).collect();
-        assert_eq!(a, b);
+        let small = |profile: Profile, seed: u64| {
+            SystemConfig::builder()
+                .profile(profile)
+                .instructions(20_000)
+                .warmup(5_000)
+                .seed(seed)
+        };
+
+        // Two single-core shapes (seeds), mixed policies.
+        let mut plan = ExperimentPlan::new("lane-int", 5);
+        for (threshold, seed) in [(100, 1), (5_000, 2), (900, 1), (100, 2)] {
+            let policy = PolicyKind::HardwarePredictor { threshold };
+            let cfg = small(Profile::apache(), seed).policy(policy).build();
+            plan.push_pinned(format!("p{}", plan.len()), cfg);
+        }
+        check(&plan, 4);
+
+        // fig6's order: dispatch-major, so consecutive points change
+        // shape, over multi-thread shapes (up to 8 apache threads).
+        let mut plan = ExperimentPlan::new("lane-fig6", 6);
+        for dispatch in DispatchPolicy::ALL {
+            for (user_cores, os_cores) in [(2, 1), (4, 2)] {
+                for profile in [Profile::apache(), Profile::derby()] {
+                    let cfg = small(profile, 3)
+                        .policy(PolicyKind::HardwarePredictor { threshold: 100 })
+                        .user_cores(user_cores)
+                        .os_cores(os_cores)
+                        .dispatch(dispatch)
+                        .build();
+                    plan.push_pinned(format!("p{}", plan.len()), cfg);
+                }
+            }
+        }
+        check(&plan, 3);
     }
 
     #[test]

@@ -1,44 +1,36 @@
-//! Lane-pack scheduling for the parallel executor.
+//! The lane path of the parallel executor.
 //!
-//! A plain sweep evaluates every point with its own [`Simulation`],
-//! regenerating the point's workload stream from scratch. When the
-//! sweep's points share workload shapes (they almost always do — a grid
-//! varies policy and latency, not the workload), the lane engine
-//! ([`osoffload_system::lanes`]) can replay one recorded tape into many
-//! co-resident simulations instead.
+//! Sweep points almost always share workload shapes (a grid varies
+//! policy and latency, not the workload), so instead of regenerating
+//! each point's stream, the points of a shape replay one recorded tape
+//! ([`osoffload_system::lanes`]). Workers claim *units*: up to
+//! `--lanes` points of one [`tape_compatible`] shape, each shape's units
+//! contiguous in the claim order ([`shape_units`]). Every member is
+//! still its own attempt, with its own retries, journal record,
+//! progress line and `on_point` event, and replays through an ordinary
+//! [`Simulation::run`] on its worker's thread-local [`TapeRegistry`].
+//! Workers share nothing and never wait on one another. Reports are
+//! bit-identical to the scalar path, so rows, archives, and journals
+//! are unchanged in content.
 //!
-//! This module is the executor-side glue. Points are grouped by
-//! [`tape_compatible`] shape and chunked into *packs* of `--lanes`
-//! points. Workers still claim individual points off the shared index;
-//! the first worker to touch a pack computes the whole pack under that
-//! point's attempt (one [`LaneStepper`] run), and sibling points then
-//! serve their reports from the pack slot. Each worker thread keeps its
-//! own [`TapeRegistry`] — a preallocated per-worker arena of generated
-//! tapes — so workers share *nothing* across threads: a shape's tape is
-//! generated at most once per worker, and scaling adds no cross-worker
-//! coordination beyond the (padded) claim index.
-//!
-//! Reports are bit-identical to [`Simulation::run`] per point, so rows,
-//! archives, and journals are unchanged in content. Failure isolation
-//! is preserved: a pack that panics is *poisoned*, the claiming point's
-//! attempt unwinds (feeding the normal retry machinery), and every
-//! point of a poisoned pack falls back to its own scalar evaluation.
+//! [`Simulation::run`]: osoffload_system::Simulation::run
+//! [`tape_compatible`]: osoffload_system::tape_compatible
+//! [`shape_units`]: osoffload_system::shape_units
 
 use crate::executor::RunnerOptions;
-use crate::plan::Point;
-use osoffload_system::{tape_compatible, LaneStepper, SimReport, Simulation, TapeRegistry};
+use osoffload_system::{SimReport, SystemConfig, TapeRegistry};
 use std::cell::RefCell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
-/// Default pack width when `--lanes=0` (auto). Four lanes captures
-/// nearly all of the tape-sharing win on the sweep grids (generation is
-/// amortised across packs by the per-worker registry, so wider packs
-/// only grow the co-resident cache footprint).
+/// Unit width when `--lanes=0` (auto). Points replay one at a time, so
+/// the width is only a claim granularity: a wider unit lets a worker
+/// replay more points per recording of a shape, a narrower one spreads
+/// a sweep's tail across workers. Four keeps each fig6 shape's four
+/// dispatch policies in one unit; the benchmark harness's `LANES`
+/// constant mirrors it.
 pub(crate) const AUTO_LANES: usize = 4;
 
-/// The pack width `opts` asks for (resolving `0` = auto).
+/// The unit width `opts` asks for (resolving `0` = auto).
 pub(crate) fn effective_lanes(opts: &RunnerOptions) -> usize {
     if opts.lanes == 0 {
         AUTO_LANES
@@ -60,200 +52,99 @@ pub(crate) fn eligible(opts: &RunnerOptions) -> bool {
         && opts.deadline_ms.is_none()
 }
 
-/// Sweep generation counter: stamps each sweep's packs so the
-/// thread-local per-worker registries reset between sweeps instead of
-/// accumulating tapes process-wide.
-static SWEEP_GEN: AtomicU64 = AtomicU64::new(1);
-
 thread_local! {
-    /// This worker's tape arena, tagged with the sweep generation it
-    /// was built for.
-    static REGISTRY: RefCell<(u64, TapeRegistry)> = RefCell::new((0, TapeRegistry::new()));
+    /// This worker's tape of the shape it is replaying. Every worker is
+    /// a scoped thread of one `run_plan` call, so the registry dies
+    /// with its sweep.
+    static REGISTRY: RefCell<TapeRegistry> = RefCell::new(TapeRegistry::new());
 }
 
-/// Runs one pack of configurations through the lane engine on this
-/// worker's registry.
-fn run_pack(generation: u64, configs: Vec<osoffload_system::SystemConfig>) -> Vec<SimReport> {
-    REGISTRY.with(|cell| {
-        let (tag, registry) = &mut *cell.borrow_mut();
-        if *tag != generation {
-            *registry = TapeRegistry::new();
-            *tag = generation;
-        }
-        LaneStepper::with_registry(configs, registry)
-            .unwrap_or_else(|e| panic!("invalid configuration: {e}"))
+/// Evaluates one point by replaying this worker's tape for its shape.
+pub(crate) fn eval(cfg: &SystemConfig) -> SimReport {
+    with_registry(|registry| {
+        registry
+            .simulation(cfg.clone())
+            .unwrap_or_else(|e| panic!("{e}"))
             .run()
     })
 }
 
-/// One pack's lifecycle.
-enum PackState {
-    /// Not yet computed.
-    Pending,
-    /// Reports for every member, in pack order.
-    Done(Vec<SimReport>),
-    /// The pack's lane run panicked; members evaluate scalar instead.
-    Poisoned,
-}
-
-/// The sweep's points grouped into lane packs, plus per-pack result
-/// slots. Built once before the workers start; `eval` is the
-/// executor's point evaluator.
-pub(crate) struct LanePacks {
-    /// Sweep generation (resets the per-worker registries).
-    generation: u64,
-    /// `point index -> (pack, position in pack)`.
-    pack_of: Vec<(usize, usize)>,
-    /// `pack -> member point indices`, in plan order.
-    packs: Vec<Vec<usize>>,
-    state: Vec<Mutex<PackState>>,
-}
-
-impl LanePacks {
-    /// Groups `points` by workload shape and chunks each group into
-    /// packs of at most `width`.
-    pub(crate) fn build(points: &[Point], width: usize) -> Self {
-        let width = width.max(1);
-        // (representative index, member indices) per shape, preserving
-        // plan order within each group.
-        let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
-        for p in points {
-            match groups
-                .iter_mut()
-                .find(|(rep, _)| tape_compatible(&points[*rep].config, &p.config))
-            {
-                Some((_, members)) => members.push(p.index),
-                None => groups.push((p.index, vec![p.index])),
+/// Runs `f` on this worker's registry, emptying the registry if `f`
+/// unwinds: a panic mid-recording can leave a half-written segment,
+/// which no later point may replay.
+fn with_registry<R>(f: impl FnOnce(&mut TapeRegistry) -> R) -> R {
+    REGISTRY.with(|cell| {
+        let mut registry = cell.borrow_mut();
+        match catch_unwind(AssertUnwindSafe(|| f(&mut registry))) {
+            Ok(r) => r,
+            Err(payload) => {
+                *registry = TapeRegistry::new();
+                resume_unwind(payload)
             }
         }
-        let mut pack_of = vec![(0usize, 0usize); points.len()];
-        let mut packs = Vec::new();
-        for (_, members) in groups {
-            for chunk in members.chunks(width) {
-                for (pos, &i) in chunk.iter().enumerate() {
-                    pack_of[i] = (packs.len(), pos);
-                }
-                packs.push(chunk.to_vec());
-            }
-        }
-        let state = packs
-            .iter()
-            .map(|_| Mutex::new(PackState::Pending))
-            .collect();
-        LanePacks {
-            generation: SWEEP_GEN.fetch_add(1, Ordering::Relaxed),
-            pack_of,
-            packs,
-            state,
-        }
-    }
-
-    /// Number of packs.
-    #[cfg(test)]
-    fn pack_count(&self) -> usize {
-        self.packs.len()
-    }
-
-    /// Evaluates `point`: serves its report from the pack slot,
-    /// computing the whole pack on first touch. Panics (propagating a
-    /// lane-run panic) poison the pack so siblings and retries fall
-    /// back to scalar evaluation.
-    pub(crate) fn eval(&self, points: &[Point], point: &Point) -> SimReport {
-        let (pack, pos) = self.pack_of[point.index];
-        let mut slot = self.state[pack].lock().expect("pack slot poisoned");
-        match &*slot {
-            PackState::Done(reports) => reports[pos].clone(),
-            PackState::Poisoned => {
-                drop(slot);
-                Simulation::new(point.config.clone()).run()
-            }
-            PackState::Pending => {
-                let configs: Vec<_> = self.packs[pack]
-                    .iter()
-                    .map(|&i| points[i].config.clone())
-                    .collect();
-                match catch_unwind(AssertUnwindSafe(|| run_pack(self.generation, configs))) {
-                    Ok(reports) => {
-                        let report = reports[pos].clone();
-                        *slot = PackState::Done(reports);
-                        report
-                    }
-                    Err(payload) => {
-                        *slot = PackState::Poisoned;
-                        drop(slot);
-                        resume_unwind(payload);
-                    }
-                }
-            }
-        }
-    }
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::ExperimentPlan;
-    use osoffload_system::{PolicyKind, SystemConfig};
+    use crate::driver::record_plan;
+    use osoffload_system::experiments::{fig6_scalability_with, Scale};
+    use osoffload_system::{shape_units, tape_compatible, PolicyKind, Simulation};
     use osoffload_workload::Profile;
+    use std::rc::Rc;
 
-    fn cfg(threshold: u64, seed: u64) -> SystemConfig {
-        SystemConfig::builder()
+    /// fig6 requests its points dispatch-major, so consecutive points
+    /// change shape. Units regroup them: up to `AUTO_LANES` points of one
+    /// shape each, in plan order, every point in exactly one unit, and a
+    /// shape's units adjacent in the claim order.
+    #[test]
+    fn claim_units_are_contiguous_per_shape() {
+        let plan = record_plan("fig6", 0, |ev| fig6_scalability_with(Scale::quick(), ev));
+        let configs: Vec<&SystemConfig> = plan.points().iter().map(|p| &p.config).collect();
+        assert!(!tape_compatible(configs[0], configs[1]), "plan interleaves");
+        let units = shape_units(configs.iter().copied(), AUTO_LANES);
+        let order: Vec<usize> = units.concat();
+        let mut sorted = order.clone();
+        sorted.sort_unstable();
+        assert_eq!(sorted, (0..configs.len()).collect::<Vec<_>>());
+        for unit in &units {
+            assert!((1..=AUTO_LANES).contains(&unit.len()));
+            assert!(unit.windows(2).all(|w| w[0] < w[1]));
+            assert!(unit
+                .iter()
+                .all(|&i| tape_compatible(configs[unit[0]], configs[i])));
+        }
+        // Shape changes along the claim order = number of shapes - 1.
+        let changes = order
+            .windows(2)
+            .filter(|w| !tape_compatible(configs[w[0]], configs[w[1]]))
+            .count();
+        let shapes = shape_units(configs.iter().copied(), usize::MAX).len();
+        assert_eq!(changes + 1, shapes);
+    }
+
+    /// A tape an evaluation was recording when it unwound is dropped, so
+    /// the next point of the shape records afresh.
+    #[test]
+    fn an_unwinding_evaluation_empties_the_registry() {
+        let cfg = SystemConfig::builder()
             .profile(Profile::apache())
-            .policy(PolicyKind::HardwarePredictor { threshold })
-            .migration_latency(1_000)
+            .policy(PolicyKind::HardwarePredictor { threshold: 100 })
             .instructions(20_000)
             .warmup(5_000)
-            .seed(seed)
-            .build()
-    }
-
-    fn plan_of(configs: Vec<SystemConfig>) -> ExperimentPlan {
-        let mut plan = ExperimentPlan::new("lane-unit", 1);
-        for (i, c) in configs.into_iter().enumerate() {
-            plan.push_pinned(format!("p{i}"), c);
-        }
-        plan
-    }
-
-    #[test]
-    fn packs_group_by_shape_and_chunk_by_width() {
-        // Two shapes (seeds), 3 + 2 members, width 2 -> 2 + 1 packs.
-        let plan = plan_of(vec![
-            cfg(100, 1),
-            cfg(200, 2),
-            cfg(300, 1),
-            cfg(400, 2),
-            cfg(500, 1),
-        ]);
-        let packs = LanePacks::build(plan.points(), 2);
-        assert_eq!(packs.pack_count(), 3);
-        // Same-shape points share a pack even when not adjacent.
-        assert_eq!(packs.pack_of[0].0, packs.pack_of[2].0);
-        assert_eq!(packs.pack_of[1].0, packs.pack_of[3].0);
-        assert_ne!(packs.pack_of[0].0, packs.pack_of[1].0);
-        assert_eq!(packs.pack_of[4].0, 1, "third same-shape point overflows");
-    }
-
-    #[test]
-    fn eval_serves_pack_reports_identical_to_scalar() {
-        let plan = plan_of(vec![cfg(100, 7), cfg(5_000, 7), cfg(900, 7)]);
-        let packs = LanePacks::build(plan.points(), 4);
-        assert_eq!(packs.pack_count(), 1);
-        // Claim out of order: pack computes on first touch.
-        for &i in &[2usize, 0, 1] {
-            let p = &plan.points()[i];
-            let lane = packs.eval(plan.points(), p);
-            assert_eq!(lane, Simulation::new(p.config.clone()).run());
-        }
-    }
-
-    #[test]
-    fn poisoned_pack_falls_back_to_scalar() {
-        let plan = plan_of(vec![cfg(100, 3), cfg(200, 3)]);
-        let packs = LanePacks::build(plan.points(), 2);
-        *packs.state[0].lock().unwrap() = PackState::Poisoned;
-        let p = &plan.points()[1];
-        let report = packs.eval(plan.points(), p);
-        assert_eq!(report, Simulation::new(p.config.clone()).run());
+            .seed(7)
+            .build();
+        let mut held = None;
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            with_registry(|registry| {
+                held = Some(registry.tape_for(&cfg));
+                panic!("mid-replay");
+            })
+        }));
+        assert!(result.is_err());
+        let tape = held.expect("tape acquired");
+        assert_eq!(Rc::strong_count(&tape), 1, "the registry let go");
+        assert_eq!(eval(&cfg), Simulation::new(cfg).run());
     }
 }

@@ -98,8 +98,8 @@ pub struct ServeOptions {
     pub cache_ttl_secs: u64,
     /// Worker threads per sweep (`0` = one per hardware thread).
     pub workers: usize,
-    /// Lane-pack width (`0` = auto; only used for sweeps with no cached
-    /// points, since lane packs would straddle served rows).
+    /// Lane claim-unit width (`0` = auto; only used for sweeps with no
+    /// cached points, since claim units would straddle served rows).
     pub lanes: usize,
     /// Retries per failing point.
     pub retries: u32,

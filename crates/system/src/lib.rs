@@ -37,7 +37,7 @@ pub mod topology;
 pub mod trace;
 
 pub use config::{ConfigError, PolicyKind, SystemConfig, SystemConfigBuilder};
-pub use lanes::{run_lanes, tape_compatible, LaneStepper, TapeRegistry};
+pub use lanes::{run_lanes, shape_units, tape_compatible, LaneStepper, TapeRegistry};
 pub use metrics::{BinaryPoint, CycleBreakdown, PredictorReport, QueueReport, SimReport};
 pub use migration::{MigrationModel, OffloadMechanism, OsCoreQueue};
 pub use profile::{CycleProfile, Phase, ProfileEntry, ProfileEpoch};

@@ -45,8 +45,8 @@ use osoffload_workload::{
 
 /// Where a thread's draw stream comes from: a live generator (the
 /// scalar path) or a cursor into a shared [`WorkloadTape`]
-/// (the lane path, where K co-resident simulations replay one
-/// generation). Both produce bit-identical streams; see
+/// (the lane path, where the points of one workload shape replay one
+/// recording). Both produce bit-identical streams; see
 /// [`osoffload_workload::tape`].
 ///
 /// [`WorkloadTape`]: osoffload_workload::WorkloadTape
@@ -81,21 +81,13 @@ impl DrawSource {
     }
 
     /// For a tape source, the current segment's location — the shared
-    /// tape plus the `(thread, first, end)` span — so the hot loop can
+    /// tape plus the `(first, end)` span — so the hot loop can
     /// read the whole segment through one borrow as a contiguous
     /// slice. `None` for live sources.
-    fn tape_span(&self) -> Option<(SharedTape, (usize, usize, usize))> {
+    fn tape_span(&self) -> Option<(SharedTape, (usize, usize))> {
         match self {
             DrawSource::Live(_) => None,
             DrawSource::Tape(c) => Some((c.tape().clone(), c.span())),
-        }
-    }
-
-    /// Tape consumption depth (0 for live sources).
-    fn depth(&self) -> usize {
-        match self {
-            DrawSource::Live(_) => 0,
-            DrawSource::Tape(c) => c.depth(),
         }
     }
 }
@@ -226,23 +218,15 @@ impl Simulation {
     /// panicking deep inside a subsystem constructor.
     pub fn try_new(cfg: SystemConfig) -> Result<Self, crate::ConfigError> {
         cfg.validate()?;
-        Ok(Self::build_validated(cfg))
+        Ok(Self::build(cfg, None))
     }
 
-    fn build_validated(cfg: SystemConfig) -> Self {
-        Self::build_with_source(cfg, None)
-    }
-
-    /// Builds a validated simulation whose threads replay `tape`
-    /// instead of generating live. The tape must have been built for
+    /// Builds a validated simulation; with a `tape`, its threads replay
+    /// it instead of generating live. The tape must have been built for
     /// this configuration's (profile, phases, thread-count, seed)
-    /// shape; [`LaneStepper`](crate::lanes::LaneStepper) guarantees
+    /// shape; [`TapeRegistry`](crate::lanes::TapeRegistry) guarantees
     /// that by keying tapes on exactly those fields.
-    pub(crate) fn build_on_tape(cfg: SystemConfig, tape: SharedTape) -> Self {
-        Self::build_with_source(cfg, Some(tape))
-    }
-
-    fn build_with_source(cfg: SystemConfig, tape: Option<SharedTape>) -> Self {
+    pub(crate) fn build(cfg: SystemConfig, tape: Option<SharedTape>) -> Self {
         let mut mem_cfg = cfg.mem_config();
         mem_cfg.seed ^= cfg.seed;
         let l1_latency = mem_cfg.l1_latency;
@@ -362,6 +346,12 @@ impl Simulation {
     /// The shared warm-up → reset → measure sequence behind every run
     /// flavour. Returns the cycle the measured region started at.
     fn run_core(&mut self) -> Cycle {
+        // Every thread replays the same tape, if any: sizing it for the
+        // whole run keeps the measured region allocation-free.
+        if let DrawSource::Tape(c) = &self.threads[0].src {
+            let budgets = [self.cfg.warmup, self.cfg.instructions];
+            c.tape().borrow_mut().reserve(&budgets);
+        }
         if self.cfg.warmup > 0 {
             self.execute(Instret::new(self.cfg.warmup));
         }
@@ -376,10 +366,8 @@ impl Simulation {
     /// privileged fraction, resets statistics, rebuilds the trace,
     /// arms the tuner and observation, and returns the cycle the
     /// measured region starts at. All allocating setup happens here,
-    /// *before* the caller enters the allocation-audited region — the
-    /// lane stepper relies on that split to run one audited region
-    /// across many co-resident simulations.
-    pub(crate) fn begin_measured(&mut self) -> Cycle {
+    /// *before* the allocation-audited region.
+    fn begin_measured(&mut self) -> Cycle {
         let warmup_priv_frac = if self.retired_total > Instret::ZERO {
             self.retired_priv.as_f64() / self.retired_total.as_f64()
         } else {
@@ -499,34 +487,13 @@ impl Simulation {
     }
 
     /// Advances the lowest-clock thread by exactly one segment (a user
-    /// burst or a whole privileged invocation) — the quantum the lane
-    /// stepper interleaves across co-resident simulations.
-    pub(crate) fn step_segment(&mut self) {
+    /// burst or a whole privileged invocation).
+    fn step_segment(&mut self) {
         let t = self.next_thread();
         match self.threads[t].src.next_segment() {
             Segment::User { len } => self.run_user_burst(t, len),
             Segment::Os(inv) => self.run_invocation(t, inv),
         }
-    }
-
-    /// Instructions retired since the last statistics reset.
-    pub(crate) fn retired(&self) -> Instret {
-        self.retired_total
-    }
-
-    /// Thread `t`'s tape consumption depth (the spec index one past
-    /// its cursor's current segment; 0 for live sources). Used by the
-    /// lane stepper to size the pre-extension that keeps the measured
-    /// region allocation-free.
-    pub(crate) fn tape_depth(&self, t: usize) -> usize {
-        self.threads[t].src.depth()
-    }
-
-    /// Finalises a lane: builds the report for a measured region that
-    /// started at `measured_start` (as returned by
-    /// [`begin_measured`](Self::begin_measured)).
-    pub(crate) fn finish(self, measured_start: Cycle) -> SimReport {
-        self.build_report(measured_start)
     }
 
     fn next_thread(&self) -> usize {
@@ -571,14 +538,14 @@ impl Simulation {
         let l1_latency = self.l1_latency;
         let mut elapsed = 0u64;
         let (mut acc_tlb, mut acc_fetch, mut acc_data, mut acc_branch) = (0u64, 0u64, 0u64, 0u64);
-        // On the lane path the whole segment is already materialised in
+        // On the lane path the whole segment is already recorded in
         // the shared tape: borrow it once and walk the contiguous spec
         // slice, instead of paying a shared-state access per
         // instruction. Live sources draw per instruction as before.
         let tape_span = self.threads[t].src.tape_span();
         let guard = tape_span.as_ref().map(|(tape, _)| tape.borrow());
         let feed: Option<&[TapedInstr]> = match (&guard, &tape_span) {
-            (Some(g), Some((_, (th, first, end)))) => Some(g.specs(*th, *first, *end)),
+            (Some(g), Some((_, (first, end)))) => Some(g.specs(*first, *end)),
             _ => None,
         };
         for j in 0..len {

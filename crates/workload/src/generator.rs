@@ -360,6 +360,35 @@ impl ThreadWorkload {
         self.generated
     }
 
+    /// The longest segment `profile` can ever draw, derived from
+    /// [`next_segment`](Self::next_segment): `sample_exp` inverts a
+    /// 53-bit uniform, so no user burst exceeds 53·ln 2 ≈ 36.74 means,
+    /// and an invocation runs at most its longest argument context's
+    /// service length stretched by the whole jitter span (a standalone
+    /// interrupt by its 1.5× pending-work factor), plus one nested
+    /// interrupt. The `+ 1` absorbs float rounding.
+    pub(crate) fn max_segment_len(profile: &Profile) -> u64 {
+        let stretched = |len: u64, factor: f64| (len as f64 * factor).ceil() as u64 + 1;
+        let jitter = 1.0 + profile.length_jitter_span.abs();
+        let nested = profile.irq_nested_len * u64::from(profile.irq_mean_interval > 0.0);
+        let mut longest = stretched(1, profile.user_burst_mean * 36.74);
+        for &(id, _) in &profile.syscall_mix {
+            let spec = id.spec();
+            longest = longest.max(if spec.class == OsClass::Interrupt {
+                stretched(spec.service_len(0), 1.5)
+            } else {
+                let arg1 = profile.io_contexts(id).iter().map(|&(_, a)| a).max();
+                stretched(spec.service_len(arg1.unwrap_or(0)), jitter) + nested
+            });
+        }
+        if profile.include_spill_fill {
+            for id in [SyscallId::WindowSpill, SyscallId::WindowFill] {
+                longest = longest.max(stretched(id.spec().service_len(0), jitter));
+            }
+        }
+        longest
+    }
+
     fn next_invocation(&mut self) -> OsInvocation {
         // Spill/fill traps interleave with the syscall mix when enabled.
         if self.spill_fill_share > 0.0 && self.rng.gen_bool(self.spill_fill_share) {
@@ -807,6 +836,40 @@ mod tests {
         // segment to observe the switch.
         wl.next_segment();
         assert_eq!(wl.profile().name, "mcf");
+    }
+
+    /// The tape reserves `max_segment_len` past each region's budget,
+    /// so a longer draw would allocate inside the audited region.
+    #[test]
+    fn no_segment_exceeds_the_derived_bound() {
+        let (mut standalone, mut nested) = (0, 0);
+        for base in Profile::all_server()
+            .into_iter()
+            .chain(Profile::all_compute())
+        {
+            for include_spill_fill in [false, true] {
+                let profile = Profile {
+                    include_spill_fill,
+                    ..base.clone()
+                };
+                let bound = ThreadWorkload::max_segment_len(&profile);
+                for seed in 0..4u64 {
+                    let mut wl = ThreadWorkload::new(profile.clone(), seed as usize, seed);
+                    for _ in 0..20_000 {
+                        let len = match wl.next_segment() {
+                            Segment::User { len } => len,
+                            Segment::Os(inv) => {
+                                standalone += u64::from(inv.class() == OsClass::Interrupt);
+                                nested += u64::from(inv.interrupt_extra > 0);
+                                inv.actual_len
+                            }
+                        };
+                        assert!(len <= bound, "{}: {len} > {bound}", profile.name);
+                    }
+                }
+            }
+        }
+        assert!(standalone > 0 && nested > 0, "draws include interrupts");
     }
 
     #[test]

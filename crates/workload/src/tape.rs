@@ -1,5 +1,5 @@
-//! Shared workload tapes: generate each thread's draw stream once,
-//! replay it across many co-resident simulations.
+//! Shared workload tapes: record each thread's draw stream once, replay
+//! it for every point of the same workload shape.
 //!
 //! A thread's segment/instruction stream depends only on the profile,
 //! the phase schedule, the thread's index, and the master seed — never
@@ -12,12 +12,24 @@
 //!
 //! A [`WorkloadTape`] hoists that generation out of the per-point loop:
 //! it owns one master [`ThreadWorkload`] per thread — constructed with
-//! the exact seed-splitting sequence the simulator uses — and
-//! materialises segments plus their [`InstrSpec`]s into contiguous
-//! per-thread arrays on demand. Each lane of a lane-parallel sweep then
-//! reads through its own [`TapeCursor`], so K lanes pay the (dominant)
-//! generation cost once instead of K times, and replay is a cache-
-//! friendly linear scan instead of a chain of RNG and sampler draws.
+//! the exact seed-splitting sequence the simulator uses — and records
+//! segments plus their [`InstrSpec`]s, every thread's into one segment
+//! array and one instruction array. Each point reads through its own
+//! [`TapeCursor`]s, so the points of a shape pay the (dominant)
+//! generation cost once, and replay is a cache-friendly linear scan
+//! instead of a chain of RNG and sampler draws.
+//!
+//! The tape grows on demand, a segment at a time, as the deepest replay
+//! so far reaches each thread's stream. A many-thread point retires
+//! about 1/threads of its budget per thread, so recording every thread
+//! to the whole budget up front would build mostly unread tape. The
+//! measured region must still never allocate, so before a point runs
+//! the tape [reserves](WorkloadTape::reserve) room for the worst case:
+//! its current length, plus each region's budget (warm-up, then
+//! measurement), plus per region the longest segment the profile can
+//! draw (`ThreadWorkload::max_segment_len`), by which the region's
+//! last fetch may overshoot. Reserved but untouched capacity is address
+//! space only, so resident memory tracks what replay reads.
 //!
 //! Replay is bit-identical by construction: the tape's masters perform
 //! the same calls, in the same per-thread order, as a live simulation
@@ -39,11 +51,11 @@ const META_TAKEN: u8 = 1 << 3;
 
 /// On-tape encoding of one [`InstrSpec`]: 17 bytes instead of 32.
 ///
-/// Replay streams tens of megabytes per lane, so the tape stores each
+/// Replay streams tens of megabytes per point, so the tape stores each
 /// instruction packed — the two `Option`s collapse into flag bits and
 /// the padding disappears — and the hot loop unpacks with a couple of
 /// selects. That roughly halves the bytes pulled through the cache per
-/// replayed instruction, which is where a lane's time goes once
+/// replayed instruction, which is where a replay's time goes once
 /// generation is amortised.
 #[derive(Clone, Copy)]
 #[repr(C, packed)]
@@ -101,47 +113,38 @@ impl TapedInstr {
     }
 }
 
-/// One materialised segment: the scheduling header plus the index of
-/// its first instruction in the thread's flat spec array.
+/// One recorded segment: its scheduling header, the index of its first
+/// instruction, and the index of its thread's next segment (`0` until
+/// recorded; the threads' placeholder heads come first, so `0` is never
+/// a successor).
 struct TapeSeg {
     seg: Segment,
     first: usize,
+    next: usize,
 }
 
-/// One thread's master generator and its materialised stream.
+/// One thread's master generator and where its stream ends in the tape.
 struct ThreadTape {
     master: ThreadWorkload,
-    segs: Vec<TapeSeg>,
-    specs: Vec<TapedInstr>,
+    /// Index in the segment array of the thread's last segment, at
+    /// first its placeholder head: index `t` for thread `t`.
+    last: usize,
+    /// Instructions recorded for the thread.
+    recorded: usize,
 }
 
-impl ThreadTape {
-    /// Generates the next segment and all of its instructions.
-    fn push_segment(&mut self) {
-        let seg = self.master.next_segment();
-        let first = self.specs.len();
-        match &seg {
-            Segment::User { len } => {
-                for _ in 0..*len {
-                    let spec = self.master.user_instr();
-                    self.specs.push(TapedInstr::pack(&spec));
-                }
-            }
-            Segment::Os(inv) => {
-                for j in 0..inv.actual_len {
-                    let spec = self.master.os_instr(inv, j);
-                    self.specs.push(TapedInstr::pack(&spec));
-                }
-            }
-        }
-        self.segs.push(TapeSeg { seg, first });
-    }
-}
-
-/// A lazily materialised, shareable recording of every thread's draw
-/// stream for one (profile, phases, thread-count, seed) shape.
+/// A lazily recorded, shareable recording of every thread's draw
+/// stream for one (profile, phases, thread-count, seed) shape. All
+/// threads record into one segment array and one instruction array, in
+/// the order replay first reaches their segments; each thread's
+/// segments are chained in stream order.
+#[derive(Default)]
 pub struct WorkloadTape {
     threads: Vec<ThreadTape>,
+    segs: Vec<TapeSeg>,
+    specs: Vec<TapedInstr>,
+    /// The longest segment any phase of the profile can draw.
+    max_segment: usize,
 }
 
 impl WorkloadTape {
@@ -154,8 +157,31 @@ impl WorkloadTape {
         thread_count: usize,
         seed: u64,
     ) -> Self {
+        let mut tape = Self::default();
+        tape.reset(profile, phases, thread_count, seed);
+        tape
+    }
+
+    /// Empties the tape and rebuilds it for another shape, as
+    /// [`new`](Self::new) would, but keeping its arrays. The pages one
+    /// shape touched then serve the next; freed, they would stay
+    /// resident in the allocator while the next shape touched new ones.
+    pub fn reset(
+        &mut self,
+        profile: &Profile,
+        phases: &[(u64, Profile)],
+        thread_count: usize,
+        seed: u64,
+    ) {
+        self.specs.clear();
+        self.segs.clear();
+        self.segs.extend((0..thread_count).map(|_| TapeSeg {
+            seg: Segment::User { len: 0 },
+            first: 0,
+            next: 0,
+        }));
         let mut master = Rng64::seed_from(seed);
-        let threads = (0..thread_count)
+        self.threads = (0..thread_count)
             .map(|i| ThreadTape {
                 master: if phases.is_empty() {
                     ThreadWorkload::new(profile.clone(), i, master.split().next_u64())
@@ -167,14 +193,20 @@ impl WorkloadTape {
                         master.split().next_u64(),
                     )
                 },
-                segs: Vec::new(),
-                specs: Vec::new(),
+                last: i,
+                recorded: 0,
             })
             .collect();
-        WorkloadTape { threads }
+        self.max_segment = phases
+            .iter()
+            .map(|(_, p)| p)
+            .chain([profile])
+            .map(ThreadWorkload::max_segment_len)
+            .max()
+            .unwrap_or(0) as usize;
     }
 
-    /// Wraps the tape for sharing across lanes.
+    /// Wraps the tape for sharing between the points of its shape.
     pub fn into_shared(self) -> SharedTape {
         Rc::new(RefCell::new(self))
     }
@@ -184,63 +216,90 @@ impl WorkloadTape {
         self.threads.len()
     }
 
-    /// The materialised spec depth of thread `t`.
+    /// Instructions recorded for thread `t`.
     pub fn spec_len(&self, t: usize) -> usize {
-        self.threads[t].specs.len()
+        self.threads[t].recorded
     }
 
-    /// Materialises thread `t` until at least `min_specs` instruction
-    /// specs exist (whole segments at a time, so the final segment may
-    /// overshoot). Called before an allocation-audited region so every
-    /// segment a lane can legally request already exists and cursor
-    /// reads never grow the arrays.
+    /// Records thread `t` until at least `min_specs` of its instructions
+    /// exist, whole segments at a time. The final segment may overshoot
+    /// by up to the longest segment the profile can draw, so the array
+    /// is sized for that once instead of doubling through tens of
+    /// megabytes.
     pub fn extend_to(&mut self, t: usize, min_specs: usize) {
-        let tape = &mut self.threads[t];
-        if tape.specs.capacity() < min_specs {
-            // One up-front allocation instead of doubling through tens
-            // of megabytes; the slack absorbs the final segment's
-            // overshoot so the growth rarely reallocates again.
-            let target = min_specs + 131_072;
-            tape.specs.reserve(target - tape.specs.len());
-        }
-        while tape.specs.len() < min_specs {
-            tape.push_segment();
+        let missing = min_specs.saturating_sub(self.threads[t].recorded);
+        self.specs.reserve(missing + self.max_segment);
+        while self.threads[t].recorded < min_specs {
+            self.record(t);
         }
     }
 
-    /// The `idx`-th segment of thread `t` (materialising it if needed)
-    /// and the flat index of its first instruction.
-    fn segment(&mut self, t: usize, idx: usize) -> (Segment, usize) {
-        let tape = &mut self.threads[t];
-        while tape.segs.len() <= idx {
-            tape.push_segment();
-        }
-        let s = &tape.segs[idx];
-        (s.seg.clone(), s.first)
+    /// Reserves room for everything one point can record while it runs
+    /// regions with these instruction `budgets`. The simulation fetches
+    /// a segment only while the region has retired less than its budget
+    /// and runs each fetched segment whole, so a region of budget `b`
+    /// fetches at most `b` segments, holding fewer than
+    /// `b + max_segment` instructions, whichever threads they belong to.
+    pub fn reserve(&mut self, budgets: &[u64]) {
+        let total = budgets.iter().sum::<u64>() as usize;
+        self.specs.reserve(total + budgets.len() * self.max_segment);
+        self.segs.reserve(total);
     }
 
-    /// The contiguous specs of one materialised segment of thread `t`
-    /// (`first..end` as reported by a cursor). The hot loop borrows the
-    /// tape once per segment and walks this slice with plain indexed
-    /// loads — no per-instruction shared-state access.
+    /// Records thread `t`'s next segment and all of its instructions,
+    /// returning the segment's index in the segment array.
+    fn record(&mut self, t: usize) -> usize {
+        let thread = &mut self.threads[t];
+        let seg = thread.master.next_segment();
+        let first = self.specs.len();
+        match &seg {
+            Segment::User { len } => {
+                for _ in 0..*len {
+                    let spec = thread.master.user_instr();
+                    self.specs.push(TapedInstr::pack(&spec));
+                }
+            }
+            Segment::Os(inv) => {
+                for j in 0..inv.actual_len {
+                    let spec = thread.master.os_instr(inv, j);
+                    self.specs.push(TapedInstr::pack(&spec));
+                }
+            }
+        }
+        thread.recorded += self.specs.len() - first;
+        let idx = self.segs.len();
+        self.segs[std::mem::replace(&mut thread.last, idx)].next = idx;
+        self.segs.push(TapeSeg {
+            seg,
+            first,
+            next: 0,
+        });
+        idx
+    }
+
+    /// The index of the segment after `cur` in thread `t`'s stream,
+    /// recording it on first use.
+    fn next_after(&mut self, t: usize, cur: usize) -> usize {
+        match self.segs[cur].next {
+            0 => self.record(t),
+            next => next,
+        }
+    }
+
+    /// The contiguous specs of one recorded segment (`first..end` as
+    /// reported by a cursor). The hot loop borrows the tape once per
+    /// segment and walks this slice with plain indexed loads — no
+    /// per-instruction shared-state access.
     #[inline]
-    pub fn specs(&self, t: usize, first: usize, end: usize) -> &[TapedInstr] {
-        &self.threads[t].specs[first..end]
-    }
-
-    /// The instruction spec at flat index `at` of thread `t`. The
-    /// caller (a [`TapeCursor`]) only asks for positions inside a
-    /// segment it has already fetched, so the spec always exists.
-    #[inline]
-    fn spec(&self, t: usize, at: usize) -> InstrSpec {
-        self.threads[t].specs[at].unpack()
+    pub fn specs(&self, first: usize, end: usize) -> &[TapedInstr] {
+        &self.specs[first..end]
     }
 }
 
-/// A tape shared by the lanes of one pack.
+/// A tape shared by the points of one workload shape.
 pub type SharedTape = Rc<RefCell<WorkloadTape>>;
 
-/// One lane's read position into one thread's stream.
+/// One point's read position into one thread's stream.
 ///
 /// Presents the same three-call surface as a live [`ThreadWorkload`]
 /// (`next_segment`, then that segment's instructions by index), backed
@@ -248,8 +307,9 @@ pub type SharedTape = Rc<RefCell<WorkloadTape>>;
 pub struct TapeCursor {
     tape: SharedTape,
     thread: usize,
-    /// Index of the next segment to fetch.
-    next_seg: usize,
+    /// Index in the tape's segment array of the current segment, at
+    /// first the thread's placeholder head.
+    cur: usize,
     /// Flat spec index of the current segment's first instruction.
     cur_first: usize,
     /// Flat spec index one past the current segment's last instruction.
@@ -262,7 +322,7 @@ impl TapeCursor {
         TapeCursor {
             tape,
             thread,
-            next_seg: 0,
+            cur: thread,
             cur_first: 0,
             cur_end: 0,
         }
@@ -271,15 +331,17 @@ impl TapeCursor {
     /// The next segment of the stream — bit-identical to the segment a
     /// live generator in the same position would draw.
     pub fn next_segment(&mut self) -> Segment {
-        let (seg, first) = self.tape.borrow_mut().segment(self.thread, self.next_seg);
-        self.next_seg += 1;
-        self.cur_first = first;
-        self.cur_end = first
-            + match &seg {
+        let mut tape = self.tape.borrow_mut();
+        let idx = tape.next_after(self.thread, self.cur);
+        let s = &tape.segs[idx];
+        self.cur = idx;
+        self.cur_first = s.first;
+        self.cur_end = s.first
+            + match &s.seg {
                 Segment::User { len } => *len as usize,
                 Segment::Os(inv) => inv.actual_len as usize,
             };
-        seg
+        s.seg.clone()
     }
 
     /// Instruction `j` of the current segment (per-call tape access;
@@ -287,9 +349,7 @@ impl TapeCursor {
     /// to read the whole segment through one borrow instead).
     #[inline]
     pub fn instr(&self, j: u64) -> InstrSpec {
-        self.tape
-            .borrow()
-            .spec(self.thread, self.cur_first + j as usize)
+        self.tape.borrow().specs[self.cur_first + j as usize].unpack()
     }
 
     /// The shared tape this cursor reads.
@@ -297,16 +357,10 @@ impl TapeCursor {
         &self.tape
     }
 
-    /// `(thread, first, end)` of the current segment — the arguments
+    /// `(first, end)` of the current segment — the arguments
     /// [`WorkloadTape::specs`] wants for the zero-copy slice read.
-    pub fn span(&self) -> (usize, usize, usize) {
-        (self.thread, self.cur_first, self.cur_end)
-    }
-
-    /// Flat spec index one past the current segment — the cursor's
-    /// consumption depth, used to size pre-extension targets.
-    pub fn depth(&self) -> usize {
-        self.cur_end
+    pub fn span(&self) -> (usize, usize) {
+        (self.cur_first, self.cur_end)
     }
 }
 
@@ -368,8 +422,7 @@ mod tests {
         assert_eq!(first, second);
     }
 
-    /// `extend_to` materialises whole segments past the requested depth
-    /// so an audited replay region never grows the arrays.
+    /// `extend_to` materialises whole segments past the requested depth.
     #[test]
     fn extend_to_covers_requested_depth() {
         let profile = Profile::derby();

@@ -113,41 +113,52 @@ fn measured_region_is_allocation_free() {
 #[test]
 fn lane_measured_region_is_allocation_free() {
     use osoffload::system::run_lanes;
-    // A pack of tape-compatible configurations (shared seed/profile,
-    // different thresholds and latencies) at every supported width. The
-    // lane stepper materialises the shared tape past the deepest
-    // reachable position before entering its single audited region, so
-    // replay at any width must never touch the heap mid-measurement.
-    let member = |threshold: u64, latency: u64| {
+    // Packs of tape-compatible configurations (shared seed/profile,
+    // different thresholds and latencies) at every supported width.
+    // Replay records the tape inside the audited region too, into room
+    // reserved before the run: for apache on one user core, a compute
+    // profile whose bursts average 110,000 instructions, and apache on
+    // 16 user cores (32 threads).
+    let member = |profile: Profile, user_cores: usize, threshold: u64, latency: u64| {
         SystemConfig::builder()
-            .profile(Profile::apache())
+            .profile(profile)
             .policy(PolicyKind::HardwarePredictor { threshold })
             .migration_latency(latency)
+            .user_cores(user_cores)
+            .os_cores(user_cores.div_ceil(4))
             .instructions(60_000)
             .warmup(20_000)
             .seed(0xF1605)
             .build()
     };
-    let variants = [
-        member(100, 1_000),
-        member(500, 1_000),
-        member(1_000, 5_000),
-        member(5_000, 100),
-    ];
-    for width in [1usize, 2, 4, 8] {
-        let configs: Vec<SystemConfig> = (0..width)
-            .map(|i| variants[i % variants.len()].clone())
-            .collect();
-        let _ = alloc_audit::take_region_allocs();
-        let reports = run_lanes(&configs, width).expect("pack configs are valid");
-        assert!(
-            reports.iter().all(|r| r.throughput() > 0.0),
-            "lanes must make progress"
-        );
-        let allocs = alloc_audit::take_region_allocs();
-        assert_eq!(
-            allocs, 0,
-            "width {width}: lane measured region allocated {allocs} times"
-        );
+    for (profile, user_cores) in [
+        (Profile::apache(), 1),
+        (Profile::fasta_protein(), 1),
+        (Profile::apache(), 16),
+    ] {
+        let variants = [
+            member(profile.clone(), user_cores, 100, 1_000),
+            member(profile.clone(), user_cores, 500, 1_000),
+            member(profile.clone(), user_cores, 1_000, 5_000),
+            member(profile.clone(), user_cores, 5_000, 100),
+        ];
+        for width in [1usize, 2, 4, 8] {
+            let configs: Vec<SystemConfig> = (0..width)
+                .map(|i| variants[i % variants.len()].clone())
+                .collect();
+            let _ = alloc_audit::take_region_allocs();
+            let reports = run_lanes(&configs, width).expect("pack configs are valid");
+            assert!(
+                reports.iter().all(|r| r.throughput() > 0.0),
+                "lanes must make progress"
+            );
+            let allocs = alloc_audit::take_region_allocs();
+            assert_eq!(
+                allocs, 0,
+                "{} on {user_cores} user cores, width {width}: lane measured region \
+                 allocated {allocs} times",
+                profile.name
+            );
+        }
     }
 }
