@@ -347,13 +347,6 @@ impl StaticInstrumentation {
         }
     }
 
-    /// The default stub cost used in the Figure 5 reproduction (the §II
-    /// `getpid` experiment measured a 16-instruction stub; the off-load
-    /// branch plus state setup lands around 25 cycles).
-    pub fn paper_default_stub_cost() -> u64 {
-        25
-    }
-
     /// Number of routines the off-line profile selected.
     pub fn instrumented_count(&self) -> usize {
         self.instrumented.len()

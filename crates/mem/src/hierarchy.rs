@@ -245,11 +245,6 @@ impl MemorySystem {
         &self.config
     }
 
-    /// Number of cores.
-    pub fn core_count(&self) -> usize {
-        self.cores.len()
-    }
-
     /// Performs one memory access on behalf of `core`.
     ///
     /// # Panics
@@ -579,11 +574,6 @@ impl MemorySystem {
     /// L2 statistics of `core`.
     pub fn l2_stats(&self, core: CoreId) -> &CacheStats {
         self.cores[core.index()].l2.stats()
-    }
-
-    /// Directory statistics.
-    pub fn directory_stats(&self) -> &crate::directory::DirectoryStats {
-        self.directory.stats()
     }
 
     /// Interconnect traffic view.

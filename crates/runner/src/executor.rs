@@ -707,7 +707,9 @@ pub fn run_plan_ctx_hooked(
 /// The executor behind every `run_plan*` entry point: workers claim
 /// `units` (lists of point indices covering the plan once) in order
 /// from a shared atomic index, and evaluate each member as its own
-/// attempt.
+/// attempt. Once every unit is claimed, idle workers take the next
+/// members of units still in progress: a unit-long tail would idle one
+/// worker for a share of the sweep that depends on who claimed what.
 fn run_units(
     plan: &ExperimentPlan,
     opts: &RunnerOptions,
@@ -845,6 +847,8 @@ fn run_units(
     }
 
     let next = CachePadded(AtomicUsize::new(0));
+    // Members of each unit handed out so far.
+    let taken: Vec<AtomicUsize> = units.iter().map(|_| AtomicUsize::new(0)).collect();
     let start = Instant::now();
     // One arm slot per worker: the attempt's start time and its token,
     // scanned by the watchdog thread. Each slot is padded to its own
@@ -889,12 +893,16 @@ fn run_units(
             let watch = &watch;
             let active_workers = &active_workers;
             let stop_watchdog = &stop_watchdog;
+            let taken = &taken;
             scope.spawn(move || {
-                // Claim a unit at a time; its members are evaluated in
-                // order, each as its own attempt.
-                let claims =
-                    std::iter::from_fn(|| units.get(next.0.fetch_add(1, Ordering::Relaxed)));
-                for &i in claims.flatten() {
+                // Claim units, each member its own attempt, then help
+                // finish the units other workers are still in.
+                let claims = (0..).map(|_| next.0.fetch_add(1, Ordering::Relaxed));
+                let own = claims.take_while(|&u| u < units.len());
+                let member = |u: usize| {
+                    (0..).map_while(move |_| units[u].get(taken[u].fetch_add(1, Ordering::Relaxed)))
+                };
+                for &i in own.chain(0..units.len()).flat_map(member) {
                     if slots[i].lock().expect("result slot poisoned").is_some() {
                         continue; // restored from the journal or prefilled
                     }
@@ -1314,6 +1322,32 @@ mod tests {
         assert!(sweep.to_json().contains("\"start_ms\":"));
         assert!(sweep.to_json().contains("\"attempts\":1"));
         assert!(sweep.to_json().contains("\"attempt_ms\":["));
+    }
+
+    /// Once every unit is claimed, an idle worker takes members of the
+    /// unit another worker is in: the long unit's first member waits
+    /// until another thread has evaluated one of its members.
+    #[test]
+    fn idle_workers_help_finish_claimed_units() {
+        let opts = RunnerOptions {
+            workers: 2,
+            quiet: true,
+            ..RunnerOptions::default()
+        };
+        let (owner, helped) = (Mutex::new(None), AtomicBool::new(false));
+        let (units, limit) = ([vec![0, 1, 2, 3, 4], vec![5]], Duration::from_secs(10));
+        run_units(&plan(6), &opts, ExecHooks::default(), &units, |p, _| {
+            let me = std::thread::current().id();
+            if p.id != "p5" && *owner.lock().unwrap().get_or_insert(me) != me {
+                helped.store(true, Ordering::Relaxed);
+            }
+            let waited = Instant::now();
+            while p.id == "p0" && !helped.load(Ordering::Relaxed) && waited.elapsed() < limit {
+                std::thread::yield_now();
+            }
+            fake_report(p)
+        });
+        assert!(helped.load(Ordering::Relaxed), "nobody helped");
     }
 
     #[test]

@@ -9,6 +9,9 @@
 //! still its own attempt, with its own retries, journal record,
 //! progress line and `on_point` event, and replays through an ordinary
 //! [`Simulation::run`] on its worker's thread-local [`TapeRegistry`].
+//! Once every unit is claimed, idle workers help finish the units still
+//! in progress a member at a time, recording the shape on their own
+//! tape, so the sweep ends within about one point on every worker.
 //! Workers share nothing and never wait on one another. Reports are
 //! bit-identical to the scalar path, so rows, archives, and journals
 //! are unchanged in content.
@@ -24,10 +27,10 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
 /// Unit width when `--lanes=0` (auto). Points replay one at a time, so
 /// the width is only a claim granularity: a wider unit lets a worker
-/// replay more points per recording of a shape, a narrower one spreads
-/// a sweep's tail across workers. Four keeps each fig6 shape's four
-/// dispatch policies in one unit; the benchmark harness's `LANES`
-/// constant mirrors it.
+/// replay more points per recording of a shape, while the sweep's tail
+/// is shared out a point at a time whatever the width. Four keeps each
+/// fig6 shape's four dispatch policies in one unit; the benchmark
+/// harness's `LANES` constant mirrors it.
 pub(crate) const AUTO_LANES: usize = 4;
 
 /// The unit width `opts` asks for (resolving `0` = auto).

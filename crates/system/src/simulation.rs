@@ -1173,11 +1173,6 @@ impl Simulation {
         (report, self.trace)
     }
 
-    /// The tuner's decision log, when the tuner is enabled.
-    pub fn tuner_history(&self) -> Option<&[osoffload_core::TunerEvent]> {
-        self.tuner.as_ref().map(|t| t.history())
-    }
-
     /// Runs to completion and returns both the report and the tuner log.
     pub fn run_with_tuner_trace(mut self) -> (SimReport, Vec<osoffload_core::TunerEvent>) {
         let measured_start = self.run_core();
