@@ -3,7 +3,7 @@
 //! Times reference Figure 4 / Table III configurations best-of-N plus the
 //! whole Figure 4 quick sweep (sequential, single-threaded, so numbers are
 //! comparable across commits) — scalar and through the lane engine
-//! (`run_lanes` at the runner's auto width) — prints a table, and archives
+//! (`run_lanes`, one pack per workload shape) — prints a table, and archives
 //! `results/BENCH_simulation.json`. Scalar and lane sweep reps are
 //! interleaved so ambient machine drift hits both sides equally instead
 //! of biasing the reported speedup.
@@ -212,7 +212,6 @@ fn main() {
 
     // Interleaved best-of: one warm pass each, then scalar/lane pairs
     // back to back, so a noisy neighbour slows both sides of the ratio.
-    const LANE_WIDTH: usize = 4;
     let mut sweep_ms = f64::INFINITY;
     let mut lanes_ms = f64::INFINITY;
     black_box(fig4_grid_with(
@@ -221,7 +220,7 @@ fn main() {
         FIG4_THRESHOLDS,
         &mut simulate,
     ));
-    black_box(run_lanes(&grid, LANE_WIDTH).expect("grid configs are valid"));
+    black_box(run_lanes(&grid).expect("grid configs are valid"));
     for _ in 0..sweep_reps {
         let start = Instant::now();
         black_box(fig4_grid_with(
@@ -232,13 +231,13 @@ fn main() {
         ));
         sweep_ms = sweep_ms.min(start.elapsed().as_secs_f64() * 1e3);
         let start = Instant::now();
-        black_box(run_lanes(&grid, LANE_WIDTH).expect("grid configs are valid"));
+        black_box(run_lanes(&grid).expect("grid configs are valid"));
         lanes_ms = lanes_ms.min(start.elapsed().as_secs_f64() * 1e3);
     }
     let speedup_lanes = sweep_ms / lanes_ms;
     eprintln!(
         "[bench_simulation] fig4_{}_sweep: scalar {sweep_ms:.1} ms, \
-         lanes={LANE_WIDTH} {lanes_ms:.1} ms ({speedup_lanes:.2}x)",
+         lanes {lanes_ms:.1} ms ({speedup_lanes:.2}x)",
         args.scale_word
     );
 
@@ -265,7 +264,7 @@ fn main() {
         before_sweep.map_or_else(|| "-".into(), |b| format!("{:.2}x", b / sweep_ms)),
     ]);
     rows.push(vec![
-        format!("fig4_{}_sweep_lanes{LANE_WIDTH}", args.scale_word),
+        format!("fig4_{}_sweep_lanes", args.scale_word),
         "-".into(),
         format!("{lanes_ms:.1}"),
         format!("{speedup_lanes:.2}x vs scalar"),
@@ -318,7 +317,7 @@ fn main() {
     json.push_str(&section(&current, sweep_ms));
     json.push_str(",\n");
     json.push_str(&format!(
-        "  \"lanes\": {{\"width\": {LANE_WIDTH}, \"fig4_quick_sweep_lanes_ms\": {lanes_ms:.3}, \"speedup_lanes_vs_scalar\": {speedup_lanes:.3}}},\n"
+        "  \"lanes\": {{\"fig4_quick_sweep_lanes_ms\": {lanes_ms:.3}, \"speedup_lanes_vs_scalar\": {speedup_lanes:.3}}},\n"
     ));
     json.push_str(
         "  \"notes\": \"scalar and lane sweep reps interleaved to cancel ambient drift; \

@@ -90,8 +90,8 @@ pub mod harness {
     /// (`--workers=N`/`-jN`, `--retries=N`, `--quiet`, `--out=DIR`,
     /// `--telemetry`, `--trace-out=DIR`, `--profile`, `--journal=FILE`,
     /// `--resume=FILE`, `--resume-retry-failed`, `--deadline-ms=N`,
-    /// `--backoff-ms=N`, `--canonical`, `--inject-faults=SEED`,
-    /// `--lanes=N`). The scale defaults to [`Scale::full`].
+    /// `--backoff-ms=N`, `--canonical`, `--inject-faults=SEED`). The
+    /// scale defaults to [`Scale::full`].
     ///
     /// Returns `None` when the name is missing or the scale word, a flag
     /// or an extra argument is not recognised — so a typo cannot
@@ -110,6 +110,8 @@ pub mod harness {
 
     /// Runs an experiment driver with its points executed in parallel,
     /// writes `<out_dir>/<name>.json`, and returns the driver's rows.
+    /// The summary line on stderr gives the measured wall time and
+    /// worker count, which only a `--canonical` archive zeroes.
     ///
     /// If any point failed (panicked through all retries), the failures
     /// are listed on stderr — with the results file still recording

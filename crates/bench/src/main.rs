@@ -179,7 +179,7 @@ usage: osoffload-bench <experiment> [quick|full|paper] [--workers=N]
          [--retries=N] [--quiet] [--out=DIR] [--telemetry] [--trace-out=DIR]
          [--profile] [--journal=FILE] [--resume=FILE] [--resume-retry-failed]
          [--deadline-ms=N] [--backoff-ms=N] [--canonical]
-         [--inject-faults=SEED] [--lanes=N]
+         [--inject-faults=SEED]
        (default scale: full; default workers: all hardware threads)
        --telemetry writes per-point Chrome traces + epoch metrics and
        runner self-profiling under results/telemetry/ (see TELEMETRY.md)
@@ -189,8 +189,8 @@ usage: osoffload-bench <experiment> [quick|full|paper] [--workers=N]
        (--resume-retry-failed re-attempts journaled failures), and
        --deadline-ms/--inject-faults add watchdogs and chaos testing
        (see ROBUSTNESS.md)
-       --lanes sets how many points of one workload shape a worker
-       claims at once (0 = auto, 1 = scalar path; see EXPERIMENTS.md)";
+       points of one workload shape replay one recorded instruction
+       stream per worker (see EXPERIMENTS.md)";
 
 fn usage() -> ! {
     eprintln!("{USAGE}\n\nexperiments:");

@@ -65,6 +65,40 @@ fn static_experiments_match_committed_tables_and_archive() {
     std::fs::remove_dir_all(&out).ok();
 }
 
+/// `--canonical` zeroes the archive's wall time and worker count, not
+/// the summary line's.
+#[test]
+fn canonical_summary_reports_measured_time_and_workers() {
+    let out = std::env::temp_dir().join(format!("osoffload-bench-summary-{}", std::process::id()));
+    let out_flag = format!("--out={}", out.display());
+    let o = run(&[
+        "fig3",
+        "quick",
+        "--canonical",
+        "--workers=2",
+        "--quiet",
+        &out_flag,
+    ]);
+    assert!(o.status.success(), "{o:?}");
+    let stderr = String::from_utf8_lossy(&o.stderr);
+    let summary = stderr
+        .lines()
+        .find(|l| l.starts_with("[fig3] ") && l.contains(" points in "))
+        .unwrap_or_else(|| panic!("no summary line in {stderr}"));
+    assert!(!summary.contains(" in 0.0s "), "{summary}");
+    assert!(summary.contains(" on 2 workers "), "{summary}");
+    let archive = std::fs::read_to_string(out.join("fig3.json")).expect("archive");
+    assert!(
+        archive.contains("\"workers\":0,"),
+        "archive keeps zero workers"
+    );
+    assert!(
+        archive.contains("\"wall_ms\":0.000,\"rows\""),
+        "archive keeps zero wall time"
+    );
+    std::fs::remove_dir_all(&out).ok();
+}
+
 #[test]
 fn unknown_arguments_exit_2_with_the_registry() {
     for args in [
@@ -72,6 +106,7 @@ fn unknown_arguments_exit_2_with_the_registry() {
         &["nope"],
         &["calibration", "quick", "--bogus"],
         &["table1", "quick", "extra"],
+        &["fig4", "quick", "--lanes=4"],
     ] {
         let o = run(args);
         assert_eq!(o.status.code(), Some(2), "{args:?}");

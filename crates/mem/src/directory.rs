@@ -11,8 +11,6 @@
 //! costing in the hierarchy makes each of the three costs explicit.
 
 use crate::addr::{CoreId, LineAddr};
-use core::fmt;
-use osoffload_sim::Counter;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -165,46 +163,6 @@ pub struct WriteMissAction {
     pub invalidate: CoreSet,
 }
 
-/// Counters for directory activity.
-#[derive(Debug, Clone, Default)]
-pub struct DirectoryStats {
-    /// Total requests consulted (read misses + write misses + upgrades).
-    pub lookups: Counter,
-    /// Misses satisfied by another core's cache.
-    pub cache_to_cache: Counter,
-    /// Individual invalidation messages sent.
-    pub invalidations_sent: Counter,
-    /// Individual downgrade messages sent.
-    pub downgrades_sent: Counter,
-    /// Misses that went to DRAM.
-    pub memory_fetches: Counter,
-}
-
-impl DirectoryStats {
-    /// Zeroes every counter (used when discarding warm-up statistics).
-    pub fn reset(&mut self) {
-        self.lookups.take();
-        self.cache_to_cache.take();
-        self.invalidations_sent.take();
-        self.downgrades_sent.take();
-        self.memory_fetches.take();
-    }
-}
-
-impl fmt::Display for DirectoryStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "lookups={} c2c={} inval={} downgrades={} mem={}",
-            self.lookups,
-            self.cache_to_cache,
-            self.invalidations_sent,
-            self.downgrades_sent,
-            self.memory_fetches
-        )
-    }
-}
-
 /// Full-map MESI directory for the private-L2 CMP.
 ///
 /// # Examples
@@ -229,7 +187,6 @@ impl fmt::Display for DirectoryStats {
 #[derive(Debug, Clone, Default)]
 pub struct Directory {
     entries: LineMap<DirEntry>,
-    stats: DirectoryStats,
 }
 
 impl Directory {
@@ -245,18 +202,7 @@ impl Directory {
     pub fn with_capacity(lines: usize) -> Self {
         Directory {
             entries: LineMap::with_capacity_and_hasher(lines, BuildHasherDefault::default()),
-            stats: DirectoryStats::default(),
         }
-    }
-
-    /// Directory activity counters.
-    pub fn stats(&self) -> &DirectoryStats {
-        &self.stats
-    }
-
-    /// Zeroes the activity counters without forgetting tracked lines.
-    pub fn reset_stats(&mut self) {
-        self.stats.reset();
     }
 
     /// Number of lines currently tracked.
@@ -282,14 +228,12 @@ impl Directory {
 
     /// Handles a read miss by `requester`; registers it as a sharer.
     pub fn read_miss(&mut self, line: LineAddr, requester: CoreId) -> ReadMissAction {
-        self.stats.lookups.incr();
         let entry = self.entries.entry(line).or_insert(DirEntry {
             sharers: 0,
             dirty_owner: None,
         });
         let others = entry.sharers & !requester.bit();
         let action = if others == 0 {
-            self.stats.memory_fetches.incr();
             ReadMissAction {
                 source: DataSource::Memory,
                 downgrade: CoreSet::EMPTY,
@@ -302,12 +246,10 @@ impl Directory {
                 Some(o) if o != requester => (o, true),
                 _ => (Self::first_sharer(others), false),
             };
-            self.stats.cache_to_cache.incr();
             // M or E holders downgrade to S. We ask the hierarchy to
             // downgrade every other sharer; S→S downgrades are no-ops
             // there, so only genuine M/E copies pay.
             let downgrade = CoreSet::from_mask(others);
-            self.stats.downgrades_sent.add(downgrade.len() as u64);
             ReadMissAction {
                 source: DataSource::RemoteCache { owner, dirty },
                 downgrade,
@@ -322,7 +264,6 @@ impl Directory {
     /// Handles a write miss (or upgrade-from-S) by `requester`; registers
     /// it as the sole dirty owner.
     pub fn write_miss(&mut self, line: LineAddr, requester: CoreId) -> WriteMissAction {
-        self.stats.lookups.incr();
         let entry = self.entries.entry(line).or_insert(DirEntry {
             sharers: 0,
             dirty_owner: None,
@@ -332,20 +273,15 @@ impl Directory {
         let source = if had_line || others == 0 {
             // Upgrade (data already local) or cold write: memory "supplies"
             // only when the requester lacked the line entirely.
-            if !had_line {
-                self.stats.memory_fetches.incr();
-            }
             DataSource::Memory
         } else {
             let (owner, dirty) = match entry.dirty_owner {
                 Some(o) if o != requester => (o, true),
                 _ => (Self::first_sharer(others), false),
             };
-            self.stats.cache_to_cache.incr();
             DataSource::RemoteCache { owner, dirty }
         };
         let invalidate = CoreSet::from_mask(others);
-        self.stats.invalidations_sent.add(invalidate.len() as u64);
         entry.sharers = requester.bit();
         entry.dirty_owner = Some(requester);
         WriteMissAction { source, invalidate }
@@ -484,8 +420,6 @@ mod tests {
             "upgrade needs no data transfer"
         );
         assert_eq!(a.invalidate.iter().collect::<Vec<_>>(), vec![c[1]]);
-        // No extra memory fetch was counted for the upgrade itself.
-        assert_eq!(dir.stats().memory_fetches.get(), 1);
         dir.check_invariants();
     }
 
@@ -520,22 +454,6 @@ mod tests {
         dir.silent_upgrade(L, c0);
         assert_eq!(dir.dirty_owner(L), Some(c0));
         dir.check_invariants();
-    }
-
-    #[test]
-    fn stats_accumulate() {
-        let mut dir = Directory::new();
-        let c = cores(2);
-        dir.read_miss(L, c[0]); // memory fetch
-        dir.read_miss(L, c[1]); // c2c + downgrade
-        dir.write_miss(L, c[0]); // invalidation of c1 (upgrade path: c0 already sharer)
-        let s = dir.stats();
-        assert_eq!(s.lookups.get(), 3);
-        assert_eq!(s.memory_fetches.get(), 1);
-        assert_eq!(s.cache_to_cache.get(), 1);
-        assert_eq!(s.downgrades_sent.get(), 1);
-        assert_eq!(s.invalidations_sent.get(), 1);
-        assert!(!s.to_string().is_empty());
     }
 
     #[test]

@@ -601,17 +601,16 @@ impl MemorySystem {
     }
 
     /// Zeroes every statistic in the memory system — cache hit/miss
-    /// counters, directory traffic, interconnect traffic and DRAM access
-    /// counts — while leaving all cache *contents* warm. Called once at
-    /// the end of the warm-up phase (the paper warms 50 M instructions
-    /// before its region of interest, §II).
+    /// counters, interconnect traffic and DRAM access counts — while
+    /// leaving all cache *contents* warm. Called once at the end of the
+    /// warm-up phase (the paper warms 50 M instructions before its
+    /// region of interest, §II).
     pub fn reset_stats(&mut self) {
         for c in &mut self.cores {
             c.l1i.stats_mut().reset();
             c.l1d.stats_mut().reset();
             c.l2.stats_mut().reset();
         }
-        self.directory.reset_stats();
         self.interconnect.reset_stats();
         self.dram.reset_stats();
     }

@@ -46,7 +46,7 @@ mod proptests;
 
 pub use addr::{Address, CoreId, LineAddr, LINE_BYTES};
 pub use cache::{Cache, CacheGeometry, CacheStats, GeometryError, ReplacementPolicy};
-pub use directory::{CoreSet, Directory, DirectoryStats};
+pub use directory::{CoreSet, Directory};
 pub use dram::Dram;
 pub use hierarchy::{
     Access, AccessKind, AccessOutcome, HitLevel, MemConfig, MemSnapshot, MemorySystem,

@@ -21,7 +21,7 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Clone)]
 pub struct RunnerOptions {
     /// Worker threads; `0` = one per available hardware thread, capped
-    /// at the number of points.
+    /// at the number of points to evaluate.
     pub workers: usize,
     /// How many times a panicking or timed-out point is re-evaluated
     /// before being recorded as failed.
@@ -67,14 +67,6 @@ pub struct RunnerOptions {
     pub fault_seed: Option<u64>,
     /// An explicit fault plan (takes precedence over `fault_seed`).
     pub fault_plan: Option<FaultPlan>,
-    /// Claim-unit width for the lane path: `0` = auto (currently 4),
-    /// `1` forces the scalar per-point path, `N > 1` has each worker
-    /// claim up to N points of one workload shape at a time and replay
-    /// them, one after another, over its recorded tape of that shape.
-    /// Reports are bit-identical either way; telemetry, profiling,
-    /// fault-injection, and deadline sweeps always take the scalar
-    /// path.
-    pub lanes: usize,
 }
 
 impl Default for RunnerOptions {
@@ -95,7 +87,6 @@ impl Default for RunnerOptions {
             canonical: false,
             fault_seed: None,
             fault_plan: None,
-            lanes: 0,
         }
     }
 }
@@ -108,8 +99,8 @@ impl RunnerOptions {
     /// `--out=DIR`, `--telemetry`, `--trace-out=DIR` (implies
     /// `--telemetry`), `--profile`, `--journal=FILE`, `--resume=FILE`,
     /// `--resume-retry-failed`, `--deadline-ms=N`, `--backoff-ms=N`,
-    /// `--canonical`, `--inject-faults=SEED`, and `--lanes=N` (0 =
-    /// auto). Malformed values abort with a message on stderr.
+    /// `--canonical`, and `--inject-faults=SEED`. Malformed values
+    /// abort with a message on stderr.
     pub fn parse_flags(args: &[String]) -> (RunnerOptions, Vec<String>) {
         let mut opts = RunnerOptions::default();
         let mut rest = Vec::new();
@@ -157,8 +148,6 @@ impl RunnerOptions {
                 opts.canonical = true;
             } else if let Some(v) = arg.strip_prefix("--inject-faults=") {
                 opts.fault_seed = Some(parse_u64("--inject-faults", v));
-            } else if let Some(v) = arg.strip_prefix("--lanes=") {
-                opts.lanes = parse_num("--lanes", v);
             } else {
                 rest.push(arg.clone());
             }
@@ -342,6 +331,10 @@ pub struct SweepResult {
     pub workers: usize,
     /// Wall-clock milliseconds for the whole sweep.
     pub wall_ms: f64,
+    /// Whether the sweep ran with `--canonical`: its archive and runner
+    /// telemetry then record `workers` and `wall_ms` as zero, like every
+    /// row's timings, so two runs of one plan write the same bytes.
+    pub canonical: bool,
     /// Per-point rows, in plan order.
     pub rows: Vec<PointResult>,
 }
@@ -364,6 +357,16 @@ pub struct WorkerProfile {
 }
 
 impl SweepResult {
+    /// `(workers, wall_ms)` as archives record them (see
+    /// [`canonical`](Self::canonical)).
+    pub(crate) fn archived(&self) -> (usize, f64) {
+        if self.canonical {
+            (0, 0.0)
+        } else {
+            (self.workers, self.wall_ms)
+        }
+    }
+
     /// The rows whose evaluation failed (panicked or timed out).
     pub fn failures(&self) -> impl Iterator<Item = &PointResult> {
         self.rows.iter().filter(|r| !r.is_ok())
@@ -383,9 +386,11 @@ impl SweepResult {
     }
 
     /// Per-worker self-profiling: how the sweep's wall-clock time was
-    /// spent (derived from the per-point timings).
+    /// spent (derived from the per-point timings; empty for a canonical
+    /// sweep, whose rows record no worker).
     pub fn worker_profiles(&self) -> Vec<WorkerProfile> {
-        let mut profiles: Vec<WorkerProfile> = (0..self.workers)
+        let (workers, wall_ms) = self.archived();
+        let mut profiles: Vec<WorkerProfile> = (0..workers)
             .map(|worker| WorkerProfile {
                 worker,
                 points: 0,
@@ -403,9 +408,9 @@ impl SweepResult {
                 p.timeouts += u64::from(matches!(row.outcome, Outcome::TimedOut { .. }));
             }
         }
-        if self.wall_ms > 0.0 {
+        if wall_ms > 0.0 {
             for p in &mut profiles {
-                p.utilization = (p.busy_ms / self.wall_ms).min(1.0);
+                p.utilization = (p.busy_ms / wall_ms).min(1.0);
             }
         }
         profiles
@@ -415,8 +420,9 @@ impl SweepResult {
     /// tracked separately, so this reports the complement of busy time —
     /// worker-milliseconds not spent evaluating.
     pub fn idle_ms(&self) -> f64 {
+        let (workers, wall_ms) = self.archived();
         let busy: f64 = self.rows.iter().map(|r| r.wall_ms).sum();
-        (self.wall_ms * self.workers as f64 - busy).max(0.0)
+        (wall_ms * workers as f64 - busy).max(0.0)
     }
 
     /// The reports in plan order, or `None` if any point failed.
@@ -432,16 +438,17 @@ impl SweepResult {
 
     /// The whole sweep as one JSON document.
     pub fn to_json(&self) -> String {
+        let (workers, wall_ms) = self.archived();
         let rows: Vec<String> = self.rows.iter().map(|r| r.row_json()).collect();
         format!(
             "{{\"experiment\":\"{}\",\"master_seed\":{},\"workers\":{},\"points\":{},\"failed\":{},\"timeouts\":{},\"wall_ms\":{:.3},\"rows\":[{}]}}",
             json::escape(&self.name),
             self.master_seed,
-            self.workers,
+            workers,
             self.rows.len(),
             self.failures().count(),
             self.timeouts(),
-            self.wall_ms,
+            wall_ms,
             rows.join(",")
         )
     }
@@ -553,12 +560,6 @@ impl std::fmt::Debug for ExecHooks<'_> {
     }
 }
 
-impl ExecHooks<'_> {
-    fn has_prefill(&self) -> bool {
-        self.prefill.iter().any(Option::is_some)
-    }
-}
-
 /// Per-attempt context handed to [`run_plan_ctx`] evaluators.
 #[derive(Debug, Clone)]
 pub struct EvalCtx {
@@ -587,9 +588,15 @@ pub fn run_plan(plan: &ExperimentPlan, opts: &RunnerOptions) -> SweepResult {
 /// [`run_plan`] with embedding hooks: `hooks.prefill` rows are
 /// installed before any worker starts (those points are never
 /// evaluated), and `hooks.on_point` observes every row as it becomes
-/// final. Prefilled sweeps take the scalar path — claim units would
-/// straddle already-served points — but rows are bit-identical either
-/// way, so a cached archive still compares bytes-equal to a lane run.
+/// final.
+///
+/// Workers claim the points to evaluate a workload shape at a time
+/// (see [`run_plan_ctx`]). A point whose shape has another point to
+/// evaluate replays its worker's tape of that shape (see `lane_exec`);
+/// a point alone in its shape generates its stream live, since a
+/// recording would serve no second replay. Telemetry, profiling and the
+/// watchdog's cancel token apply to either simulation, and every report
+/// is bit-identical to `Simulation::new(cfg).run()`.
 pub fn run_plan_hooked(
     plan: &ExperimentPlan,
     opts: &RunnerOptions,
@@ -598,55 +605,46 @@ pub fn run_plan_hooked(
     // The cancellation token is only installed when a watchdog can
     // raise it, keeping deadline-free runs on the token-free path.
     let armed = opts.deadline_ms.is_some();
-    if !hooks.has_prefill() && crate::lane_exec::eligible(opts) {
-        // Lane path: workers claim units of one workload shape and
-        // replay their tape of it (see `lane_exec`), each report
-        // bit-identical to the scalar evaluation below.
-        let width = crate::lane_exec::effective_lanes(opts);
-        let units = shape_units(plan.points().iter().map(|p| &p.config), width);
-        return run_units(plan, opts, hooks, &units, |p, _ctx| {
-            crate::lane_exec::eval(&p.config)
-        });
-    }
-    if !opts.telemetry && !opts.profile {
-        return run_plan_ctx_hooked(plan, opts, hooks, |p, ctx| {
-            let sim = Simulation::new(p.config.clone());
+    let observed = opts.telemetry || opts.profile;
+    let telemetry_dir = opts.telemetry_dir().join(plan.name());
+    let profile_dir = opts.profile_dir().join(plan.name());
+    run_units(plan, opts, hooks, |p, ctx, replay| {
+        let mut cfg = p.config.clone();
+        if observed {
+            if opts.telemetry {
+                cfg.telemetry = osoffload_obs::TelemetryMode::Full;
+            }
+            cfg.profiling = opts.profile;
+        }
+        let run = |sim: Simulation| {
             let sim = if armed {
                 sim.with_cancel(ctx.cancel.clone())
             } else {
                 sim
             };
-            sim.run()
-        });
-    }
-    let telemetry_dir = opts.telemetry_dir().join(plan.name());
-    let profile_dir = opts.profile_dir().join(plan.name());
-    run_plan_ctx_hooked(plan, opts, hooks, |p, ctx| {
-        let mut cfg = p.config.clone();
-        if opts.telemetry {
-            cfg.telemetry = osoffload_obs::TelemetryMode::Full;
-        }
-        cfg.profiling = opts.profile;
-        let sim = Simulation::new(cfg);
-        let sim = if armed {
-            sim.with_cancel(ctx.cancel.clone())
-        } else {
-            sim
+            if !observed {
+                return sim.run();
+            }
+            let (report, telemetry, profile) = sim.run_full_observed();
+            if opts.telemetry {
+                if let Err(e) = telemetry.write_files(&telemetry_dir, &sanitize_id(&p.id)) {
+                    eprintln!("telemetry write failed for {}: {e}", p.id);
+                }
+            }
+            if opts.profile {
+                if let Err(e) =
+                    crate::report::write_profile(&profile, &profile_dir, &sanitize_id(&p.id))
+                {
+                    eprintln!("profile write failed for {}: {e}", p.id);
+                }
+            }
+            report
         };
-        let (report, telemetry, profile) = sim.run_full_observed();
-        if opts.telemetry {
-            if let Err(e) = telemetry.write_files(&telemetry_dir, &sanitize_id(&p.id)) {
-                eprintln!("telemetry write failed for {}: {e}", p.id);
-            }
+        if replay {
+            crate::lane_exec::replay(cfg, run)
+        } else {
+            run(Simulation::new(cfg))
         }
-        if opts.profile {
-            if let Err(e) =
-                crate::report::write_profile(&profile, &profile_dir, &sanitize_id(&p.id))
-            {
-                eprintln!("profile write failed for {}: {e}", p.id);
-            }
-        }
-        report
     })
 }
 
@@ -662,8 +660,11 @@ pub fn run_plan_with(
 
 /// Executes `plan` with a caller-supplied evaluator.
 ///
-/// Points are claimed in plan order from a shared atomic index by
-/// `opts.workers` scoped threads. A panicking evaluation is caught, retried up to
+/// `opts.workers` scoped threads (at most one per point to evaluate)
+/// claim the points a workload shape at a time, shapes in order of
+/// first appearance, from a shared atomic index; once every shape is
+/// claimed, idle workers take the next points of shapes still in
+/// progress. A panicking evaluation is caught, retried up to
 /// `opts.retries` times (with exponential backoff and deterministic
 /// jitter between attempts), and finally recorded as
 /// [`Outcome::Failed`] — one bad point never aborts the sweep. Rows
@@ -700,26 +701,25 @@ pub fn run_plan_ctx_hooked(
     hooks: ExecHooks<'_>,
     eval: impl Fn(&Point, &EvalCtx) -> SimReport + Sync,
 ) -> SweepResult {
-    let units: Vec<Vec<usize>> = (0..plan.len()).map(|i| vec![i]).collect();
-    run_units(plan, opts, hooks, &units, eval)
+    run_units(plan, opts, hooks, |p, ctx, _| eval(p, ctx))
 }
 
-/// The executor behind every `run_plan*` entry point: workers claim
-/// `units` (lists of point indices covering the plan once) in order
-/// from a shared atomic index, and evaluate each member as its own
-/// attempt. Once every unit is claimed, idle workers take the next
+/// The executor behind every `run_plan*` entry point. The points left
+/// to evaluate once journal and prefilled rows are installed form one
+/// claim unit per workload shape ([`shape_units`]); workers claim units
+/// in order from a shared atomic index and evaluate each member as its
+/// own attempt, telling `eval` whether the member's unit holds another
+/// point. Once every unit is claimed, idle workers take the next
 /// members of units still in progress: a unit-long tail would idle one
 /// worker for a share of the sweep that depends on who claimed what.
 fn run_units(
     plan: &ExperimentPlan,
     opts: &RunnerOptions,
     hooks: ExecHooks<'_>,
-    units: &[Vec<usize>],
-    eval: impl Fn(&Point, &EvalCtx) -> SimReport + Sync,
+    eval: impl Fn(&Point, &EvalCtx, bool) -> SimReport + Sync,
 ) -> SweepResult {
     let points = plan.points();
     let n = points.len();
-    let workers = opts.effective_workers(units.len());
     let deadline = opts.deadline_ms;
 
     let fault_plan: Option<FaultPlan> = opts.fault_plan.clone().or_else(|| {
@@ -846,6 +846,15 @@ fn run_units(
         }
     }
 
+    let pending: Vec<usize> = (0..n)
+        .filter(|&i| slots[i].lock().expect("result slot poisoned").is_none())
+        .collect();
+    let units: Vec<Vec<usize>> = shape_units(pending.iter().map(|&i| &points[i].config))
+        .into_iter()
+        .map(|unit| unit.into_iter().map(|k| pending[k]).collect())
+        .collect();
+    let workers = opts.effective_workers(pending.len());
+
     let next = CachePadded(AtomicUsize::new(0));
     // Members of each unit handed out so far.
     let taken: Vec<AtomicUsize> = units.iter().map(|_| AtomicUsize::new(0)).collect();
@@ -894,18 +903,19 @@ fn run_units(
             let active_workers = &active_workers;
             let stop_watchdog = &stop_watchdog;
             let taken = &taken;
+            let units = &units;
             scope.spawn(move || {
                 // Claim units, each member its own attempt, then help
                 // finish the units other workers are still in.
                 let claims = (0..).map(|_| next.0.fetch_add(1, Ordering::Relaxed));
                 let own = claims.take_while(|&u| u < units.len());
                 let member = |u: usize| {
-                    (0..).map_while(move |_| units[u].get(taken[u].fetch_add(1, Ordering::Relaxed)))
+                    let unit = &units[u];
+                    (0..)
+                        .map_while(move |_| unit.get(taken[u].fetch_add(1, Ordering::Relaxed)))
+                        .map(move |&i| (i, unit.len() > 1))
                 };
-                for &i in own.chain(0..units.len()).flat_map(member) {
-                    if slots[i].lock().expect("result slot poisoned").is_some() {
-                        continue; // restored from the journal or prefilled
-                    }
+                for (i, shared) in own.chain(0..units.len()).flat_map(member) {
                     let point = &points[i];
                     let faults: PointFaults = fault_plan
                         .as_ref()
@@ -946,7 +956,7 @@ fn run_units(
                                     attempt: attempts,
                                 });
                             }
-                            eval(point, &ctx)
+                            eval(point, &ctx, shared)
                         }));
                         if deadline.is_some() {
                             *watch[worker].0.lock().expect("watch slot poisoned") = None;
@@ -1041,14 +1051,9 @@ fn run_units(
     SweepResult {
         name: plan.name().to_string(),
         master_seed: plan.master_seed(),
-        // Canonical archives must compare bytes-equal across worker
-        // counts, so the envelope can't record the real count either.
-        workers: if opts.canonical { 0 } else { workers },
-        wall_ms: if opts.canonical {
-            0.0
-        } else {
-            start.elapsed().as_secs_f64() * 1e3
-        },
+        workers,
+        wall_ms: start.elapsed().as_secs_f64() * 1e3,
+        canonical: opts.canonical,
         rows: slots
             .into_iter()
             .map(|slot| {
@@ -1124,28 +1129,32 @@ mod tests {
 
     #[test]
     fn lane_path_rows_match_scalar_path() {
-        // Real simulations: the lane path must reproduce the scalar rows
-        // bit-for-bit, whatever the unit width.
-        let check = |plan: &ExperimentPlan, lanes: usize| {
-            let quiet = RunnerOptions {
-                quiet: true,
-                workers: 2,
-                canonical: true,
-                ..RunnerOptions::default()
+        // Real simulations: replaying shapes' tapes must reproduce the
+        // rows of live generation bit-for-bit, with or without part of a
+        // shape served from prefilled rows.
+        let quiet = RunnerOptions {
+            quiet: true,
+            workers: 2,
+            canonical: true,
+            ..RunnerOptions::default()
+        };
+        let check = |plan: &ExperimentPlan| {
+            let live = run_plan_with(plan, &quiet, |p| Simulation::new(p.config.clone()).run());
+            let rows = |sweep: &SweepResult| -> Vec<String> {
+                assert_eq!(sweep.failures().count(), 0);
+                sweep.rows.iter().map(|r| r.row_json()).collect()
             };
-            let scalar = run_plan(
-                plan,
-                &RunnerOptions {
-                    lanes: 1,
-                    ..quiet.clone()
-                },
-            );
-            let lane = run_plan(plan, &RunnerOptions { lanes, ..quiet });
-            assert_eq!(scalar.failures().count(), 0);
-            assert_eq!(lane.failures().count(), 0);
-            let a: Vec<String> = scalar.rows.iter().map(|r| r.row_json()).collect();
-            let b: Vec<String> = lane.rows.iter().map(|r| r.row_json()).collect();
-            assert_eq!(a, b, "lanes={lanes}");
+            assert_eq!(rows(&live), rows(&run_plan(plan, &quiet)));
+            let prefill = live
+                .rows
+                .iter()
+                .map(|r| (r.index % 3 == 0).then(|| r.clone()))
+                .collect();
+            let hooks = ExecHooks {
+                prefill,
+                on_point: None,
+            };
+            assert_eq!(rows(&live), rows(&run_plan_hooked(plan, &quiet, hooks)));
         };
         let small = |profile: Profile, seed: u64| {
             SystemConfig::builder()
@@ -1162,7 +1171,7 @@ mod tests {
             let cfg = small(Profile::apache(), seed).policy(policy).build();
             plan.push_pinned(format!("p{}", plan.len()), cfg);
         }
-        check(&plan, 4);
+        check(&plan);
 
         // fig6's order: dispatch-major, so consecutive points change
         // shape, over multi-thread shapes (up to 8 apache threads).
@@ -1180,7 +1189,7 @@ mod tests {
                 }
             }
         }
-        check(&plan, 3);
+        check(&plan);
     }
 
     #[test]
@@ -1257,7 +1266,6 @@ mod tests {
             "--inject-faults=99",
             "--profile",
             "--resume-retry-failed",
-            "--lanes=3",
         ]
         .iter()
         .map(|s| s.to_string())
@@ -1281,7 +1289,6 @@ mod tests {
         assert!(opts.profile);
         assert_eq!(opts.profile_dir(), std::path::PathBuf::from("tmp/profile"));
         assert!(opts.resume_retry_failed);
-        assert_eq!(opts.lanes, 3);
         assert_eq!(rest, vec!["quick".to_string()]);
     }
 
@@ -1324,9 +1331,10 @@ mod tests {
         assert!(sweep.to_json().contains("\"attempt_ms\":["));
     }
 
-    /// Once every unit is claimed, an idle worker takes members of the
-    /// unit another worker is in: the long unit's first member waits
-    /// until another thread has evaluated one of its members.
+    /// A plan of one workload shape is one claim unit, but the worker
+    /// count is clamped by points, not units, and once the unit is
+    /// claimed the idle worker helps finish it: the first evaluation
+    /// waits until another thread has evaluated a point of the shape.
     #[test]
     fn idle_workers_help_finish_claimed_units() {
         let opts = RunnerOptions {
@@ -1334,11 +1342,21 @@ mod tests {
             quiet: true,
             ..RunnerOptions::default()
         };
-        let (owner, helped) = (Mutex::new(None), AtomicBool::new(false));
-        let (units, limit) = ([vec![0, 1, 2, 3, 4], vec![5]], Duration::from_secs(10));
-        run_units(&plan(6), &opts, ExecHooks::default(), &units, |p, _| {
+        let mut plan = ExperimentPlan::new("one-shape", 9);
+        for i in 0..6 {
+            let cfg = SystemConfig::builder()
+                .profile(Profile::apache())
+                .instructions(1_000)
+                .seed(7)
+                .build();
+            plan.push_pinned(format!("p{i}"), cfg);
+        }
+        let (first, helped) = (Mutex::new(None), AtomicBool::new(false));
+        let limit = Duration::from_secs(10);
+        let sweep = run_units(&plan, &opts, ExecHooks::default(), |p, _, shared| {
+            assert!(shared, "every point of the shape replays");
             let me = std::thread::current().id();
-            if p.id != "p5" && *owner.lock().unwrap().get_or_insert(me) != me {
+            if *first.lock().unwrap().get_or_insert(me) != me {
                 helped.store(true, Ordering::Relaxed);
             }
             let waited = Instant::now();
@@ -1347,7 +1365,13 @@ mod tests {
             }
             fake_report(p)
         });
+        assert_eq!(sweep.failures().count(), 0, "{}", sweep.to_json());
         assert!(helped.load(Ordering::Relaxed), "nobody helped");
+        assert_eq!(sweep.workers, 2);
+        let mut workers: Vec<usize> = sweep.rows.iter().map(|r| r.worker).collect();
+        workers.sort_unstable();
+        workers.dedup();
+        assert_eq!(workers, vec![0, 1], "rows from both workers");
     }
 
     #[test]
@@ -1391,8 +1415,11 @@ mod tests {
         };
         let a = run_plan_with(&plan, &opts, fake_report);
         let b = run_plan_with(&plan, &opts, fake_report);
-        assert_eq!(a.wall_ms, 0.0);
-        assert_eq!(a.workers, 0, "canonical zeroes the worker count too");
+        assert_eq!(a.workers, 2, "the sweep keeps its measured envelope");
+        let archive = a.to_json();
+        assert!(archive.contains("\"workers\":0,"), "{archive}");
+        assert!(archive.contains("\"wall_ms\":0.000,\"rows\""), "{archive}");
+        assert!(a.worker_profiles().is_empty());
         for row in &a.rows {
             assert_eq!(row.wall_ms, 0.0);
             assert_eq!(row.start_ms, 0.0);

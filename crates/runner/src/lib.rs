@@ -11,11 +11,13 @@
 //!   [`Rng64::split`](osoffload_sim::Rng64::split) in plan order.
 //!   Execution order therefore cannot influence any result.
 //! - [`run_plan`] / [`run_plan_with`] / [`run_plan_ctx`] — a pool of
-//!   scoped worker threads claiming points from a shared atomic index,
-//!   with per-point panic isolation (a failed point is recorded with
-//!   its configuration and panic message; the sweep always completes),
-//!   retry with exponential backoff and deterministic jitter, and
-//!   optional per-point watchdog deadlines ([`Outcome::TimedOut`]).
+//!   scoped worker threads claiming points a workload shape at a time
+//!   from a shared atomic index (`run_plan`'s points replay a recorded
+//!   tape of their shape when it has several), with per-point panic
+//!   isolation (a failed point is recorded with its configuration and
+//!   panic message; the sweep always completes), retry with exponential
+//!   backoff and deterministic jitter, and optional per-point watchdog
+//!   deadlines ([`Outcome::TimedOut`]).
 //! - [`run_driver`] — record/replay bridge that executes an unmodified
 //!   `*_with` experiment driver in parallel and returns exactly the
 //!   rows the sequential path would produce.

@@ -123,10 +123,11 @@ pub fn write_runner_telemetry(sweep: &SweepResult, dir: &Path) -> io::Result<Vec
             });
         }
     }
+    let (workers, wall_ms) = sweep.archived();
     let meta = [
         ("experiment".to_string(), sweep.name.clone()),
-        ("workers".to_string(), sweep.workers.to_string()),
-        ("wall_ms".to_string(), format!("{:.3}", sweep.wall_ms)),
+        ("workers".to_string(), workers.to_string()),
+        ("wall_ms".to_string(), format!("{wall_ms:.3}")),
     ];
     let trace_path = dir.join(format!("{}_runner.trace.json", sweep.name));
     atomic_write(&trace_path, chrome_trace(&events, None, &meta).as_bytes())?;
@@ -150,12 +151,12 @@ pub fn write_runner_telemetry(sweep: &SweepResult, dir: &Path) -> io::Result<Vec
              \"injected_faults\":{},\"wall_ms\":{:.3},\"idle_ms\":{:.3},\"retries\":{},\
              \"worker_profiles\":[{}]}}",
             json::escape(&sweep.name),
-            sweep.workers,
+            workers,
             sweep.rows.len(),
             sweep.failures().count(),
             sweep.timeouts(),
             sweep.injected_faults(),
-            sweep.wall_ms,
+            wall_ms,
             sweep.idle_ms(),
             retries,
             profile_rows.join(",")
@@ -231,6 +232,7 @@ mod tests {
             master_seed: 1,
             workers: 2,
             wall_ms: 12.0,
+            canonical: false,
             rows: vec![row(0, 0, 0.0), row(1, 1, 1.0), timed_out],
         };
         let dir = std::env::temp_dir().join(format!("osoff-runner-telem-{}", std::process::id()));

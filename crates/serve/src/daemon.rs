@@ -98,9 +98,6 @@ pub struct ServeOptions {
     pub cache_ttl_secs: u64,
     /// Worker threads per sweep (`0` = one per hardware thread).
     pub workers: usize,
-    /// Lane claim-unit width (`0` = auto; only used for sweeps with no
-    /// cached points, since claim units would straddle served rows).
-    pub lanes: usize,
     /// Retries per failing point.
     pub retries: u32,
     /// Fault-injection seed (chaos testing; see `ROBUSTNESS.md`).
@@ -136,7 +133,6 @@ impl Default for ServeOptions {
             cache_capacity: 0,
             cache_ttl_secs: 0,
             workers: 0,
-            lanes: 0,
             retries: 0,
             fault_seed: None,
             submit_slots: 2,
@@ -763,7 +759,6 @@ fn handle_submit(
 
     let ropts = RunnerOptions {
         workers: opts.workers,
-        lanes: opts.lanes,
         retries: opts.retries,
         quiet: true,
         canonical: true,

@@ -3,12 +3,14 @@
 //!
 //! Every figure/table sweep evaluates the *same* workload shape
 //! (profile, phase schedule, thread count, seed) under many policy ×
-//! latency × threshold points. Run scalar, each point regenerates and
-//! re-draws the whole instruction stream — roughly a third of point
-//! runtime on the fig4 grid. On the lane path a [`TapeRegistry`] records
-//! the stream once into a [`WorkloadTape`], and each point replays it
-//! through an ordinary [`Simulation::run`]: a linear scan over packed
-//! 17-byte records instead of a chain of RNG and sampler draws.
+//! latency × threshold points. Generated live, each point re-draws the
+//! whole instruction stream — roughly a third of point runtime on the
+//! fig4 grid. A [`TapeRegistry`] records the stream once into a
+//! [`WorkloadTape`], and each point replays it through an ordinary
+//! [`Simulation`]: a linear scan over packed 17-byte records instead of
+//! a chain of RNG and sampler draws. The runner replays every shape
+//! that has more than one point to evaluate this way; a shape with one
+//! point runs live, since its recording would serve no second replay.
 //!
 //! Points replay one at a time, and a tape grows only as deep as the
 //! deepest replay of its shape reads (see [`osoffload_workload::tape`]).
@@ -146,11 +148,6 @@ impl LaneStepper {
         Ok(LaneStepper { lanes })
     }
 
-    /// Number of lanes in the pack.
-    pub fn width(&self) -> usize {
-        self.lanes.len()
-    }
-
     /// Runs every lane to completion, one after another, and returns
     /// one report per lane in construction order, each bit-identical to
     /// [`Simulation::run`] on the lane's configuration.
@@ -162,15 +159,11 @@ impl LaneStepper {
     }
 }
 
-/// The indices of `configs` grouped by [`tape_compatible`] shape, in
-/// order of each shape's first appearance, and chunked into units of at
-/// most `width` (`0` counts as 1). Input order is kept within a shape,
-/// and each shape's units are contiguous, so a [`TapeRegistry`] that
-/// works through the units in order records each shape once.
-pub fn shape_units<'a>(
-    configs: impl IntoIterator<Item = &'a SystemConfig>,
-    width: usize,
-) -> Vec<Vec<usize>> {
+/// The indices of `configs` grouped by [`tape_compatible`] shape, one
+/// unit per shape, in order of each shape's first appearance. Input
+/// order is kept within a shape, so a [`TapeRegistry`] that works
+/// through the units in order records each shape once.
+pub fn shape_units<'a>(configs: impl IntoIterator<Item = &'a SystemConfig>) -> Vec<Vec<usize>> {
     let mut groups: Vec<(&SystemConfig, Vec<usize>)> = Vec::new();
     for (i, cfg) in configs.into_iter().enumerate() {
         match groups.iter_mut().find(|(rep, _)| tape_compatible(rep, cfg)) {
@@ -178,25 +171,18 @@ pub fn shape_units<'a>(
             None => groups.push((cfg, vec![i])),
         }
     }
-    groups
-        .iter()
-        .flat_map(|(_, members)| members.chunks(width.max(1)).map(<[usize]>::to_vec))
-        .collect()
+    groups.into_iter().map(|(_, members)| members).collect()
 }
 
-/// Runs `configs` through packs of at most `width` lanes and
-/// returns the reports in input order, each bit-identical to
-/// [`Simulation::run`] on that configuration.
-///
-/// Packs are [`shape_units`], so every pack shares a single tape, and
-/// one registry serves every pack, so each shape is recorded once. A
-/// `width` of 0 or 1 still replays through the tape (useful for
-/// differential testing — the runner treats `--lanes=1` as "scalar
-/// path" instead).
-pub fn run_lanes(configs: &[SystemConfig], width: usize) -> Result<Vec<SimReport>, ConfigError> {
+/// Runs `configs` one [`shape_units`] pack at a time and returns the
+/// reports in input order, each bit-identical to [`Simulation::run`] on
+/// that configuration. One registry serves every pack, so each shape is
+/// recorded once, and even a shape with a single configuration replays
+/// through its tape (useful for differential testing).
+pub fn run_lanes(configs: &[SystemConfig]) -> Result<Vec<SimReport>, ConfigError> {
     let mut out: Vec<Option<SimReport>> = vec![None; configs.len()];
     let mut registry = TapeRegistry::new();
-    for pack in shape_units(configs, width) {
+    for pack in shape_units(configs) {
         let stepper = LaneStepper::with_registry(
             pack.iter().map(|&i| configs[i].clone()).collect(),
             &mut registry,
@@ -216,7 +202,37 @@ mod tests {
     use super::*;
     use crate::topology::DispatchPolicy;
     use crate::PolicyKind;
+    use osoffload_obs::TelemetryMode;
     use osoffload_workload::Profile;
+
+    /// Observation builds on the same constructor a replay does: with
+    /// full telemetry and profiling on, a simulation over a tape exports
+    /// the same report, Chrome trace, metrics and collapsed stacks as a
+    /// live one.
+    #[test]
+    fn observed_replay_matches_observed_live_run() {
+        let cfg = SystemConfig::builder()
+            .profile(Profile::apache())
+            .policy(PolicyKind::HardwarePredictor { threshold: 100 })
+            .user_cores(2)
+            .instructions(40_000)
+            .warmup(10_000)
+            .seed(9)
+            .telemetry(TelemetryMode::Full)
+            .profiling(true)
+            .build();
+        let (report, telemetry, profile) = TapeRegistry::new()
+            .simulation(cfg.clone())
+            .unwrap()
+            .run_full_observed();
+        let (live, live_telemetry, live_profile) = Simulation::new(cfg).run_full_observed();
+        assert_eq!(report, live);
+        assert!(!telemetry.events.is_empty() && !profile.to_collapsed().is_empty());
+        assert_eq!(telemetry.chrome_trace(), live_telemetry.chrome_trace());
+        assert_eq!(telemetry.metrics_csv(), live_telemetry.metrics_csv());
+        assert_eq!(telemetry.metrics_json(), live_telemetry.metrics_json());
+        assert_eq!(profile.to_collapsed(), live_profile.to_collapsed());
+    }
 
     /// A 16:4 apache shape has 32 threads, each retiring about 1/32 of
     /// the budget, so its tape grows only as deep as the four dispatch

@@ -43,11 +43,10 @@ use osoffload_workload::{
     InstrSpec, OsInvocation, Segment, SharedTape, TapeCursor, TapedInstr, ThreadWorkload,
 };
 
-/// Where a thread's draw stream comes from: a live generator (the
-/// scalar path) or a cursor into a shared [`WorkloadTape`]
-/// (the lane path, where the points of one workload shape replay one
-/// recording). Both produce bit-identical streams; see
-/// [`osoffload_workload::tape`].
+/// Where a thread's draw stream comes from: a live generator, or a
+/// cursor into a shared [`WorkloadTape`] (the runner replays one
+/// recording for every point of a workload shape that has several).
+/// Both produce bit-identical streams; see [`osoffload_workload::tape`].
 ///
 /// [`WorkloadTape`]: osoffload_workload::WorkloadTape
 // Boxing the live generator would put a pointer chase on every draw in
@@ -538,7 +537,7 @@ impl Simulation {
         let l1_latency = self.l1_latency;
         let mut elapsed = 0u64;
         let (mut acc_tlb, mut acc_fetch, mut acc_data, mut acc_branch) = (0u64, 0u64, 0u64, 0u64);
-        // On the lane path the whole segment is already recorded in
+        // Replaying a tape, the whole segment is already recorded in
         // the shared tape: borrow it once and walk the contiguous spec
         // slice, instead of paying a shared-state access per
         // instruction. Live sources draw per instruction as before.

@@ -113,8 +113,8 @@ fn measured_region_is_allocation_free() {
 #[test]
 fn lane_measured_region_is_allocation_free() {
     use osoffload::system::run_lanes;
-    // Packs of tape-compatible configurations (shared seed/profile,
-    // different thresholds and latencies) at every supported width.
+    // Packs of 1, 2, 4 and 8 tape-compatible configurations (shared
+    // seed/profile, different thresholds and latencies).
     // Replay records the tape inside the audited region too, into room
     // reserved before the run: for apache on one user core, a compute
     // profile whose bursts average 110,000 instructions, and apache on
@@ -142,12 +142,12 @@ fn lane_measured_region_is_allocation_free() {
             member(profile.clone(), user_cores, 1_000, 5_000),
             member(profile.clone(), user_cores, 5_000, 100),
         ];
-        for width in [1usize, 2, 4, 8] {
-            let configs: Vec<SystemConfig> = (0..width)
+        for members in [1usize, 2, 4, 8] {
+            let configs: Vec<SystemConfig> = (0..members)
                 .map(|i| variants[i % variants.len()].clone())
                 .collect();
             let _ = alloc_audit::take_region_allocs();
-            let reports = run_lanes(&configs, width).expect("pack configs are valid");
+            let reports = run_lanes(&configs).expect("pack configs are valid");
             assert!(
                 reports.iter().all(|r| r.throughput() > 0.0),
                 "lanes must make progress"
@@ -155,7 +155,7 @@ fn lane_measured_region_is_allocation_free() {
             let allocs = alloc_audit::take_region_allocs();
             assert_eq!(
                 allocs, 0,
-                "{} on {user_cores} user cores, width {width}: lane measured region \
+                "{} on {user_cores} user cores, {members} members: lane measured region \
                  allocated {allocs} times",
                 profile.name
             );

@@ -154,9 +154,9 @@ fn configs(seed: u64) -> Vec<(&'static str, SystemConfig)> {
 
 /// The lane engine against the scalar stepper, over the same
 /// eleven-configuration x three-seed matrix. Scalar references are
-/// computed once per (configuration, seed); the lane side re-runs the
-/// whole matrix at widths 1, 4 and 8, chunked into mixed-shape packs by
-/// `run_lanes`, and every report must be bit-identical.
+/// computed once per (configuration, seed); the lane side runs the
+/// whole matrix through `run_lanes`, one pack per workload shape, and
+/// every report must be bit-identical.
 #[test]
 fn lane_stepper_is_bit_identical_to_scalar() {
     use osoffload::system::run_lanes;
@@ -167,15 +167,12 @@ fn lane_stepper_is_bit_identical_to_scalar() {
             .map(|(_, cfg)| Simulation::new(cfg.clone()).run())
             .collect();
         let pack: Vec<SystemConfig> = named.iter().map(|(_, cfg)| cfg.clone()).collect();
-        for lanes in [1usize, 4, 8] {
-            let reports = run_lanes(&pack, lanes).expect("matrix configs are valid");
-            for (((name, _), lane), reference) in named.iter().zip(&reports).zip(&scalar) {
-                assert_eq!(
-                    lane, reference,
-                    "config {name} (seed {seed:#x}, lanes {lanes}): \
-                     lane report diverged from scalar"
-                );
-            }
+        let reports = run_lanes(&pack).expect("matrix configs are valid");
+        for (((name, _), lane), reference) in named.iter().zip(&reports).zip(&scalar) {
+            assert_eq!(
+                lane, reference,
+                "config {name} (seed {seed:#x}): lane report diverged from scalar"
+            );
         }
     }
 }

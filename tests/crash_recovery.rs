@@ -8,7 +8,7 @@ use osoffload::runner::{
     run_plan, run_plan_with, ExperimentPlan, FaultConfig, FaultPlan, Outcome, RunnerOptions,
 };
 use osoffload::system::experiments::{single_config, Scale};
-use osoffload::system::{DispatchPolicy, PolicyKind, SystemConfig};
+use osoffload::system::{DispatchPolicy, PolicyKind, Simulation, SystemConfig};
 use osoffload::workload::Profile;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -24,20 +24,30 @@ fn tiny() -> Scale {
 
 /// Builds a small mixed grid with split-derived per-point seeds.
 fn seeded_plan() -> ExperimentPlan {
+    grid_plan(false)
+}
+
+/// The small mixed grid, with split-derived per-point seeds (a shape
+/// per point) or, `pinned`, on the scale's seed, so the two points of
+/// each profile share a workload shape and replay its tape.
+fn grid_plan(pinned: bool) -> ExperimentPlan {
     let scale = tiny();
     let mut plan = ExperimentPlan::new("crash", 0xFEED);
     for profile in [Profile::apache(), Profile::specjbb()] {
         for threshold in [100u64, 1_000] {
-            plan.push(
-                format!("{}/N={threshold}", profile.name),
-                single_config(
-                    profile.clone(),
-                    PolicyKind::HardwarePredictor { threshold },
-                    1_000,
-                    1,
-                    scale,
-                ),
+            let id = format!("{}/N={threshold}", profile.name);
+            let cfg = single_config(
+                profile.clone(),
+                PolicyKind::HardwarePredictor { threshold },
+                1_000,
+                1,
+                scale,
             );
+            if pinned {
+                plan.push_pinned(id, cfg);
+            } else {
+                plan.push(id, cfg);
+            }
         }
     }
     plan
@@ -328,10 +338,16 @@ fn resume_refuses_a_mismatched_journal() {
 
 /// The same fault plan replayed over the same campaign injects the same
 /// failures and — given enough retries — changes nothing about the
-/// results relative to a fault-free run.
+/// results relative to a fault-free run, whether each point generates
+/// its stream live (a shape per point) or replays its shape's tape.
 #[test]
 fn fault_plan_replay_is_deterministic_and_recoverable() {
-    let plan = seeded_plan();
+    for plan in [seeded_plan(), grid_plan(true)] {
+        fault_plan_replays(plan);
+    }
+}
+
+fn fault_plan_replays(plan: ExperimentPlan) {
     let clean = run_plan(&plan, &canonical(2));
     let fault_cfg = FaultConfig {
         panic_pct: 100,
@@ -374,7 +390,9 @@ fn fault_plan_replay_is_deterministic_and_recoverable() {
 }
 
 /// The worker watchdog cancels a hung simulation through the epoch
-/// poll in `Simulation::account` and records a typed timeout row.
+/// poll in `Simulation::account` and records a typed timeout row. A
+/// point cancelled while it records its shape's tape leaves nothing
+/// behind for the next point of the shape to replay.
 #[test]
 fn watchdog_times_out_a_real_simulation() {
     let scale = Scale {
@@ -415,4 +433,39 @@ fn watchdog_times_out_a_real_simulation() {
     let json = sweep.to_json();
     assert!(json.contains("\"status\":\"timeout\""), "{json}");
     assert!(json.contains("\"timeouts\":1"), "{json}");
+
+    // One shape on one worker: the huge point times out mid-recording,
+    // then the small point replays the shape.
+    let point = |instructions| {
+        single_config(
+            Profile::apache(),
+            PolicyKind::HardwarePredictor { threshold: 500 },
+            1_000,
+            1,
+            Scale {
+                instructions,
+                warmup: 5_000,
+                ..scale
+            },
+        )
+    };
+    let mut plan = ExperimentPlan::new("hang-shape", 1);
+    plan.push_pinned("hung".to_string(), point(20_000_000));
+    plan.push_pinned("small".to_string(), point(20_000));
+    let sweep = run_plan(
+        &plan,
+        &RunnerOptions {
+            deadline_ms: Some(300),
+            ..canonical(1)
+        },
+    );
+    assert!(
+        matches!(sweep.rows[0].outcome, Outcome::TimedOut { .. }),
+        "{:?}",
+        sweep.rows[0].outcome
+    );
+    match &sweep.rows[1].outcome {
+        Outcome::Ok(report) => assert_eq!(**report, Simulation::new(point(20_000)).run()),
+        other => panic!("expected the small point to run, got {other:?}"),
+    }
 }

@@ -204,3 +204,73 @@ fn digests_name_exactly_one_configuration() {
         assert_eq!(unique.len(), *distinct, "{}", plan.name());
     }
 }
+
+/// Records `name`'s plan as `osoffload-bench` does (`record_plan`, the
+/// first step of `run_driver`) and runs it twice, canonical on two
+/// workers: through `run_plan`, where every shape with several points
+/// replays a tape, and through a live evaluator. The archives must be
+/// byte-equal.
+fn replay_matches_live<R>(
+    name: &str,
+    scale: Scale,
+    driver: impl Fn(experiments::Evaluator<'_>) -> R,
+) {
+    let plan = record_plan(name, scale.seed, driver);
+    let opts = RunnerOptions {
+        workers: 2,
+        quiet: true,
+        canonical: true,
+        ..RunnerOptions::default()
+    };
+    let replayed = osoffload::runner::run_plan(&plan, &opts);
+    let live = run_plan_with(&plan, &opts, |p| simulate(p.config.clone()));
+    assert_eq!(replayed.failures().count(), 0, "{name}: failed points");
+    for (a, b) in replayed.rows.iter().zip(&live.rows) {
+        assert!(
+            a.row_json() == b.row_json(),
+            "{name}: row {} differs",
+            a.index
+        );
+    }
+    assert!(
+        replayed.to_json() == live.to_json(),
+        "{name}: archives differ"
+    );
+}
+
+#[test]
+#[ignore = "release-scale cross-check; CI runs it with --release -- --ignored"]
+fn fig4_quick_replay_matches_live() {
+    let scale = Scale::quick();
+    replay_matches_live("fig4", scale, |ev| {
+        fig4_grid_with(
+            scale,
+            experiments::FIG4_LATENCIES,
+            experiments::FIG4_THRESHOLDS,
+            ev,
+        )
+    });
+}
+
+#[test]
+#[ignore = "release-scale cross-check; CI runs it with --release -- --ignored"]
+fn fig6_scalability_quick_replay_matches_live() {
+    let scale = Scale::quick();
+    replay_matches_live("fig6_scalability", scale, |ev| {
+        experiments::fig6_scalability_with(scale, ev)
+    });
+}
+
+#[test]
+#[ignore = "release-scale cross-check; the nightly CI runs it with --release -- --ignored"]
+fn fig4_full_replay_matches_live() {
+    let scale = Scale::full();
+    replay_matches_live("fig4", scale, |ev| {
+        fig4_grid_with(
+            scale,
+            experiments::FIG4_LATENCIES,
+            experiments::FIG4_THRESHOLDS,
+            ev,
+        )
+    });
+}
