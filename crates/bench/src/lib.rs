@@ -3,8 +3,8 @@
 //! `osoffload-bench <name> [quick|full|paper] [runner flags]` regenerates
 //! one table or figure of the paper (see `DESIGN.md`'s experiment index);
 //! its registry lives in `src/main.rs`. This library holds what the
-//! experiments and the `bench_simulation` perf gate share: argument
-//! parsing, the runner glue, and plain-text table rendering.
+//! experiments share: argument parsing, the runner glue, and plain-text
+//! table rendering.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -179,48 +179,6 @@ pub mod harness {
             Ok(path) => eprintln!("[{name}] wrote {}", path.display()),
             Err(e) => eprintln!("[{name}] could not write results file: {e}"),
         }
-    }
-}
-
-/// Minimal micro-benchmark timing harness for the `benches/` targets.
-///
-/// The approved dependency set has no benchmarking framework, so the
-/// bench targets (`harness = false`) drive this directly: adaptive
-/// batching until a target wall-time is reached, then a ns/iter report
-/// on stdout.
-pub mod timing {
-    use std::time::{Duration, Instant};
-
-    /// Re-export of the optimisation barrier used by benchmark bodies.
-    pub use std::hint::black_box;
-
-    /// Times `f` until roughly `target` of wall-clock has elapsed and
-    /// returns the mean nanoseconds per iteration.
-    pub fn time_fn<T>(target: Duration, mut f: impl FnMut() -> T) -> f64 {
-        // Warm up caches, branch predictors, and lazy initialisation.
-        for _ in 0..100 {
-            black_box(f());
-        }
-        let mut iters = 0u64;
-        let mut elapsed = Duration::ZERO;
-        let mut batch = 1_000u64;
-        while elapsed < target {
-            let start = Instant::now();
-            for _ in 0..batch {
-                black_box(f());
-            }
-            elapsed += start.elapsed();
-            iters += batch;
-            batch = batch.saturating_mul(2).min(1 << 22);
-        }
-        elapsed.as_nanos() as f64 / iters as f64
-    }
-
-    /// Runs one named benchmark with the default 200 ms budget and
-    /// prints a `name: N ns/iter` line.
-    pub fn bench<T>(name: &str, f: impl FnMut() -> T) {
-        let ns = time_fn(Duration::from_millis(200), f);
-        println!("{name}: {ns:.1} ns/iter");
     }
 }
 

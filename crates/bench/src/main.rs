@@ -11,26 +11,24 @@
 //! archived as `results/<name>.json`, and honours `--canonical`,
 //! `--journal` and `--resume`. Drivers return reports; scoring and table
 //! rendering happen after the runner returns, because the runner's
-//! enumeration pass feeds each driver placeholder reports. Three entries
-//! run directly: `tuner_trace` and `invocation_trace` need special
-//! simulation modes, and `telemetry_overhead` times the simulator
-//! itself. `calibration`, `table1`, `table2` and `fig2` simulate nothing.
+//! enumeration pass feeds each driver placeholder reports. Two entries
+//! run directly, because they need special simulation modes:
+//! `tuner_trace` and `invocation_trace`. `calibration`, `table1`,
+//! `table2` and `fig2` simulate nothing.
 
 use osoffload_bench::{harness, pct, render_table, spark};
 use osoffload_core::{CamPredictor, DirectMappedPredictor, RunLengthPredictor};
 use osoffload_cpu::{CoreParams, Tlb};
 use osoffload_energy::{evaluate, EnergyParams};
 use osoffload_mem::MemConfig;
-use osoffload_obs::TelemetryMode;
 use osoffload_runner::RunnerOptions;
 use osoffload_system::experiments::{
     self, fig1_with, fig3_with, fig4_grid_with, fig5_with, fig6_scalability_with, scalability_with,
     scaled_builder, sensitivity_with, single_config, table3_with, Scale, FIG4_LATENCIES,
     FIG4_THRESHOLDS, TABLE3_THRESHOLDS,
 };
-use osoffload_system::{PolicyKind, SimReport, Simulation, SystemConfig};
+use osoffload_system::{PolicyKind, SimReport, Simulation};
 use osoffload_workload::{validate, Profile, CATALOG, OS_SYSCALL_TABLE};
-use std::time::Instant;
 
 /// One registry entry: an experiment the binary can run by name.
 struct Experiment {
@@ -153,11 +151,6 @@ const EXPERIMENTS: &[Experiment] = &[
         name: "invocation_trace",
         artefact: "tool: per-invocation CSV trace",
         run: invocation_trace,
-    },
-    Experiment {
-        name: "telemetry_overhead",
-        artefact: "tool: telemetry cost (timings)",
-        run: telemetry_overhead,
     },
 ];
 
@@ -1051,125 +1044,4 @@ fn invocation_trace(scale: Scale, _: &RunnerOptions) {
             &rows
         )
     );
-}
-
-/// Wall nanoseconds for one simulation of `cfg`, plus the
-/// (deterministic) report JSON.
-fn time_run(cfg: &SystemConfig) -> (f64, String) {
-    let start = Instant::now();
-    let report = Simulation::new(cfg.clone()).run();
-    let ns = start.elapsed().as_nanos() as f64;
-    (ns, report.to_json())
-}
-
-/// Measures the wall-clock cost of the telemetry subsystem on a
-/// reference simulation (apache, HI N=500) in three modes:
-///
-/// - `off`  — telemetry disabled (the default; one never-taken branch),
-/// - `noop` — events constructed and discarded (counts only),
-/// - `full` — events buffered and epoch metrics sampled.
-///
-/// All three runs must produce bit-identical reports — telemetry is
-/// observational — and the process exits non-zero if they do not.
-/// Archives `results/BENCH_telemetry_overhead.json`.
-fn telemetry_overhead(scale: Scale, opts: &RunnerOptions) {
-    let reps = if scale.instructions <= 500_000 { 7 } else { 3 };
-    let hi = PolicyKind::HardwarePredictor { threshold: 500 };
-    let base = single_config(Profile::apache(), hi, 1_000, 1, scale);
-
-    let modes = [
-        ("off", TelemetryMode::Off),
-        ("noop", TelemetryMode::Noop),
-        ("full", TelemetryMode::Full),
-    ];
-    let cfgs: Vec<SystemConfig> = modes
-        .iter()
-        .map(|&(_, mode)| {
-            let mut cfg = base.clone();
-            cfg.telemetry = mode;
-            cfg
-        })
-        .collect();
-
-    // One untimed pass warms the allocator/page cache so the first mode
-    // measured is not charged the process cold-start; the timed reps then
-    // interleave the modes so drift hits all three equally. Best-of-reps
-    // discards scheduling noise.
-    let mut reports: Vec<String> = cfgs.iter().map(|cfg| time_run(cfg).1).collect();
-    let mut best = vec![f64::INFINITY; modes.len()];
-    for _ in 0..reps {
-        for (i, cfg) in cfgs.iter().enumerate() {
-            let (ns, json) = time_run(cfg);
-            best[i] = best[i].min(ns);
-            reports[i] = json;
-        }
-    }
-    let timings: Vec<(&str, f64)> = modes
-        .iter()
-        .zip(&best)
-        .map(|(&(label, _), &ns)| (label, ns))
-        .collect();
-
-    let identical = reports.iter().all(|r| r == &reports[0]);
-    let off_ns = timings[0].1;
-    let overhead = |ns: f64| (ns / off_ns - 1.0) * 100.0;
-
-    let rows: Vec<Vec<String>> = timings
-        .iter()
-        .map(|(label, ns)| {
-            vec![
-                label.to_string(),
-                format!("{:.2}", ns / 1e6),
-                format!(
-                    "{:.2}",
-                    scale.instructions as f64 / ns * 1e3 // Minsn per wall second
-                ),
-                format!("{:+.2}%", overhead(*ns)),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render_table(&["mode", "ms/run", "Minsn/s", "vs off"], &rows)
-    );
-    println!(
-        "reports bit-identical across modes: {}",
-        if identical { "yes" } else { "NO" }
-    );
-
-    let mode_rows: Vec<String> = timings
-        .iter()
-        .map(|(label, ns)| {
-            format!(
-                "{{\"mode\":\"{label}\",\"ns_per_run\":{ns:.0},\"overhead_pct\":{:.4}}}",
-                overhead(*ns)
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\"bench\":\"telemetry_overhead\",\"instructions\":{},\"warmup\":{},\"seed\":{},\
-         \"reps\":{},\"reports_identical\":{},\"modes\":[{}]}}",
-        scale.instructions,
-        scale.warmup,
-        scale.seed,
-        reps,
-        identical,
-        mode_rows.join(",")
-    );
-    let path = opts.out_dir.join("BENCH_telemetry_overhead.json");
-    if let Err(e) = std::fs::create_dir_all(&opts.out_dir) {
-        eprintln!(
-            "[telemetry_overhead] could not create {}: {e}",
-            opts.out_dir.display()
-        );
-    }
-    match std::fs::write(&path, json) {
-        Ok(()) => eprintln!("[telemetry_overhead] wrote {}", path.display()),
-        Err(e) => eprintln!("[telemetry_overhead] could not write results: {e}"),
-    }
-
-    if !identical {
-        eprintln!("[telemetry_overhead] FAIL: telemetry perturbed the simulation report");
-        std::process::exit(1);
-    }
 }

@@ -32,7 +32,6 @@ const ENTRIES: &[&str] = &[
     "outliers",
     "calibration",
     "invocation_trace",
-    "telemetry_overhead",
 ];
 
 fn run(args: &[&str]) -> Output {
@@ -107,6 +106,7 @@ fn unknown_arguments_exit_2_with_the_registry() {
         &["calibration", "quick", "--bogus"],
         &["table1", "quick", "extra"],
         &["fig4", "quick", "--lanes=4"],
+        &["telemetry_overhead", "quick"],
     ] {
         let o = run(args);
         assert_eq!(o.status.code(), Some(2), "{args:?}");

@@ -4,11 +4,10 @@
 //! contract is *zero overhead when disabled*: [`emit_with`] takes a
 //! closure, so when no sink is installed the event is never even
 //! constructed — the whole call is one branch on an `Option`
-//! discriminant (proved by `benches/telemetry.rs`).
+//! discriminant (the [`Telemetry`] doctest's `unreachable!` closure
+//! must never run).
 //!
-//! Two sinks exist: a **no-op** sink that counts events and discards
-//! them (isolating the cost of event construction for the overhead
-//! bench), and a bounded in-memory **ring** that retains the newest
+//! The one sink is a bounded in-memory **ring** that retains the newest
 //! events and counts evictions, so full tracing never grows memory
 //! unpredictably.
 //!
@@ -23,28 +22,15 @@ pub enum TelemetryMode {
     /// No sink: `emit_with` is a single never-taken branch.
     #[default]
     Off,
-    /// Events are constructed and counted, then discarded.
-    Noop,
     /// Events are retained in a bounded ring for export.
     Full,
 }
 
 impl TelemetryMode {
-    /// Parses a mode name (`off` | `noop` | `full`).
-    pub fn parse(s: &str) -> Option<TelemetryMode> {
-        match s {
-            "off" => Some(TelemetryMode::Off),
-            "noop" => Some(TelemetryMode::Noop),
-            "full" => Some(TelemetryMode::Full),
-            _ => None,
-        }
-    }
-
     /// The mode's canonical name.
     pub fn label(&self) -> &'static str {
         match self {
             TelemetryMode::Off => "off",
-            TelemetryMode::Noop => "noop",
             TelemetryMode::Full => "full",
         }
     }
@@ -109,8 +95,7 @@ impl EventBuffer {
 
 #[derive(Debug, Clone)]
 struct Sink {
-    /// `None` = no-op sink (count and discard).
-    store: Option<EventBuffer>,
+    store: EventBuffer,
     seen: u64,
 }
 
@@ -146,21 +131,11 @@ impl Telemetry {
         Telemetry { sink: None }
     }
 
-    /// A counting handle that discards every event after construction.
-    pub fn noop() -> Self {
-        Telemetry {
-            sink: Some(Sink {
-                store: None,
-                seen: 0,
-            }),
-        }
-    }
-
     /// A recording handle retaining the newest `capacity` events.
     pub fn buffered(capacity: usize) -> Self {
         Telemetry {
             sink: Some(Sink {
-                store: Some(EventBuffer::new(capacity)),
+                store: EventBuffer::new(capacity),
                 seen: 0,
             }),
         }
@@ -170,17 +145,15 @@ impl Telemetry {
     pub fn from_mode(mode: TelemetryMode, capacity: usize) -> Self {
         match mode {
             TelemetryMode::Off => Telemetry::off(),
-            TelemetryMode::Noop => Telemetry::noop(),
             TelemetryMode::Full => Telemetry::buffered(capacity),
         }
     }
 
     /// The mode this handle implements.
     pub fn mode(&self) -> TelemetryMode {
-        match &self.sink {
+        match self.sink {
             None => TelemetryMode::Off,
-            Some(Sink { store: None, .. }) => TelemetryMode::Noop,
-            Some(Sink { store: Some(_), .. }) => TelemetryMode::Full,
+            Some(_) => TelemetryMode::Full,
         }
     }
 
@@ -196,46 +169,34 @@ impl Telemetry {
     pub fn emit_with(&mut self, f: impl FnOnce() -> Event) {
         if let Some(sink) = self.sink.as_mut() {
             sink.seen += 1;
-            let ev = f();
-            if let Some(buf) = sink.store.as_mut() {
-                buf.push(ev);
-            }
+            sink.store.push(f());
         }
     }
 
-    /// Events that reached the sink (including discarded/evicted ones).
+    /// Events that reached the sink (including evicted ones).
     pub fn seen(&self) -> u64 {
         self.sink.as_ref().map_or(0, |s| s.seen)
     }
 
-    /// Events evicted from the ring (0 for off/no-op handles).
+    /// Events evicted from the ring (0 for an off handle).
     pub fn dropped(&self) -> u64 {
-        self.sink
-            .as_ref()
-            .and_then(|s| s.store.as_ref())
-            .map_or(0, |b| b.dropped())
+        self.sink.as_ref().map_or(0, |s| s.store.dropped())
     }
 
-    /// Iterates over retained events, oldest first (empty for off/no-op).
+    /// Iterates over retained events, oldest first (empty when off).
     pub fn events(&self) -> impl Iterator<Item = &Event> {
-        self.sink
-            .as_ref()
-            .and_then(|s| s.store.as_ref())
-            .into_iter()
-            .flat_map(|b| b.iter())
+        self.sink.iter().flat_map(|s| s.store.iter())
     }
 
     /// Drains the retained events, leaving the handle recording afresh
     /// with the same mode and capacity.
     pub fn take_events(&mut self) -> Vec<Event> {
         match self.sink.as_mut() {
-            Some(Sink {
-                store: Some(buf), ..
-            }) => {
-                let capacity = buf.capacity;
-                std::mem::replace(buf, EventBuffer::new(capacity)).into_vec()
+            Some(sink) => {
+                let capacity = sink.store.capacity;
+                std::mem::replace(&mut sink.store, EventBuffer::new(capacity)).into_vec()
             }
-            _ => Vec::new(),
+            None => Vec::new(),
         }
     }
 
@@ -244,9 +205,7 @@ impl Telemetry {
     pub fn reset(&mut self) {
         if let Some(sink) = self.sink.as_mut() {
             sink.seen = 0;
-            if let Some(buf) = sink.store.as_mut() {
-                *buf = EventBuffer::new(buf.capacity);
-            }
+            sink.store = EventBuffer::new(sink.store.capacity);
         }
     }
 }
@@ -273,20 +232,6 @@ mod tests {
         t.emit_with(|| panic!("must not construct"));
         assert_eq!(t.seen(), 0);
         assert_eq!(t.events().count(), 0);
-    }
-
-    #[test]
-    fn noop_counts_but_stores_nothing() {
-        let mut t = Telemetry::noop();
-        assert!(t.is_enabled());
-        assert_eq!(t.mode(), TelemetryMode::Noop);
-        for i in 0..5 {
-            t.emit_with(|| ev(i));
-        }
-        assert_eq!(t.seen(), 5);
-        assert_eq!(t.dropped(), 0);
-        assert_eq!(t.events().count(), 0);
-        assert!(t.take_events().is_empty());
     }
 
     #[test]
@@ -324,13 +269,5 @@ mod tests {
         assert_eq!(t.seen(), 0);
         assert_eq!(t.events().count(), 0);
         assert_eq!(t.mode(), TelemetryMode::Full);
-    }
-
-    #[test]
-    fn mode_round_trips_through_parse() {
-        for mode in [TelemetryMode::Off, TelemetryMode::Noop, TelemetryMode::Full] {
-            assert_eq!(TelemetryMode::parse(mode.label()), Some(mode));
-        }
-        assert_eq!(TelemetryMode::parse("bogus"), None);
     }
 }
