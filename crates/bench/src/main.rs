@@ -1009,7 +1009,8 @@ fn invocation_trace(scale: Scale, _: &RunnerOptions) {
     let cfg = scaled_builder(Profile::apache(), hi, 1_000, scale)
         .trace(50_000)
         .build();
-    let (report, trace) = Simulation::new(cfg).run_traced();
+    let (report, observed) = Simulation::new(cfg).run_observed();
+    let trace = observed.trace;
 
     // CSV to stdout (pipe into a file), human summary to stderr.
     print!("{}", trace.to_csv());

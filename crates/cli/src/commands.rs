@@ -51,9 +51,9 @@ pub fn run(a: &RunArgs) -> i32 {
     let report = if a.telemetry {
         let mut cfg = build_config(a, a.policy);
         cfg.telemetry = TelemetryMode::Full;
-        let (report, telemetry) = Simulation::new(cfg).run_with_telemetry();
+        let (report, observed) = Simulation::new(cfg).run_observed();
         let dir = std::path::PathBuf::from(a.trace_out.as_deref().unwrap_or("results/telemetry"));
-        match telemetry.write_files(&dir, &a.profile) {
+        match observed.telemetry.write_files(&dir, &a.profile) {
             Ok(paths) => {
                 for p in paths {
                     eprintln!("telemetry: wrote {}", p.display());
@@ -190,10 +190,10 @@ pub fn sweep(a: &RunArgs) -> i32 {
 pub fn trace(a: &RunArgs) -> i32 {
     let mut cfg = build_config(a, a.policy);
     cfg.trace_capacity = 100_000;
-    let (report, trace) = Simulation::new(cfg).run_traced();
-    print!("{}", trace.to_csv());
+    let (report, observed) = Simulation::new(cfg).run_observed();
+    print!("{}", observed.trace.to_csv());
     eprintln!("{report}");
-    eprintln!("{trace}");
+    eprintln!("{}", observed.trace);
     0
 }
 

@@ -128,7 +128,6 @@ impl FuzzCase {
             mem_override: None,
             trace_capacity: 0,
             telemetry: TelemetryMode::Off,
-            telemetry_capacity: 1 << 16,
             profiling: false,
         };
         if self.half_l2 {

@@ -40,7 +40,7 @@ use crate::case::FuzzCase;
 use osoffload_core::{AState, CamPredictor, ReferenceCamPredictor, RunLengthPredictor};
 use osoffload_obs::{json, TelemetryMode};
 use osoffload_sim::alloc_audit;
-use osoffload_system::{LaneStepper, Phase, PolicyKind, SimReport, Simulation};
+use osoffload_system::{LaneStepper, PolicyKind, SimReport, Simulation};
 use osoffload_workload::{Segment, ThreadWorkload};
 
 /// Which oracle to run.
@@ -60,7 +60,10 @@ pub enum OracleKind {
     /// resumed archive must be byte-identical.
     CrashRecovery,
     /// Profiling-on vs profiling-off report identity, plus the profile's
-    /// phase totals reconciling with the report's cycle accounting.
+    /// phase totals and per-phase counts reconciling with the report
+    /// ([`CycleProfile::reconcile`]).
+    ///
+    /// [`CycleProfile::reconcile`]: osoffload_system::CycleProfile::reconcile
     Profile,
     /// Lane-engine replay at widths 1/2/4/8, mixed with variants on one
     /// tape, vs memoised scalar runs: every lane's report must be
@@ -154,7 +157,7 @@ pub fn check(case: &FuzzCase, oracle: OracleKind) -> Result<(), OracleFailure> {
             let base = Simulation::new(cfg.clone()).run();
             let mut full_cfg = cfg;
             full_cfg.telemetry = TelemetryMode::Full;
-            let (full, _telemetry) = Simulation::new(full_cfg).run_with_telemetry();
+            let (full, _) = Simulation::new(full_cfg).run_observed();
             if full != base {
                 return Err(fail(format!(
                     "telemetry=full changed the report: {}",
@@ -190,55 +193,14 @@ pub fn check(case: &FuzzCase, oracle: OracleKind) -> Result<(), OracleFailure> {
             let base = Simulation::new(cfg.clone()).run();
             let mut prof_cfg = cfg.clone();
             prof_cfg.profiling = true;
-            let (profiled, profile) = Simulation::new(prof_cfg).run_with_profile();
+            let (profiled, observed) = Simulation::new(prof_cfg).run_observed();
             if profiled != base {
                 return Err(fail(format!(
                     "profiling changed the report: {}",
                     report_diff(&base, &profiled)
                 )));
             }
-            let eq = |what: &str, got: u64, want: u64| {
-                if got == want {
-                    Ok(())
-                } else {
-                    Err(format!("profile {what}: {got} != report's {want}"))
-                }
-            };
-            eq(
-                "decision total",
-                profile.total(Phase::Decision),
-                base.cycle_breakdown.decision,
-            )
-            .map_err(&fail)?;
-            eq(
-                "queue-wait total",
-                profile.total(Phase::QueueWait),
-                base.cycle_breakdown.queue_wait,
-            )
-            .map_err(&fail)?;
-            eq(
-                "throttled total",
-                profile.total(Phase::Throttled),
-                base.throttled_cycles,
-            )
-            .map_err(&fail)?;
-            let migration =
-                profile.total(Phase::MigrationOut) + profile.total(Phase::MigrationBack);
-            if cfg.resource_adaptation.is_none() {
-                eq("migration total", migration, base.cycle_breakdown.migration).map_err(&fail)?;
-            } else {
-                // Adaptation never migrates; the breakdown still charges
-                // the model's nominal cost, so only the profiler's view
-                // is pinned here.
-                eq("migration total under adaptation", migration, 0).map_err(&fail)?;
-            }
-            eq(
-                "decision count",
-                profile.count(Phase::Decision),
-                base.offloads + base.local_invocations,
-            )
-            .map_err(&fail)?;
-            Ok(())
+            observed.profile.reconcile(&cfg, &base).map_err(fail)
         }
     }
 }

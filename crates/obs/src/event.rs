@@ -48,6 +48,17 @@ impl Track {
     }
 }
 
+/// Where an invocation's privileged work ran.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Placement {
+    /// On the user core, at full speed.
+    Local,
+    /// On the user core, throttled by resource adaptation (§VI-B).
+    Throttled,
+    /// On an OS core, after a migration.
+    OsCore,
+}
+
 /// The typed payload of one event.
 #[derive(Debug, Clone, PartialEq)]
 pub enum EventKind {
@@ -67,6 +78,13 @@ pub enum EventKind {
         actual_len: u64,
         /// Cycles spent queued for the OS core (0 when local).
         queue_delay: u64,
+        /// Decision overhead charged on entry, in cycles.
+        decision: u64,
+        /// Cold-start warm-up charged on the OS core (0 unless it ran
+        /// there).
+        cold_penalty: u64,
+        /// Where the privileged work ran.
+        placement: Placement,
     },
     /// A user-mode execution burst.
     UserBurst {
@@ -222,6 +240,9 @@ mod tests {
             offloaded: true,
             actual_len: 12,
             queue_delay: 0,
+            decision: 4,
+            cold_penalty: 0,
+            placement: Placement::OsCore,
         };
         assert_eq!(inv.name(), "read");
         assert_eq!(inv.category(), "invocation");

@@ -11,10 +11,30 @@
 use crate::event::{Event, EventKind, Track};
 use crate::json::quote;
 use crate::metrics::MetricsRegistry;
-use crate::telemetry::TelemetryMode;
 use std::fmt::Write as _;
 use std::io;
 use std::path::{Path, PathBuf};
+
+/// How much a run records.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum TelemetryMode {
+    /// No event is retained and no metric sampled.
+    #[default]
+    Off,
+    /// Events are retained in a bounded ring for export, beside the
+    /// epoch-sampled metrics.
+    Full,
+}
+
+impl TelemetryMode {
+    /// The mode's canonical name.
+    pub fn label(&self) -> &'static str {
+        match self {
+            TelemetryMode::Off => "off",
+            TelemetryMode::Full => "full",
+        }
+    }
+}
 
 fn kind_args(kind: &EventKind) -> String {
     match kind {
@@ -25,6 +45,8 @@ fn kind_args(kind: &EventKind) -> String {
             offloaded,
             actual_len,
             queue_delay,
+            // The decision, cold-penalty and placement fields feed the
+            // cycle profile; the exported args keep their schema.
             ..
         } => {
             let pred = match predicted {
@@ -217,6 +239,9 @@ mod tests {
                     offloaded: false,
                     actual_len: 40,
                     queue_delay: 0,
+                    decision: 0,
+                    cold_penalty: 0,
+                    placement: crate::event::Placement::Local,
                 },
             },
             Event {

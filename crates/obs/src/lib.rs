@@ -1,8 +1,8 @@
 //! Unified telemetry substrate for the off-loading simulator.
 //!
 //! This crate is the observability layer the rest of the workspace
-//! plugs into: structured spans and instants ([`Event`]) recorded
-//! through a zero-overhead-when-disabled handle ([`Telemetry`]),
+//! plugs into: structured spans and instants ([`Event`]), the bounded
+//! ring every observation buffer keeps ([`BoundedRing`]),
 //! epoch-sampled metric time series ([`MetricsRegistry`]), and
 //! exporters ([`RunTelemetry`], [`chrome_trace`]) that render a run as
 //! Chrome trace-event JSON, CSV, and stable-key JSON. It also owns the
@@ -16,8 +16,9 @@
 //!    timestamps come from the simulated clocks, metrics snapshot
 //!    accumulators the simulator already keeps, and nothing here feeds
 //!    back into scheduling or policy decisions.
-//! 2. **Cost nothing when off.** [`Telemetry::emit_with`] takes a
-//!    closure; with no sink installed the event is never constructed.
+//! 2. **Cost nothing when off.** The simulator builds an event only
+//!    when its one observation handle exists, so an unobserved run
+//!    pays one never-taken branch per emission site.
 //! 3. **No dependencies.** JSON and CSV are rendered by hand so the
 //!    crate builds in a hermetic container.
 
@@ -30,10 +31,10 @@ pub mod export;
 pub mod fsio;
 pub mod json;
 pub mod metrics;
-pub mod telemetry;
+pub mod ring;
 
-pub use event::{Event, EventKind, Track};
-pub use export::{chrome_trace, RunTelemetry};
+pub use event::{Event, EventKind, Placement, Track};
+pub use export::{chrome_trace, RunTelemetry, TelemetryMode};
 pub use fsio::atomic_write;
 pub use metrics::{MetricId, MetricKind, MetricsRegistry, SampleRow};
-pub use telemetry::{EventBuffer, Telemetry, TelemetryMode};
+pub use ring::BoundedRing;

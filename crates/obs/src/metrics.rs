@@ -41,7 +41,7 @@ pub struct SampleRow {
 /// # Examples
 ///
 /// ```
-/// use osoffload_obs::{MetricKind, MetricsRegistry};
+/// use osoffload_obs::MetricsRegistry;
 ///
 /// let mut reg = MetricsRegistry::new();
 /// let offloads = reg.register_counter("offloads");
@@ -51,7 +51,6 @@ pub struct SampleRow {
 /// reg.commit_sample(0, 1_000, 2_500);
 /// assert_eq!(reg.samples().len(), 1);
 /// assert!(reg.to_csv().starts_with("epoch,instructions,cycles,offloads,l2_hit_rate"));
-/// # assert_eq!(reg.kind(offloads), MetricKind::Counter);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
@@ -111,20 +110,9 @@ impl MetricsRegistry {
         &self.names
     }
 
-    /// The kind a metric was registered with.
-    pub fn kind(&self, id: MetricId) -> MetricKind {
-        self.names[id.0].1
-    }
-
     /// Committed rows, oldest first.
     pub fn samples(&self) -> &[SampleRow] {
         &self.samples
-    }
-
-    /// Discards committed rows and staged values, keeping the schema.
-    pub fn reset_samples(&mut self) {
-        self.samples.clear();
-        self.current.iter_mut().for_each(|v| *v = 0.0);
     }
 
     fn format_value(kind: MetricKind, v: f64) -> String {
@@ -248,19 +236,6 @@ mod tests {
         assert!(json.starts_with("{\"schema\":\"osoffload.metrics.v1\""));
         assert!(json.contains("{\"name\":\"n\",\"kind\":\"counter\"}"));
         assert!(json.contains("\"values\":[2]"));
-    }
-
-    #[test]
-    fn reset_keeps_schema_drops_rows() {
-        let mut reg = MetricsRegistry::new();
-        let c = reg.register_counter("n");
-        reg.set(c, 5.0);
-        reg.commit_sample(0, 1, 1);
-        reg.reset_samples();
-        assert!(reg.samples().is_empty());
-        assert_eq!(reg.metrics().len(), 1);
-        reg.commit_sample(0, 2, 2);
-        assert_eq!(reg.samples()[0].values, vec![0.0]);
     }
 
     #[test]

@@ -605,36 +605,32 @@ pub fn run_plan_hooked(
     // The cancellation token is only installed when a watchdog can
     // raise it, keeping deadline-free runs on the token-free path.
     let armed = opts.deadline_ms.is_some();
-    let observed = opts.telemetry || opts.profile;
     let telemetry_dir = opts.telemetry_dir().join(plan.name());
     let profile_dir = opts.profile_dir().join(plan.name());
     run_units(plan, opts, hooks, |p, ctx, replay| {
         let mut cfg = p.config.clone();
-        if observed {
-            if opts.telemetry {
-                cfg.telemetry = osoffload_obs::TelemetryMode::Full;
-            }
-            cfg.profiling = opts.profile;
+        if opts.telemetry {
+            cfg.telemetry = osoffload_obs::TelemetryMode::Full;
         }
+        cfg.profiling = opts.profile;
         let run = |sim: Simulation| {
             let sim = if armed {
                 sim.with_cancel(ctx.cancel.clone())
             } else {
                 sim
             };
-            if !observed {
-                return sim.run();
-            }
-            let (report, telemetry, profile) = sim.run_full_observed();
+            // Unobserved, the run builds no event and hands back an
+            // empty observation.
+            let (report, observed) = sim.run_observed();
             if opts.telemetry {
-                if let Err(e) = telemetry.write_files(&telemetry_dir, &sanitize_id(&p.id)) {
+                let id = sanitize_id(&p.id);
+                if let Err(e) = observed.telemetry.write_files(&telemetry_dir, &id) {
                     eprintln!("telemetry write failed for {}: {e}", p.id);
                 }
             }
             if opts.profile {
-                if let Err(e) =
-                    crate::report::write_profile(&profile, &profile_dir, &sanitize_id(&p.id))
-                {
+                let id = sanitize_id(&p.id);
+                if let Err(e) = crate::report::write_profile(&observed.profile, &profile_dir, &id) {
                     eprintln!("profile write failed for {}: {e}", p.id);
                 }
             }

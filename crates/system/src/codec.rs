@@ -19,8 +19,8 @@
 //! a profile that differs from the catalog entry of its name encodes
 //! like that entry, which is why the serve client refuses such
 //! configurations. The observation settings (`trace_capacity`,
-//! `telemetry`, `telemetry_capacity`, `profiling`) are left out because
-//! they cannot change a report.
+//! `telemetry`, `profiling`) are left out because they cannot change a
+//! report.
 //!
 //! [`SystemConfig::from_json`] is the trust boundary for requests from
 //! outside the program. It assigns fields instead of calling the
@@ -509,7 +509,6 @@ mod tests {
         let observed = small()
             .trace(16)
             .telemetry(osoffload_obs::TelemetryMode::Full)
-            .telemetry_capacity(8)
             .profiling(true)
             .build()
             .to_json();

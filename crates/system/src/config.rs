@@ -426,10 +426,9 @@ pub struct SystemConfig {
     /// [`trace`](crate::trace).
     pub trace_capacity: usize,
     /// Structured-telemetry mode (spans, epoch-sampled metrics, Chrome
-    /// traces). [`TelemetryMode::Off`] costs nothing on the hot path.
+    /// traces); [`TelemetryMode::Full`] retains the newest 65,536
+    /// events. [`TelemetryMode::Off`] costs nothing on the hot path.
     pub telemetry: TelemetryMode,
-    /// Event-ring capacity when telemetry is [`TelemetryMode::Full`].
-    pub telemetry_capacity: usize,
     /// Cycle-attribution profiler (per-syscall × per-phase accounting,
     /// sampled on the observation clock). Purely observational: the
     /// report is bit-identical either way, and `false` costs nothing on
@@ -599,7 +598,6 @@ pub struct SystemConfigBuilder {
     mem_override: Option<MemConfig>,
     trace_capacity: usize,
     telemetry: TelemetryMode,
-    telemetry_capacity: usize,
     profiling: bool,
 }
 
@@ -625,7 +623,6 @@ impl Default for SystemConfigBuilder {
             mem_override: None,
             trace_capacity: 0,
             telemetry: TelemetryMode::Off,
-            telemetry_capacity: 1 << 16,
             profiling: false,
         }
     }
@@ -781,13 +778,6 @@ impl SystemConfigBuilder {
         self
     }
 
-    /// Retains the newest `capacity` telemetry events when the mode is
-    /// [`TelemetryMode::Full`] (default 65,536).
-    pub fn telemetry_capacity(mut self, capacity: usize) -> Self {
-        self.telemetry_capacity = capacity;
-        self
-    }
-
     /// Enables the cycle-attribution profiler (default off; see
     /// [`profile`](crate::profile)).
     pub fn profiling(mut self, on: bool) -> Self {
@@ -852,7 +842,6 @@ impl SystemConfigBuilder {
             mem_override: self.mem_override,
             trace_capacity: self.trace_capacity,
             telemetry: self.telemetry,
-            telemetry_capacity: self.telemetry_capacity,
             profiling: self.profiling,
         }
     }

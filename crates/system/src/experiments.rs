@@ -920,7 +920,8 @@ pub fn tuner_trace(scale: Scale, profile: Profile) -> (SimReport, Vec<TunerEvent
     let cfg = scaled_builder(profile, hi, 1_000, scale)
         .tuner(TunerConfig::for_run_length(scale.instructions))
         .build();
-    Simulation::new(cfg).run_with_tuner_trace()
+    let (report, observation) = Simulation::new(cfg).run_observed();
+    (report, observation.tuner)
 }
 
 #[cfg(test)]

@@ -206,9 +206,9 @@ mod tests {
     use osoffload_workload::Profile;
 
     /// Observation builds on the same constructor a replay does: with
-    /// full telemetry and profiling on, a simulation over a tape exports
-    /// the same report, Chrome trace, metrics and collapsed stacks as a
-    /// live one.
+    /// full telemetry, profiling and tracing on, a simulation over a
+    /// tape exports the same report, Chrome trace, metrics, collapsed
+    /// stacks and trace CSV as a live one.
     #[test]
     fn observed_replay_matches_observed_live_run() {
         let cfg = SystemConfig::builder()
@@ -220,18 +220,25 @@ mod tests {
             .seed(9)
             .telemetry(TelemetryMode::Full)
             .profiling(true)
+            .trace(1 << 12)
             .build();
-        let (report, telemetry, profile) = TapeRegistry::new()
+        let (report, replayed) = TapeRegistry::new()
             .simulation(cfg.clone())
             .unwrap()
-            .run_full_observed();
-        let (live, live_telemetry, live_profile) = Simulation::new(cfg).run_full_observed();
+            .run_observed();
+        let (live, observed) = Simulation::new(cfg).run_observed();
         assert_eq!(report, live);
-        assert!(!telemetry.events.is_empty() && !profile.to_collapsed().is_empty());
+        let (telemetry, live_telemetry) = (&replayed.telemetry, &observed.telemetry);
+        assert!(!telemetry.events.is_empty() && !replayed.profile.to_collapsed().is_empty());
+        assert!(!replayed.trace.is_empty());
         assert_eq!(telemetry.chrome_trace(), live_telemetry.chrome_trace());
         assert_eq!(telemetry.metrics_csv(), live_telemetry.metrics_csv());
         assert_eq!(telemetry.metrics_json(), live_telemetry.metrics_json());
-        assert_eq!(profile.to_collapsed(), live_profile.to_collapsed());
+        assert_eq!(
+            replayed.profile.to_collapsed(),
+            observed.profile.to_collapsed()
+        );
+        assert_eq!(replayed.trace.to_csv(), observed.trace.to_csv());
     }
 
     /// A 16:4 apache shape has 32 threads, each retiring about 1/32 of

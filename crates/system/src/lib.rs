@@ -31,6 +31,7 @@ pub mod experiments;
 pub mod lanes;
 pub mod metrics;
 pub mod migration;
+mod observe;
 pub mod profile;
 pub mod simulation;
 pub mod topology;
@@ -40,6 +41,7 @@ pub use config::{ConfigError, PolicyKind, SystemConfig, SystemConfigBuilder};
 pub use lanes::{run_lanes, shape_units, tape_compatible, LaneStepper, TapeRegistry};
 pub use metrics::{BinaryPoint, CycleBreakdown, PredictorReport, QueueReport, SimReport};
 pub use migration::{MigrationModel, OffloadMechanism, OsCoreQueue};
+pub use observe::Observation;
 pub use profile::{CycleProfile, Phase, ProfileEntry, ProfileEpoch};
 pub use simulation::Simulation;
 pub use topology::{DispatchPolicy, OsCorePool, OsDispatch, OsToken, Topology};

@@ -1,18 +1,22 @@
 //! Deterministic cycle-attribution profiler.
 //!
 //! When [`SystemConfig::profiling`](crate::SystemConfig) is on, the
-//! simulation attributes every cycle of the measured region to a
-//! *(syscall, phase)* pair as it retires segments: user execution,
-//! decision overhead, the two migration legs, queue wait, cold-start
-//! warm-up, OS-core service, local execution, and resource-adaptation
-//! throttling. The accounting reads timing values the engine has
-//! already computed — nothing extra is simulated — so profiling is
-//! purely observational: the [`SimReport`](crate::SimReport) is
-//! bit-identical with the profiler on or off, the same contract the
-//! telemetry layer makes.
+//! simulation's observation handle hands every event of the measured
+//! region to a profiler, which attributes every cycle to a
+//! *(syscall, phase)* pair: user execution, decision overhead, the two
+//! migration legs, queue wait, cold-start warm-up, OS-core service,
+//! local execution, and resource-adaptation throttling. A `UserBurst`
+//! event is one user-exec cell; an `Invocation` event carries its
+//! decision overhead, queue delay, cold penalty and placement, and the
+//! migration legs are the run's one-way latency, so its span splits
+//! into phases that sum to it exactly. The events hold timing values
+//! the engine has already computed — nothing extra is simulated — so
+//! profiling is purely observational: the
+//! [`SimReport`](crate::SimReport) is bit-identical with the profiler
+//! on or off, the same contract the telemetry layer makes.
 //!
-//! Cumulative per-phase totals are additionally sampled on the
-//! simulation's 64-epoch observation clock, giving a deterministic
+//! At each `Epoch` event of the simulation's 64-epoch observation clock
+//! the cumulative per-phase totals are sampled, giving a deterministic
 //! time series of where cycles were going as the run progressed.
 //!
 //! Two export shapes cover the analysis workflows:
@@ -22,6 +26,9 @@
 //!   `flamegraph.pl` / `inferno` / speedscope;
 //! * [`CycleProfile::top_table`] — a deterministic top-N attribution
 //!   table for terminals and docs.
+
+use crate::{SimReport, SystemConfig};
+use osoffload_obs::{Event, EventKind, Placement};
 
 /// Number of attribution phases (array dimension of the accounting).
 pub const PHASE_COUNT: usize = 9;
@@ -116,24 +123,73 @@ pub struct ProfileEpoch {
     pub attributed: [u64; PHASE_COUNT],
 }
 
-/// The in-run accumulator the simulation feeds. Lives behind an
-/// `Option` on the engine, so a disabled profiler costs one branch per
-/// segment.
+/// The in-run accumulator: one consumer of the simulation's event
+/// stream.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct CycleProfiler {
+    /// One-way migration latency: the length of each migration leg.
+    one_way: u64,
+    /// Instructions the consumed segments retired, so far.
+    instructions: u64,
     rows: Vec<Row>,
     epochs: Vec<ProfileEpoch>,
 }
 
 impl CycleProfiler {
-    pub(crate) fn new() -> Self {
-        Self::default()
+    /// A profiler for a run whose migration legs each take `one_way`
+    /// cycles.
+    pub(crate) fn new(one_way: u64) -> Self {
+        CycleProfiler {
+            one_way,
+            ..Self::default()
+        }
+    }
+
+    /// Attributes one event's cycles. User bursts and invocations are
+    /// the run's segments, so the instructions they retire add up to
+    /// the run's count at each epoch sample; every other kind is
+    /// ignored.
+    pub(crate) fn consume(&mut self, ev: &Event) {
+        match ev.kind {
+            EventKind::UserBurst { len } => {
+                self.instructions += len;
+                self.record("user", Phase::UserExec, ev.dur);
+            }
+            EventKind::Invocation {
+                name,
+                actual_len,
+                queue_delay,
+                decision,
+                cold_penalty,
+                placement,
+                ..
+            } => {
+                self.instructions += actual_len;
+                self.record(name, Phase::Decision, decision);
+                let work = ev.dur - decision;
+                match placement {
+                    Placement::Local => self.record(name, Phase::LocalExec, work),
+                    Placement::Throttled => self.record(name, Phase::Throttled, work),
+                    Placement::OsCore => {
+                        let leg = self.one_way;
+                        let service = work - 2 * leg - queue_delay - cold_penalty;
+                        self.record(name, Phase::MigrationOut, leg);
+                        self.record(name, Phase::QueueWait, queue_delay);
+                        self.record(name, Phase::ColdPenalty, cold_penalty);
+                        self.record(name, Phase::OsService, service);
+                        self.record(name, Phase::MigrationBack, leg);
+                    }
+                }
+            }
+            EventKind::Epoch { index, .. } => self.epoch_sample(index, self.instructions, ev.ts),
+            _ => {}
+        }
     }
 
     /// Attributes `cycles` to `(name, phase)` and counts one event.
     /// Keys are interned syscall names (plus the synthetic `"user"`),
     /// so the row set stays small and lookups are a short linear scan.
-    pub(crate) fn record(&mut self, name: &'static str, phase: Phase, cycles: u64) {
+    fn record(&mut self, name: &'static str, phase: Phase, cycles: u64) {
         let i = phase.index();
         if let Some(row) = self.rows.iter_mut().find(|r| r.name == name) {
             row.cycles[i] += cycles;
@@ -152,7 +208,7 @@ impl CycleProfiler {
 
     /// Samples the cumulative per-phase totals at an observation-clock
     /// boundary.
-    pub(crate) fn epoch_sample(&mut self, epoch: u64, instructions: u64, cycles: u64) {
+    fn epoch_sample(&mut self, epoch: u64, instructions: u64, cycles: u64) {
         let mut attributed = [0u64; PHASE_COUNT];
         for row in &self.rows {
             for (acc, c) in attributed.iter_mut().zip(row.cycles.iter()) {
@@ -194,11 +250,10 @@ pub struct ProfileEntry {
 
 /// The finished cycle-attribution profile of one run.
 ///
-/// Returned by
-/// [`Simulation::run_with_profile`](crate::Simulation::run_with_profile)
-/// and [`Simulation::run_full_observed`](crate::Simulation::run_full_observed);
-/// empty (with `enabled == false`) when the configuration did not ask
-/// for profiling.
+/// Part of the [`Observation`](crate::Observation)
+/// [`Simulation::run_observed`](crate::Simulation::run_observed)
+/// returns; empty (with `enabled == false`) when the configuration did
+/// not ask for profiling.
 #[derive(Debug, Clone, Default)]
 pub struct CycleProfile {
     /// Whether the run profiled at all.
@@ -242,6 +297,60 @@ impl CycleProfile {
     /// Sum of every attributed cycle over all phases.
     pub fn attributed_total(&self) -> u64 {
         Phase::ALL.iter().map(|p| self.total(*p)).sum()
+    }
+
+    /// Checks the profile against the report of the same run of `cfg`:
+    /// the decision, queue-wait, throttled and migration totals equal
+    /// the report's cycle accounting, and each invocation counts once
+    /// in every phase of where it ran — decision always, local
+    /// execution for a local invocation, and for an off-load either the
+    /// throttled phase (under resource adaptation) or all five OS-core
+    /// phases, zero-cycle waits included.
+    pub fn reconcile(&self, cfg: &SystemConfig, report: &SimReport) -> Result<(), String> {
+        let b = &report.cycle_breakdown;
+        let adapted = cfg.resource_adaptation.is_some();
+        let total = |phase| self.total(phase);
+        let migrated = total(Phase::MigrationOut) + total(Phase::MigrationBack);
+        // Adaptation never migrates; the breakdown still charges the
+        // model's nominal cost, so only the profile's view is pinned.
+        let migration = if adapted { 0 } else { b.migration };
+        let totals = [
+            ("decision", total(Phase::Decision), b.decision),
+            ("queue-wait", total(Phase::QueueWait), b.queue_wait),
+            (
+                "throttled",
+                total(Phase::Throttled),
+                report.throttled_cycles,
+            ),
+            ("migration", migrated, migration),
+        ];
+        for (what, got, want) in totals {
+            if got != want {
+                return Err(format!("profile {what} total: {got} != report's {want}"));
+            }
+        }
+        let (throttled, on_os_core) = if adapted {
+            (report.offloads, 0)
+        } else {
+            (0, report.offloads)
+        };
+        let counts = [
+            (Phase::Decision, report.offloads + report.local_invocations),
+            (Phase::LocalExec, report.local_invocations),
+            (Phase::Throttled, throttled),
+            (Phase::MigrationOut, on_os_core),
+            (Phase::QueueWait, on_os_core),
+            (Phase::ColdPenalty, on_os_core),
+            (Phase::OsService, on_os_core),
+            (Phase::MigrationBack, on_os_core),
+        ];
+        for (phase, want) in counts {
+            let got = self.count(phase);
+            if got != want {
+                return Err(format!("profile {phase} count: {got} != report's {want}"));
+            }
+        }
+        Ok(())
     }
 
     /// Observation-clock samples of the cumulative per-phase totals,
@@ -299,7 +408,7 @@ mod tests {
     use super::*;
 
     fn sample() -> CycleProfile {
-        let mut p = CycleProfiler::new();
+        let mut p = CycleProfiler::new(0);
         p.record("user", Phase::UserExec, 500);
         p.record("read", Phase::Decision, 4);
         p.record("read", Phase::OsService, 300);
@@ -358,6 +467,54 @@ mod tests {
         let e = &p.epochs()[0];
         assert_eq!(e.epoch, 0);
         assert_eq!(e.attributed.iter().sum::<u64>(), p.attributed_total());
+    }
+
+    #[test]
+    fn invocation_spans_split_into_phases_that_sum_to_them() {
+        use osoffload_obs::Track;
+        let inv = |dur, decision, queue_delay, cold_penalty, placement| Event {
+            ts: 0,
+            dur,
+            track: Track::Thread(0),
+            kind: EventKind::Invocation {
+                name: "read",
+                trap: 0,
+                astate: 0,
+                predicted: None,
+                offloaded: placement != Placement::Local,
+                actual_len: 10,
+                queue_delay,
+                decision,
+                cold_penalty,
+                placement,
+            },
+        };
+        let mut p = CycleProfiler::new(100);
+        p.consume(&inv(1_000, 4, 30, 20, Placement::OsCore));
+        p.consume(&inv(50, 4, 0, 0, Placement::Local));
+        p.consume(&inv(70, 0, 0, 0, Placement::Throttled));
+        p.consume(&Event {
+            ts: 5_000,
+            dur: 0,
+            track: Track::Control,
+            kind: EventKind::Epoch {
+                index: 3,
+                l2_hit_rate: 0.5,
+            },
+        });
+        let p = p.finish();
+        assert_eq!(p.attributed_total(), 1_000 + 50 + 70);
+        assert_eq!(p.total(Phase::MigrationOut), 100);
+        assert_eq!(p.total(Phase::MigrationBack), 100);
+        assert_eq!(p.total(Phase::QueueWait), 30);
+        assert_eq!(p.total(Phase::ColdPenalty), 20);
+        assert_eq!(p.total(Phase::OsService), 1_000 - 4 - 200 - 30 - 20);
+        assert_eq!(p.total(Phase::LocalExec), 46);
+        assert_eq!(p.total(Phase::Throttled), 70);
+        assert_eq!(p.count(Phase::Decision), 3);
+        assert_eq!(p.count(Phase::QueueWait), 1);
+        let e = &p.epochs()[0];
+        assert_eq!((e.epoch, e.instructions, e.cycles), (3, 30, 5_000));
     }
 
     #[test]

@@ -23,11 +23,23 @@
 //! and branch-misprediction penalties; L1 hits are fully pipelined
 //! (zero *added* cycles), so a perfectly cache-resident thread retires
 //! one instruction per cycle, like the paper's in-order UltraSPARC cores.
+//!
+//! ## Observation
+//!
+//! Every user burst, invocation, migration leg, queue wait, OS-core
+//! service span, observation-epoch sample and tuner decision of the
+//! measured region is one [`Event`], emitted to the run's one
+//! observation handle. The handle is absent when the configuration
+//! observes nothing, so each emission site is one never-taken branch;
+//! otherwise each event is built once and handed to the telemetry ring,
+//! the per-invocation trace and the cycle profile, whichever the
+//! configuration enabled. [`Simulation::run_observed`] returns what
+//! they recorded as an [`Observation`].
 
 use crate::config::{PolicyKind, SystemConfig};
 use crate::metrics::{BinaryPoint, PredictorReport, QueueReport, SimReport};
 use crate::migration::OffloadMechanism;
-use crate::profile::{CycleProfile, CycleProfiler, Phase};
+use crate::observe::{Observation, Observer};
 use crate::topology::OsCorePool;
 use crate::trace::InvocationTrace;
 use osoffload_core::{
@@ -35,7 +47,7 @@ use osoffload_core::{
 };
 use osoffload_cpu::{ArchState, CoreParams, CoreState};
 use osoffload_mem::{Access, Address, CoreId, MemSnapshot, MemorySystem};
-use osoffload_obs::{Event, EventKind, MetricId, MetricsRegistry, RunTelemetry, Telemetry, Track};
+use osoffload_obs::{Event, EventKind, Placement, Track};
 use osoffload_sim::{
     alloc_audit, CancelToken, Cancelled, Counter, Cycle, EpochClock, EpochEvent, Instret, Rng64,
 };
@@ -107,34 +119,6 @@ enum InstrSource<'a> {
     Os(&'a OsInvocation),
 }
 
-/// Column handles into the telemetry metrics registry.
-#[derive(Clone, Copy)]
-struct MetricIds {
-    offloads: MetricId,
-    locals: MetricId,
-    overhead: MetricId,
-    queue_requests: MetricId,
-    queue_stalled: MetricId,
-    os_busy: MetricId,
-    os_share: MetricId,
-    l2_hit_rate: MetricId,
-    queue_mean_delay: MetricId,
-    queue_p95_delay: MetricId,
-    threshold: MetricId,
-}
-
-struct ObsMetrics {
-    reg: MetricsRegistry,
-    ids: MetricIds,
-    /// Per-OS-core busy-cycle counters (PR 6 topology stats), indexed
-    /// by pool position.
-    core_busy: Vec<MetricId>,
-    /// Per-OS-core utilisation gauges, indexed by pool position.
-    core_util: Vec<MetricId>,
-    /// Dispatches in flight at the sample instant.
-    queue_depth: MetricId,
-}
-
 /// One configured simulation run.
 ///
 /// # Examples
@@ -169,16 +153,9 @@ pub struct Simulation {
     tuner: Option<ThresholdTuner>,
     epoch: Option<EpochClock>,
     epoch_snapshot: MemSnapshot,
-    trace: InvocationTrace,
-    telemetry: Telemetry,
-    metrics: Option<ObsMetrics>,
-    profiler: Option<CycleProfiler>,
-    obs_clock: Option<EpochClock>,
-    obs_snapshot: MemSnapshot,
-    obs_epochs: u64,
-    /// Cycle the observed (measured) region began at; utilisation
-    /// gauges divide busy cycles by the window elapsed since it.
-    obs_start: Cycle,
+    /// The observation handle: `None` when the configuration observes
+    /// nothing, and until the measured region starts.
+    obs: Option<Box<Observer>>,
     offloads: Counter,
     locals: Counter,
     overhead_cycles: Counter,
@@ -283,18 +260,11 @@ impl Simulation {
                 cfg.dispatch,
                 cfg.os_cold_penalty,
             ),
-            trace: InvocationTrace::new(cfg.trace_capacity),
             tracker: BinaryAccuracyTracker::paper_grid(),
             tuner: cfg.tuner.clone().map(ThresholdTuner::new),
             epoch: None,
             epoch_snapshot: MemSnapshot::default(),
-            telemetry: Telemetry::off(),
-            metrics: None,
-            profiler: None,
-            obs_clock: None,
-            obs_snapshot: MemSnapshot::default(),
-            obs_epochs: 0,
-            obs_start: Cycle::ZERO,
+            obs: None,
             offloads: Counter::new(),
             locals: Counter::new(),
             overhead_cycles: Counter::new(),
@@ -362,10 +332,10 @@ impl Simulation {
     }
 
     /// The warm-up → measured transition: snapshots the warm-up
-    /// privileged fraction, resets statistics, rebuilds the trace,
-    /// arms the tuner and observation, and returns the cycle the
-    /// measured region starts at. All allocating setup happens here,
-    /// *before* the allocation-audited region.
+    /// privileged fraction, resets statistics, arms the tuner and the
+    /// observation handle, and returns the cycle the measured region
+    /// starts at. All allocating setup happens here, *before* the
+    /// allocation-audited region; warm-up is never observed.
     fn begin_measured(&mut self) -> Cycle {
         let warmup_priv_frac = if self.retired_total > Instret::ZERO {
             self.retired_priv.as_f64() / self.retired_total.as_f64()
@@ -373,68 +343,10 @@ impl Simulation {
             0.0
         };
         self.reset_statistics();
-        self.trace = InvocationTrace::new(self.cfg.trace_capacity);
         self.start_tuner(warmup_priv_frac);
-        self.start_observation();
-        self.max_clock()
-    }
-
-    /// Arms observation (telemetry and/or the profiler) for the
-    /// measured region: warm-up never records, so events, samples,
-    /// profiles, and overhead all cover measurement only.
-    fn start_observation(&mut self) {
-        self.telemetry = Telemetry::from_mode(self.cfg.telemetry, self.cfg.telemetry_capacity);
-        self.obs_epochs = 0;
-        self.obs_start = self.max_clock();
-        self.profiler = self.cfg.profiling.then(CycleProfiler::new);
-        if !self.telemetry.is_enabled() && self.profiler.is_none() {
-            self.obs_clock = None;
-            self.metrics = None;
-            return;
-        }
-        // Sample on an independent deterministic clock (~64 samples per
-        // run) so metric series exist with or without the tuner. The
-        // profiler shares this clock for its cumulative snapshots;
-        // boundary samples only *read* engine state, so arming the
-        // clock for a profiling-only run perturbs nothing.
-        let interval = (self.cfg.instructions / 64).max(1);
-        self.obs_clock = Some(EpochClock::new(Instret::new(interval)));
-        self.obs_snapshot = self.mem.snapshot();
-        if !self.telemetry.is_enabled() {
-            self.metrics = None;
-            return;
-        }
-        let mut reg = MetricsRegistry::new();
-        let ids = MetricIds {
-            offloads: reg.register_counter("offloads"),
-            locals: reg.register_counter("local_invocations"),
-            overhead: reg.register_counter("decision_overhead_cycles"),
-            queue_requests: reg.register_counter("queue_requests"),
-            queue_stalled: reg.register_counter("queue_stalled"),
-            os_busy: reg.register_counter("os_core_busy_cycles"),
-            os_share: reg.register_gauge("os_share"),
-            l2_hit_rate: reg.register_gauge("l2_hit_rate"),
-            queue_mean_delay: reg.register_gauge("queue_mean_delay"),
-            queue_p95_delay: reg.register_gauge("queue_p95_delay"),
-            threshold: reg.register_gauge("threshold"),
-        };
-        // PR 6's topology stats as epoch-sampled series: per-OS-core
-        // busy/utilisation plus the dispatch queue depth, so they show
-        // up in the Chrome-trace counter tracks and the metrics CSV.
-        let core_busy = (0..self.os_cores)
-            .map(|i| reg.register_counter(&format!("os_core{i}_busy_cycles")))
-            .collect();
-        let core_util = (0..self.os_cores)
-            .map(|i| reg.register_gauge(&format!("os_core{i}_utilisation")))
-            .collect();
-        let queue_depth = reg.register_gauge("dispatch_queue_depth");
-        self.metrics = Some(ObsMetrics {
-            reg,
-            ids,
-            core_busy,
-            core_util,
-            queue_depth,
-        });
+        let start = self.max_clock();
+        self.obs = Observer::for_config(&self.cfg, self.os_cores, &self.mem, start);
+        start
     }
 
     fn max_clock(&self) -> Cycle {
@@ -661,16 +573,22 @@ impl Simulation {
         self.cores[core_idx].add_busy(now - start);
         self.core_free[core_idx] = now;
         self.threads[t].clock = now;
-        if let Some(p) = self.profiler.as_mut() {
-            p.record("user", Phase::UserExec, (now - start).as_u64());
-        }
-        self.telemetry.emit_with(|| Event {
+        self.emit(|| Event {
             ts: start.as_u64(),
             dur: (now - start).as_u64(),
             track: Track::Thread(t),
             kind: EventKind::UserBurst { len },
         });
         self.account(len, false);
+    }
+
+    /// Hands the event `f` builds to the observation handle; an
+    /// unobserved run never calls `f`.
+    #[inline]
+    fn emit(&mut self, f: impl FnOnce() -> Event) {
+        if let Some(obs) = self.obs.as_deref_mut() {
+            obs.consume(f());
+        }
     }
 
     fn run_invocation(&mut self, t: usize, inv: OsInvocation) {
@@ -700,11 +618,9 @@ impl Simulation {
 
         let entry_start = self.threads[t].clock.max(self.core_free[core_idx]);
         let mut now = entry_start + decision.overhead_cycles;
-        let mut traced_queue_delay = 0u64;
-        let sys_name = inv.syscall.spec().name;
-        if let Some(p) = self.profiler.as_mut() {
-            p.record(sys_name, Phase::Decision, decision.overhead_cycles);
-        }
+        let mut queue_delay = 0u64;
+        let mut cold_penalty = 0u64;
+        let placement;
 
         if decision.offload && self.cfg.resource_adaptation.is_some() {
             // Li & John resource adaptation (§VI-B): the invocation runs
@@ -712,17 +628,16 @@ impl Simulation {
             // power, with no migration and no second cache.
             let slowdown = self.cfg.resource_adaptation.expect("checked");
             self.offloads.incr();
+            placement = Placement::Throttled;
             let throttle_start = now;
             now += self.run_batch(t, core_idx, len, InstrSource::Os(&inv), slowdown);
             self.throttled_cycles.add((now - throttle_start).as_u64());
-            if let Some(p) = self.profiler.as_mut() {
-                p.record(sys_name, Phase::Throttled, (now - throttle_start).as_u64());
-            }
             self.cores[core_idx].retire_privileged(len);
             self.cores[core_idx].add_busy(now - entry_start);
             self.core_free[core_idx] = now;
         } else if decision.offload && self.os_cores > 0 {
             self.offloads.incr();
+            placement = Placement::OsCore;
             self.cores[core_idx].add_busy(now - entry_start);
             match self.cfg.mechanism {
                 OffloadMechanism::ThreadMigration => {
@@ -744,11 +659,13 @@ impl Simulation {
                 }
             }
 
-            let arrival = now + self.cfg.migration.one_way();
+            let one_way = self.cfg.migration.one_way();
+            let arrival = now + one_way;
             let d = self.pool.dispatch(arrival, core_idx, entry.astate.as_u64());
             // OS core `d.core` of the pool lives at this physical index.
             let os_idx = self.cfg.user_cores + d.core;
-            traced_queue_delay = (d.start - arrival).as_u64();
+            queue_delay = (d.start - arrival).as_u64();
+            cold_penalty = d.warm_up.as_u64();
             let os_scale = self.cfg.os_core_slowdown_milli;
             let os_now = d.start
                 + d.warm_up
@@ -757,36 +674,21 @@ impl Simulation {
             self.pool.add_busy(d.core, os_now - d.start);
             self.cores[os_idx].retire_privileged(len);
             self.cores[os_idx].add_busy(os_now - d.start);
-            if let Some(p) = self.profiler.as_mut() {
-                p.record(sys_name, Phase::MigrationOut, (arrival - now).as_u64());
-                p.record(sys_name, Phase::QueueWait, traced_queue_delay);
-                p.record(sys_name, Phase::ColdPenalty, d.warm_up.as_u64());
-                p.record(
-                    sys_name,
-                    Phase::OsService,
-                    (os_now - d.start - d.warm_up).as_u64(),
-                );
-                p.record(
-                    sys_name,
-                    Phase::MigrationBack,
-                    self.cfg.migration.one_way().as_u64(),
-                );
-            }
-            self.telemetry.emit_with(|| Event {
+            self.emit(|| Event {
                 ts: now.as_u64(),
-                dur: (arrival - now).as_u64(),
+                dur: one_way.as_u64(),
                 track: Track::Thread(t),
                 kind: EventKind::Migration { outbound: true },
             });
-            if traced_queue_delay > 0 {
-                self.telemetry.emit_with(|| Event {
+            if queue_delay > 0 {
+                self.emit(|| Event {
                     ts: arrival.as_u64(),
-                    dur: traced_queue_delay,
+                    dur: queue_delay,
                     track: Track::Thread(t),
                     kind: EventKind::QueueWait,
                 });
             }
-            self.telemetry.emit_with(|| Event {
+            self.emit(|| Event {
                 ts: d.start.as_u64(),
                 dur: (os_now - d.start).as_u64(),
                 track: Track::Core(os_idx),
@@ -795,13 +697,13 @@ impl Simulation {
                     len,
                 },
             });
-            self.telemetry.emit_with(|| Event {
+            self.emit(|| Event {
                 ts: os_now.as_u64(),
-                dur: self.cfg.migration.one_way().as_u64(),
+                dur: one_way.as_u64(),
                 track: Track::Thread(t),
                 kind: EventKind::Migration { outbound: false },
             });
-            now = os_now + self.cfg.migration.one_way();
+            now = os_now + one_way;
             if self.cfg.mechanism == OffloadMechanism::ThreadMigration {
                 self.core_free[core_idx] = now;
             } else {
@@ -811,36 +713,30 @@ impl Simulation {
             }
         } else {
             self.locals.incr();
-            let local_start = now;
+            placement = Placement::Local;
             now += self.run_batch(t, core_idx, len, InstrSource::Os(&inv), 1_000);
-            if let Some(p) = self.profiler.as_mut() {
-                p.record(sys_name, Phase::LocalExec, (now - local_start).as_u64());
-            }
             self.cores[core_idx].retire_privileged(len);
             self.cores[core_idx].add_busy(now - entry_start);
             self.core_free[core_idx] = now;
         }
 
-        // One invocation event feeds both consumers: the per-invocation
-        // trace ring and the telemetry sink.
-        if self.trace.is_enabled() || self.telemetry.is_enabled() {
-            let event = Event {
-                ts: entry_start.as_u64(),
-                dur: (now - entry_start).as_u64(),
-                track: Track::Thread(t),
-                kind: EventKind::Invocation {
-                    name: inv.syscall.spec().name,
-                    trap: inv.syscall.trap_number(),
-                    astate: entry.astate.as_u64(),
-                    predicted: decision.prediction.map(|p| p.length),
-                    offloaded: decision.offload,
-                    actual_len: len,
-                    queue_delay: traced_queue_delay,
-                },
-            };
-            self.trace.consume(&event);
-            self.telemetry.emit_with(|| event);
-        }
+        self.emit(|| Event {
+            ts: entry_start.as_u64(),
+            dur: (now - entry_start).as_u64(),
+            track: Track::Thread(t),
+            kind: EventKind::Invocation {
+                name: inv.syscall.spec().name,
+                trap: inv.syscall.trap_number(),
+                astate: entry.astate.as_u64(),
+                predicted: decision.prediction.map(|p| p.length),
+                offloaded: decision.offload,
+                actual_len: len,
+                queue_delay,
+                decision: decision.overhead_cycles,
+                cold_penalty,
+                placement,
+            },
+        });
         self.threads[t].clock = now;
         self.policies[core_idx].complete(entry, &decision, len);
         self.threads[t].arch.exit_privileged();
@@ -891,9 +787,9 @@ impl Simulation {
             }
         }
         if let Some((directive, prev)) = decision {
-            if self.telemetry.is_enabled() {
+            if self.obs.is_some() {
                 let ts = self.max_clock().as_u64();
-                self.telemetry.emit_with(|| Event {
+                self.emit(|| Event {
                     ts,
                     dur: 0,
                     track: Track::Control,
@@ -907,13 +803,13 @@ impl Simulation {
         }
     }
 
-    /// The telemetry sampling clock: independent of the tuner's epoch so
+    /// The observation clock: independent of the tuner's epoch so
     /// metric series exist for every policy.
     fn observe_epoch(&mut self, n: u64) {
-        let Some(clock) = self.obs_clock.as_mut() else {
+        let Some(obs) = self.obs.as_deref_mut() else {
             return;
         };
-        let EpochEvent::Boundary { first, count } = clock.advance(Instret::new(n)) else {
+        let EpochEvent::Boundary { first, count } = obs.clock.advance(Instret::new(n)) else {
             return;
         };
         // A long segment can span several epochs; one sample covers them
@@ -921,16 +817,19 @@ impl Simulation {
         self.obs_sample(first + count - 1);
     }
 
-    /// Takes one epoch-boundary sample: snapshots the accumulators the
-    /// simulator already keeps (nothing is incremented on the hot path)
-    /// and emits the boundary instant.
+    /// Takes one epoch-boundary sample: emits the boundary instant and
+    /// snapshots the accumulators the simulator already keeps into the
+    /// telemetry metrics (nothing is incremented on the hot path).
     fn obs_sample(&mut self, index: u64) {
         let now = self.max_clock().as_u64();
         let snap = self.mem.snapshot();
-        let rate = snap.l2_hit_rate_since(&self.obs_snapshot);
-        self.obs_snapshot = snap;
-        self.obs_epochs += 1;
-        self.telemetry.emit_with(|| Event {
+        let obs = self
+            .obs
+            .as_deref_mut()
+            .expect("sampled on the observation clock");
+        let rate = snap.l2_hit_rate_since(&obs.snapshot);
+        obs.snapshot = snap;
+        obs.consume(Event {
             ts: now,
             dur: 0,
             track: Track::Control,
@@ -939,6 +838,10 @@ impl Simulation {
                 l2_hit_rate: rate,
             },
         });
+        let window = now.saturating_sub(obs.start.as_u64());
+        let Some(m) = obs.metrics() else {
+            return;
+        };
         let threshold = self
             .policies
             .first()
@@ -951,37 +854,29 @@ impl Simulation {
         };
         let queue_mean = self.pool.queue_delay().mean();
         let queue_p95 = self.pool.queue_delay_hist().quantile(95.0) as f64;
-        let instructions = self.retired_total.as_u64();
-        if let Some(obs) = self.metrics.as_mut() {
-            let ids = obs.ids;
-            obs.reg.set(ids.offloads, self.offloads.get() as f64);
-            obs.reg.set(ids.locals, self.locals.get() as f64);
-            obs.reg.set(ids.overhead, self.overhead_cycles.get() as f64);
-            obs.reg.set(ids.queue_requests, self.pool.requests() as f64);
-            obs.reg.set(ids.queue_stalled, self.pool.stalled() as f64);
-            obs.reg.set(ids.os_busy, self.pool.busy().as_f64());
-            obs.reg.set(ids.os_share, os_share);
-            obs.reg.set(ids.l2_hit_rate, rate);
-            obs.reg.set(ids.queue_mean_delay, queue_mean);
-            obs.reg.set(ids.queue_p95_delay, queue_p95);
-            obs.reg.set(ids.threshold, threshold);
-            let window = now.saturating_sub(self.obs_start.as_u64());
-            for i in 0..self.os_cores {
-                let busy = self.pool.core_busy(i).as_f64();
-                obs.reg.set(obs.core_busy[i], busy);
-                let util = if window == 0 {
-                    0.0
-                } else {
-                    (busy / window as f64).min(1.0)
-                };
-                obs.reg.set(obs.core_util[i], util);
-            }
-            obs.reg.set(obs.queue_depth, self.pool.in_flight() as f64);
-            obs.reg.commit_sample(index, instructions, now);
+        m.reg.set(m.offloads, self.offloads.get() as f64);
+        m.reg.set(m.locals, self.locals.get() as f64);
+        m.reg.set(m.overhead, self.overhead_cycles.get() as f64);
+        m.reg.set(m.queue_requests, self.pool.requests() as f64);
+        m.reg.set(m.queue_stalled, self.pool.stalled() as f64);
+        m.reg.set(m.os_busy, self.pool.busy().as_f64());
+        m.reg.set(m.os_share, os_share);
+        m.reg.set(m.l2_hit_rate, rate);
+        m.reg.set(m.queue_mean_delay, queue_mean);
+        m.reg.set(m.queue_p95_delay, queue_p95);
+        m.reg.set(m.threshold, threshold);
+        for i in 0..self.os_cores {
+            let busy = self.pool.core_busy(i).as_f64();
+            m.reg.set(m.core_busy[i], busy);
+            let util = if window == 0 {
+                0.0
+            } else {
+                (busy / window as f64).min(1.0)
+            };
+            m.reg.set(m.core_util[i], util);
         }
-        if let Some(p) = self.profiler.as_mut() {
-            p.epoch_sample(index, instructions, now);
-        }
+        m.reg.set(m.queue_depth, self.pool.in_flight() as f64);
+        m.reg.commit_sample(index, self.retired_total.as_u64(), now);
     }
 
     fn merged_predictor_stats(&self) -> Option<PredictorStats> {
@@ -1163,87 +1058,45 @@ impl Simulation {
         }
     }
 
-    /// Runs to completion and returns both the report and the
-    /// per-invocation trace (enable recording with
-    /// [`SystemConfigBuilder::trace`](crate::config::SystemConfigBuilder::trace)).
-    pub fn run_traced(mut self) -> (SimReport, InvocationTrace) {
-        let measured_start = self.run_core();
-        let report = self.build_report(measured_start);
-        (report, self.trace)
-    }
-
-    /// Runs to completion and returns both the report and the tuner log.
-    pub fn run_with_tuner_trace(mut self) -> (SimReport, Vec<osoffload_core::TunerEvent>) {
-        let measured_start = self.run_core();
-        let report = self.build_report(measured_start);
-        let trace = self
-            .tuner
-            .as_ref()
-            .map(|t| t.history().to_vec())
-            .unwrap_or_default();
-        (report, trace)
-    }
-
-    /// Runs to completion and returns the report plus the recorded
-    /// telemetry (enable with
-    /// [`SystemConfigBuilder::telemetry`](crate::config::SystemConfigBuilder::telemetry)).
+    /// Runs to completion and returns the report plus everything the
+    /// configuration observed: telemetry (enable with
+    /// [`SystemConfigBuilder::telemetry`](crate::config::SystemConfigBuilder::telemetry)),
+    /// the cycle-attribution profile
+    /// ([`profiling`](crate::config::SystemConfigBuilder::profiling)),
+    /// the per-invocation trace
+    /// ([`trace`](crate::config::SystemConfigBuilder::trace)) and the
+    /// tuner's decision log.
     ///
-    /// Telemetry is purely observational: the report is identical to the
+    /// Observing never changes the run: the report is identical to the
     /// one [`run`](Self::run) produces for the same configuration and
-    /// seed, whatever the telemetry mode.
-    pub fn run_with_telemetry(self) -> (SimReport, RunTelemetry) {
-        let (report, telemetry, _) = self.run_full_observed();
-        (report, telemetry)
-    }
-
-    /// Runs to completion and returns the report plus the
-    /// cycle-attribution profile (enable with
-    /// [`SystemConfigBuilder::profiling`](crate::config::SystemConfigBuilder::profiling)).
-    ///
-    /// Profiling shares telemetry's observational contract: the report
-    /// is identical to [`run`](Self::run)'s for the same configuration
-    /// and seed, profiler on or off.
-    pub fn run_with_profile(self) -> (SimReport, CycleProfile) {
-        let (report, _, profile) = self.run_full_observed();
-        (report, profile)
-    }
-
-    /// Runs to completion and returns every observation artifact at
-    /// once: the report, the recorded telemetry, and the
-    /// cycle-attribution profile. The single run method behind
-    /// [`run_with_telemetry`](Self::run_with_telemetry) and
-    /// [`run_with_profile`](Self::run_with_profile); use it directly
-    /// when both layers are enabled so one simulation pays for both.
-    pub fn run_full_observed(mut self) -> (SimReport, RunTelemetry, CycleProfile) {
+    /// seed, whatever it observes.
+    pub fn run_observed(mut self) -> (SimReport, Observation) {
         let measured_start = self.run_core();
         let report = self.build_report(measured_start);
-        let mode = self.telemetry.mode();
-        let events_seen = self.telemetry.seen();
-        let events_dropped = self.telemetry.dropped();
-        let events = self.telemetry.take_events();
-        let metrics = self.metrics.take().map(|m| m.reg).unwrap_or_default();
-        let profile = self
-            .profiler
-            .take()
-            .map(CycleProfiler::finish)
-            .unwrap_or_default();
+        let observation = self.obs.take().map(|o| o.finish()).unwrap_or_default();
+        let tuner = self.tuner.as_ref().map(|t| t.history().to_vec());
+        let tuner = tuner.unwrap_or_default();
         (
             report,
-            RunTelemetry {
-                events,
-                events_seen,
-                events_dropped,
-                metrics,
-                mode,
+            Observation {
+                tuner,
+                ..observation
             },
-            profile,
         )
+    }
+
+    /// [`run_observed`](Self::run_observed)'s report and
+    /// per-invocation trace.
+    pub fn run_traced(self) -> (SimReport, InvocationTrace) {
+        let (report, observation) = self.run_observed();
+        (report, observation.trace)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::profile::Phase;
     use osoffload_core::TunerConfig;
     use osoffload_workload::Profile;
 
@@ -1368,9 +1221,9 @@ mod tests {
     fn tuner_runs_and_logs_events() {
         let mut cfg = small(PolicyKind::HardwarePredictor { threshold: 1_000 }, 100);
         cfg.tuner = Some(TunerConfig::scaled_down(2_000)); // 12.5K-insn samples
-        let (report, trace) = Simulation::new(cfg).run_with_tuner_trace();
+        let (report, observation) = Simulation::new(cfg).run_observed();
         assert!(report.tuner_events > 0, "tuner never fired");
-        assert!(!trace.is_empty());
+        assert_eq!(observation.tuner.len(), report.tuner_events);
         assert!(report.final_threshold.is_some());
     }
 
@@ -1431,7 +1284,7 @@ mod tests {
         let run = |mode: TelemetryMode| {
             let mut cfg = small(PolicyKind::HardwarePredictor { threshold: 500 }, 1_000);
             cfg.telemetry = mode;
-            Simulation::new(cfg).run_with_telemetry().0
+            Simulation::new(cfg).run_observed().0
         };
         let off = run(TelemetryMode::Off);
         let full = run(TelemetryMode::Full);
@@ -1451,7 +1304,8 @@ mod tests {
         let mut cfg = small(PolicyKind::HardwarePredictor { threshold: 500 }, 1_000);
         cfg.telemetry = TelemetryMode::Full;
         cfg.tuner = Some(osoffload_core::TunerConfig::scaled_down(2_000));
-        let (report, telemetry) = Simulation::new(cfg).run_with_telemetry();
+        let (report, observation) = Simulation::new(cfg).run_observed();
+        let telemetry = observation.telemetry;
         assert_eq!(telemetry.mode, TelemetryMode::Full);
         assert!(telemetry.events_seen > 0);
         let count =
@@ -1496,55 +1350,69 @@ mod tests {
         .run();
         let mut cfg = small(PolicyKind::HardwarePredictor { threshold: 500 }, 1_000);
         cfg.profiling = true;
-        let (profiled, profile) = Simulation::new(cfg.clone()).run_with_profile();
+        let (profiled, observation) = Simulation::new(cfg.clone()).run_observed();
         assert_eq!(plain, profiled, "profiling changed the simulation");
-        assert!(profile.enabled);
-        // Both observation layers on at once must also be a no-op.
+        assert!(observation.profile.enabled);
+        assert!(observation.telemetry.metrics.metrics().is_empty());
+        assert!(observation.telemetry.events.is_empty());
+        // Every observation layer on at once must also be a no-op.
         cfg.telemetry = TelemetryMode::Full;
-        let (both, telemetry, profile2) = Simulation::new(cfg).run_full_observed();
-        assert_eq!(plain, both, "profiling + telemetry changed the simulation");
-        assert!(telemetry.events_seen > 0);
-        assert_eq!(profile.to_collapsed(), profile2.to_collapsed());
+        cfg.trace_capacity = 1 << 14;
+        let (all, observed) = Simulation::new(cfg).run_observed();
+        assert_eq!(
+            plain, all,
+            "profiling + telemetry + trace changed the simulation"
+        );
+        assert!(observed.telemetry.events_seen > 0);
+        assert_eq!(
+            observation.profile.to_collapsed(),
+            observed.profile.to_collapsed()
+        );
     }
 
     #[test]
     fn profile_reconciles_with_the_cycle_breakdown() {
-        let mut cfg = small(PolicyKind::HardwarePredictor { threshold: 500 }, 1_000);
-        cfg.instructions = 200_000;
-        cfg.warmup = 100_000;
-        cfg.profiling = true;
-        let (r, p) = Simulation::new(cfg).run_with_profile();
-        assert!(r.offloads > 0 && r.local_invocations > 0);
-        assert_eq!(p.total(Phase::Decision), r.cycle_breakdown.decision);
-        assert_eq!(
-            p.total(Phase::MigrationOut) + p.total(Phase::MigrationBack),
-            r.cycle_breakdown.migration
-        );
-        assert_eq!(p.total(Phase::QueueWait), r.cycle_breakdown.queue_wait);
-        assert_eq!(
-            p.count(Phase::Decision),
-            r.offloads + r.local_invocations,
-            "every invocation is attributed exactly once"
-        );
-        assert_eq!(p.total(Phase::Throttled), r.throttled_cycles);
-        assert!(p.total(Phase::UserExec) > 0);
-        // Exports are non-empty and byte-stable across identical runs.
-        let collapsed = p.to_collapsed();
-        assert!(collapsed.contains(";os-service "), "{collapsed}");
-        assert!(collapsed.contains("user;user-exec "), "{collapsed}");
-        assert!(!p.top_table(5).is_empty());
-        assert!(!p.epochs().is_empty());
-    }
-
-    #[test]
-    fn profiling_a_run_without_telemetry_keeps_metrics_empty() {
-        let mut cfg = small(PolicyKind::HardwarePredictor { threshold: 500 }, 1_000);
-        cfg.profiling = true;
-        let (_, telemetry, profile) = Simulation::new(cfg).run_full_observed();
-        assert!(telemetry.metrics.metrics().is_empty());
-        assert!(telemetry.events.is_empty());
-        assert!(profile.enabled);
-        assert!(profile.attributed_total() > 0);
+        use crate::topology::DispatchPolicy;
+        let hi = |profile: Profile| {
+            let mut cfg = small(PolicyKind::HardwarePredictor { threshold: 100 }, 1_000);
+            cfg.profile = profile;
+            cfg.instructions = 200_000;
+            cfg.warmup = 100_000;
+            cfg.profiling = true;
+            cfg
+        };
+        let mut adapted = hi(Profile::apache());
+        adapted.resource_adaptation = Some(1_250);
+        let mut remote = hi(Profile::specjbb());
+        remote.mechanism = OffloadMechanism::RemoteCall;
+        let affinity = SystemConfig::builder()
+            .profile(Profile::apache())
+            .policy(PolicyKind::HardwarePredictor { threshold: 100 })
+            .migration_latency(1_000)
+            .user_cores(4)
+            .os_cores(2)
+            .dispatch(DispatchPolicy::AStateAffinity)
+            .os_cold_penalty(300)
+            .instructions(200_000)
+            .warmup(50_000)
+            .seed(5)
+            .profiling(true)
+            .build();
+        for cfg in [hi(Profile::apache()), adapted, remote, affinity] {
+            let (r, observation) = Simulation::new(cfg.clone()).run_observed();
+            let p = observation.profile;
+            assert!(r.offloads > 0 && r.local_invocations > 0);
+            if let Err(e) = p.reconcile(&cfg, &r) {
+                panic!("{} {}: {e}", cfg.profile.name, cfg.policy.label());
+            }
+            assert_eq!(p.total(Phase::ColdPenalty) > 0, cfg.os_cold_penalty > 0);
+            assert!(p.total(Phase::UserExec) > 0);
+            // Exports are non-empty.
+            let collapsed = p.to_collapsed();
+            assert!(collapsed.contains("user;user-exec "), "{collapsed}");
+            assert!(!p.top_table(5).is_empty());
+            assert!(!p.epochs().is_empty());
+        }
     }
 
     #[test]
@@ -1553,20 +1421,34 @@ mod tests {
         let mut cfg = small(PolicyKind::HardwarePredictor { threshold: 500 }, 1_000);
         cfg.trace_capacity = 1 << 14;
         cfg.telemetry = TelemetryMode::Full;
-        cfg.telemetry_capacity = 1 << 20;
-        let (report, trace) = Simulation::new(cfg.clone()).run_traced();
-        let (report2, telemetry) = Simulation::new(cfg).run_with_telemetry();
+        let (report, observation) = Simulation::new(cfg.clone()).run_observed();
+        let (report2, trace) = Simulation::new(cfg).run_traced();
         assert_eq!(report, report2);
-        let invocation_events = telemetry
+        assert_eq!(trace.to_csv(), observation.trace.to_csv());
+        assert_eq!(observation.telemetry.events_dropped, 0);
+        let records: Vec<_> = observation
+            .telemetry
             .events
             .iter()
-            .filter(|e| matches!(e.kind, osoffload_obs::EventKind::Invocation { .. }))
-            .count();
+            .filter_map(crate::trace::InvocationRecord::from_event)
+            .collect();
+        assert_eq!(trace.dropped(), 0);
         assert_eq!(
-            trace.len() as u64 + trace.dropped(),
-            invocation_events as u64,
-            "trace ring and event stream disagree on invocation count"
+            records.len() as u64,
+            report.offloads + report.local_invocations
         );
+        assert!(
+            trace.iter().eq(records.iter()),
+            "trace ring and event stream disagree"
+        );
+    }
+
+    #[test]
+    fn unobserved_run_never_builds_an_event() {
+        let mut sim = Simulation::new(small(PolicyKind::Baseline, 0));
+        sim.begin_measured();
+        assert!(sim.obs.is_none());
+        sim.emit(|| unreachable!("the event must not be built when nothing observes"));
     }
 
     #[test]

@@ -1,23 +1,25 @@
 //! Per-invocation event tracing.
 //!
 //! When enabled ([`SystemConfig::builder().trace(capacity)`]), the
-//! simulator records one [`InvocationRecord`] per privileged invocation —
-//! the AState it entered with, the prediction, the decision, where it
-//! ran, and what it cost. The trace is the ground truth behind every
-//! aggregate the reports show; exporting it as CSV makes off-line
-//! analysis (spreadsheets, pandas, gnuplot) trivial.
+//! simulation's observation handle hands every event of the measured
+//! region to an [`InvocationTrace`], which keeps one
+//! [`InvocationRecord`] per `Invocation` event — the AState it entered
+//! with, the prediction, the decision, where it ran, and what it cost.
+//! The trace is the ground truth behind every aggregate the reports
+//! show; exporting it as CSV makes off-line analysis (spreadsheets,
+//! pandas, gnuplot) trivial. Because it reads the same events as the
+//! Chrome trace and the cycle profile, the three cannot disagree.
 //!
-//! The buffer is a bounded ring: the newest `capacity` records win and
-//! the number of evicted records is reported, so tracing never changes a
-//! run's memory footprint unpredictably.
+//! The records live in a [`BoundedRing`]: the newest `capacity` win
+//! and the number of evicted records is reported, so tracing never
+//! changes a run's memory footprint unpredictably.
 //!
 //! [`SystemConfig::builder().trace(capacity)`]: crate::config::SystemConfigBuilder::trace
 
 use core::fmt;
-use osoffload_obs::{csv, Event, EventKind, Track};
+use osoffload_obs::{csv, BoundedRing, Event, EventKind, Track};
 use osoffload_workload::SyscallId;
 use std::collections::BTreeMap;
-use std::collections::VecDeque;
 
 /// One privileged invocation, as the simulator executed it.
 #[derive(Debug, Clone, PartialEq)]
@@ -143,9 +145,7 @@ pub struct SyscallSummary {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct InvocationTrace {
-    ring: VecDeque<InvocationRecord>,
-    capacity: usize,
-    dropped: u64,
+    ring: BoundedRing<InvocationRecord>,
 }
 
 impl InvocationTrace {
@@ -153,36 +153,26 @@ impl InvocationTrace {
     /// recording entirely).
     pub fn new(capacity: usize) -> Self {
         InvocationTrace {
-            ring: VecDeque::with_capacity(capacity.min(1 << 20)),
-            capacity,
-            dropped: 0,
+            ring: BoundedRing::new(capacity),
         }
     }
 
     /// Whether recording is enabled.
     pub fn is_enabled(&self) -> bool {
-        self.capacity > 0
+        self.ring.capacity() > 0
     }
 
     /// Appends a record, evicting the oldest when full.
     pub fn record(&mut self, r: InvocationRecord) {
-        if self.capacity == 0 {
-            return;
+        if self.is_enabled() {
+            self.ring.push(r);
         }
-        if self.ring.len() == self.capacity {
-            self.ring.pop_front();
-            self.dropped += 1;
-        }
-        self.ring.push_back(r);
     }
 
     /// Records the invocation described by a telemetry event, ignoring
     /// every other event kind — this makes the trace a consumer of the
     /// unified event stream rather than a parallel recording path.
     pub fn consume(&mut self, ev: &Event) {
-        if self.capacity == 0 {
-            return;
-        }
         if let Some(r) = InvocationRecord::from_event(ev) {
             self.record(r);
         }
@@ -200,7 +190,7 @@ impl InvocationTrace {
 
     /// Records evicted because the ring was full.
     pub fn dropped(&self) -> u64 {
-        self.dropped
+        self.ring.dropped()
     }
 
     /// Iterates over the retained records, oldest first.
@@ -213,7 +203,7 @@ impl InvocationTrace {
         let mut out = String::with_capacity(64 * (self.ring.len() + 1));
         out.push_str(InvocationRecord::CSV_HEADER);
         out.push('\n');
-        for r in &self.ring {
+        for r in self.ring.iter() {
             out.push_str(&r.to_csv_row());
             out.push('\n');
         }
@@ -233,7 +223,7 @@ impl InvocationTrace {
             cyc_sum: f64,
         }
         let mut by_syscall: BTreeMap<SyscallId, Acc> = BTreeMap::new();
-        for r in &self.ring {
+        for r in self.ring.iter() {
             let a = by_syscall.entry(r.syscall).or_default();
             a.count += 1;
             a.offloaded += u64::from(r.offloaded);
@@ -270,8 +260,8 @@ impl fmt::Display for InvocationTrace {
             f,
             "{} records retained ({} dropped, capacity {})",
             self.ring.len(),
-            self.dropped,
-            self.capacity
+            self.ring.dropped(),
+            self.ring.capacity()
         )
     }
 }
@@ -440,6 +430,9 @@ mod tests {
                 offloaded: true,
                 actual_len: 70,
                 queue_delay: 5,
+                decision: 4,
+                cold_penalty: 0,
+                placement: osoffload_obs::Placement::OsCore,
             },
         };
         let mut t = InvocationTrace::new(4);

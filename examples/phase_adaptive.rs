@@ -26,7 +26,8 @@ fn main() {
         .tuner(TunerConfig::scaled_down(1_000)) // 25K-instruction samples
         .build();
 
-    let (report, trace) = Simulation::new(cfg).run_with_tuner_trace();
+    let (report, observation) = Simulation::new(cfg).run_observed();
+    let trace = observation.tuner;
 
     println!("apache -> derby phase change at 1.5 M instructions\n");
     println!("{:<7} {:>8} {:>14}", "epoch", "N", "L2 hit rate");

@@ -32,7 +32,8 @@ fn main() {
         .tuner(tuner)
         .build();
 
-    let (report, trace) = Simulation::new(cfg).run_with_tuner_trace();
+    let (report, observation) = Simulation::new(cfg).run_observed();
+    let trace = observation.tuner;
 
     println!("dynamic-N estimator on {}:\n", profile.name);
     println!("{:<7} {:>8} {:>14}", "epoch", "N", "L2 hit rate");

@@ -275,7 +275,8 @@ fn tuner_adapts_across_a_program_phase_change() {
         .seed(0xAB)
         .tuner(TunerConfig::scaled_down(1_000)) // 25K-insn samples
         .build();
-    let (report, trace) = Simulation::new(cfg).run_with_tuner_trace();
+    let (report, observation) = Simulation::new(cfg).run_observed();
+    let trace = observation.tuner;
     assert!(
         trace.len() > 10,
         "tuner must keep sampling: {} events",
