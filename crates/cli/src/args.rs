@@ -1,15 +1,42 @@
 //! Hand-rolled argument parsing for the `osoffload` binary.
 //!
-//! Kept dependency-free on purpose: the parser is a couple of hundred
-//! lines, fully unit-tested, and easier to audit than a derive macro.
+//! Every subcommand shares one grammar: a flag is `--name=value` or a
+//! bare `--name`, and a name means the same thing wherever it appears.
+//! [`split`] separates a subcommand's flags from its positional words,
+//! and the typed value parsers on [`Flag`] parse a value into its
+//! field's own type, so an out-of-range number is refused with the
+//! flag's name instead of wrapping. Each subcommand starts from its
+//! options type's own `Default` ([`RunnerOptions`], [`ServeOptions`],
+//! [`RetryPolicy`], [`RunArgs`]) and sets only the fields its flags name.
+//!
+//! Kept dependency-free on purpose: the parser is a few hundred lines,
+//! fully unit-tested, and easier to audit than a derive macro.
 
+use crate::experiments::{Experiment, EXPERIMENTS};
+use osoffload_runner::RunnerOptions;
+use osoffload_serve::client::RetryPolicy;
+use osoffload_serve::{ChaosConfig, ServeOptions, DEFAULT_PORT};
+use osoffload_system::experiments::Scale;
 use osoffload_system::PolicyKind;
 use osoffload_workload::Profile;
 use std::fmt;
+use std::num::{IntErrorKind, ParseIntError};
+use std::path::PathBuf;
+use std::str::FromStr;
 
 /// Which subcommand was requested.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub enum Command {
+    /// `osoffload <experiment> [quick|full|paper] …` — one registry entry
+    /// through the parallel runner.
+    Experiment {
+        /// The registry entry.
+        experiment: &'static Experiment,
+        /// Simulation length preset.
+        scale: Scale,
+        /// Runner flags.
+        opts: RunnerOptions,
+    },
     /// `osoffload run …` — one simulation, full report.
     Run(RunArgs),
     /// `osoffload compare …` — baseline vs SI vs DI vs HI.
@@ -31,8 +58,8 @@ pub enum Command {
 /// Parameters shared by the simulation subcommands.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunArgs {
-    /// Workload profile name.
-    pub profile: String,
+    /// Workload profile.
+    pub workload: Profile,
     /// Decision policy.
     pub policy: PolicyKind,
     /// One-way migration latency in cycles.
@@ -58,13 +85,13 @@ pub struct RunArgs {
     /// Capture full telemetry (spans + epoch metrics) during the run.
     pub telemetry: bool,
     /// Directory for telemetry files (implies `telemetry`).
-    pub trace_out: Option<String>,
+    pub trace_out: Option<PathBuf>,
 }
 
 impl Default for RunArgs {
     fn default() -> Self {
         RunArgs {
-            profile: "apache".to_string(),
+            workload: Profile::apache(),
             policy: PolicyKind::HardwarePredictor { threshold: 500 },
             latency: 1_000,
             instructions: 1_000_000,
@@ -115,57 +142,21 @@ pub enum InspectArgs {
 }
 
 /// What `osoffload serve` should do.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub enum ServeArgs {
     /// `serve start …` — boot the daemon (foreground).
-    Start {
-        /// Listening port (`0` = ephemeral; the daemon prints the bound
-        /// address).
-        port: u16,
-        /// Cache WAL path.
-        cache: String,
-        /// Output directory for archives and metrics.
-        out: String,
-        /// Worker threads per sweep (`0` = auto).
-        workers: usize,
-        /// Retries per failing point.
-        retries: u32,
-        /// Maximum cached entries (`0` = unbounded).
-        cache_max: usize,
-        /// Cache entry TTL in virtual seconds (`0` = no age limit).
-        cache_ttl_secs: u64,
-        /// Concurrent submissions executed at once.
-        submit_slots: usize,
-        /// Submissions allowed to queue behind the running ones.
-        admit_queue: usize,
-        /// Connection-handling threads (`0` = auto).
-        conn_workers: usize,
-        /// Socket read timeout in milliseconds (positive).
-        read_timeout_ms: u64,
-        /// Socket write timeout in milliseconds (positive).
-        write_timeout_ms: u64,
-        /// Per-request deadline in milliseconds (`0` = none).
-        request_deadline_ms: u64,
-        /// Maximum request line length in bytes (positive).
-        max_line_bytes: usize,
-        /// Fault-injection seed (chaos testing).
-        inject_faults: Option<u64>,
-        /// Suppress stderr chatter.
-        quiet: bool,
-    },
+    Start(ServeOptions),
     /// `serve submit …` — submit the fig4 sweep and stream progress.
     Submit {
         /// Daemon port.
         port: u16,
-        /// fig4 scale: `quick`, `full`, or `paper`.
-        fig4: String,
+        /// fig4 scale.
+        fig4: Scale,
         /// Exit 4 unless every point was served from cache.
         require_cached: bool,
         /// Retries of retryable refusals (`overloaded`/`draining`) and
-        /// transport failures.
-        retries: u32,
-        /// Base backoff between retries in milliseconds.
-        backoff_ms: u64,
+        /// transport failures; the jitter seed is the plan's.
+        retry: RetryPolicy,
         /// Suppress per-point progress lines.
         quiet: bool,
     },
@@ -178,10 +169,10 @@ pub enum ServeArgs {
         upstream: u16,
         /// Fault-plan master seed.
         seed: u64,
-        /// Per-direction fault probability, in percent.
-        fault_pct: u32,
+        /// Fault planner settings.
+        chaos: ChaosConfig,
         /// Fault log file (one line per injected fault).
-        log: Option<String>,
+        log: Option<PathBuf>,
     },
     /// `serve ping` — liveness check.
     Ping {
@@ -216,75 +207,347 @@ fn err(msg: impl Into<String>) -> ParseArgsError {
     ParseArgsError(msg.into())
 }
 
-fn parse_u64(flag: &str, v: Option<&str>) -> Result<u64, ParseArgsError> {
-    let v = v.ok_or_else(|| err(format!("{flag} needs a value")))?;
-    v.replace('_', "")
-        .parse()
-        .map_err(|_| err(format!("{flag}: '{v}' is not a number")))
+/// One `--name[=value]` flag of a command line.
+#[derive(Debug, Clone, Copy)]
+struct Flag<'a> {
+    name: &'a str,
+    value: Option<&'a str>,
 }
 
-/// Parses the policy spec: `baseline`, `always`, `hi[:N]`, `hi-dm[:N]`,
-/// `di[:N[:COST]]`, `si[:STUB]`, `oracle[:N]`.
+impl<'a> Flag<'a> {
+    fn unknown(self) -> ParseArgsError {
+        err(format!("unknown flag '--{}'", self.name))
+    }
+
+    /// A flag that takes no value.
+    fn switch(self) -> Result<bool, ParseArgsError> {
+        match self.value {
+            None => Ok(true),
+            Some(_) => Err(err(format!("--{} takes no value", self.name))),
+        }
+    }
+
+    /// The flag's `=value`.
+    fn text(self) -> Result<&'a str, ParseArgsError> {
+        self.value
+            .ok_or_else(|| err(format!("--{0} needs a value: --{0}=VALUE", self.name)))
+    }
+
+    fn path(self) -> Result<PathBuf, ParseArgsError> {
+        self.text().map(PathBuf::from)
+    }
+
+    /// An integer in the field's own type.
+    fn num<T: FromStr<Err = ParseIntError>>(self) -> Result<T, ParseArgsError> {
+        int(&format!("--{}", self.name), self.text()?)
+    }
+
+    /// A positive integer, for flags where `0` would disable the
+    /// protection the flag configures.
+    fn positive<T: FromStr<Err = ParseIntError> + Default + PartialEq>(
+        self,
+    ) -> Result<T, ParseArgsError> {
+        let n = self.num()?;
+        if n == T::default() {
+            return Err(err(format!("--{} must be positive", self.name)));
+        }
+        Ok(n)
+    }
+}
+
+/// Parses an integer into `T`, allowing `_` digit separators; `what`
+/// names the flag or spec the value came from.
+fn int<T: FromStr<Err = ParseIntError>>(what: &str, v: &str) -> Result<T, ParseArgsError> {
+    v.replace('_', "").parse().map_err(|e: ParseIntError| {
+        let why = match e.kind() {
+            IntErrorKind::PosOverflow | IntErrorKind::NegOverflow => "is out of range",
+            _ => "is not a number",
+        };
+        err(format!("{what}: '{v}' {why}"))
+    })
+}
+
+/// Splits a subcommand's arguments into its `--name[=value]` flags and
+/// its positional words. Any other argument that starts with `-` (a
+/// short flag such as `-p` or `-j4`) is refused here.
+fn split(args: &[String]) -> Result<(Vec<Flag<'_>>, Vec<&str>), ParseArgsError> {
+    let mut flags = Vec::new();
+    let mut words = Vec::new();
+    for arg in args {
+        if let Some(flag) = arg.strip_prefix("--") {
+            let (name, value) = match flag.split_once('=') {
+                Some((name, value)) => (name, Some(value)),
+                None => (flag, None),
+            };
+            flags.push(Flag { name, value });
+        } else if arg.starts_with('-') {
+            return Err(err(format!("unknown flag '{arg}'")));
+        } else {
+            words.push(arg.as_str());
+        }
+    }
+    Ok((flags, words))
+}
+
+/// Refuses positional words where a subcommand takes none.
+fn no_words(words: &[&str]) -> Result<(), ParseArgsError> {
+    match words.first() {
+        Some(word) => Err(err(format!("unexpected argument '{word}'"))),
+        None => Ok(()),
+    }
+}
+
+/// One `--policy` spec: its name (the `kind` the configuration codec
+/// writes), the `:`-separated parameters it takes with their defaults,
+/// and the policy they build.
+struct PolicySpec {
+    kind: &'static str,
+    params: &'static str,
+    defaults: &'static [u64],
+    about: &'static str,
+    make: fn(&[u64]) -> PolicyKind,
+}
+
+/// Every policy the command line accepts; `parse_policy`, `list` and
+/// the usage text all read this table.
+const POLICIES: &[PolicySpec] = &[
+    PolicySpec {
+        kind: "baseline",
+        params: "",
+        defaults: &[],
+        about: "no off-loading (single core)",
+        make: |_| PolicyKind::Baseline,
+    },
+    PolicySpec {
+        kind: "always",
+        params: "",
+        defaults: &[],
+        about: "off-load every privileged invocation",
+        make: |_| PolicyKind::AlwaysOffload,
+    },
+    PolicySpec {
+        kind: "hi",
+        params: "[:N]",
+        defaults: &[500],
+        about: "hardware predictor, 200-entry CAM (the paper's scheme)",
+        make: |p| PolicyKind::HardwarePredictor { threshold: p[0] },
+    },
+    PolicySpec {
+        kind: "hi-dm",
+        params: "[:N]",
+        defaults: &[500],
+        about: "hardware predictor, 1,500-entry direct-mapped RAM",
+        make: |p| PolicyKind::HardwarePredictorDirectMapped { threshold: p[0] },
+    },
+    PolicySpec {
+        kind: "hi-sa",
+        params: "[:N[:WAYS]]",
+        defaults: &[500, 4],
+        about: "hardware predictor, 64-set set-associative table",
+        make: |p| PolicyKind::HardwarePredictorSetAssoc {
+            threshold: p[0],
+            sets: 64,
+            ways: p[1] as usize,
+        },
+    },
+    PolicySpec {
+        kind: "hi-global",
+        params: "[:N]",
+        defaults: &[500],
+        about: "ablation: global-only prediction",
+        make: |p| PolicyKind::HardwarePredictorGlobalOnly { threshold: p[0] },
+    },
+    PolicySpec {
+        kind: "hi-last-value",
+        params: "[:N]",
+        defaults: &[500],
+        about: "ablation: infinite last-value, no confidence",
+        make: |p| PolicyKind::HardwarePredictorLastValue { threshold: p[0] },
+    },
+    PolicySpec {
+        kind: "di",
+        params: "[:N[:COST]]",
+        defaults: &[500, 120],
+        about: "dynamic software instrumentation of every entry",
+        make: |p| PolicyKind::DynamicInstrumentation {
+            threshold: p[0],
+            cost: p[1],
+        },
+    },
+    PolicySpec {
+        kind: "si",
+        params: "[:STUB]",
+        defaults: &[25],
+        about: "static instrumentation from off-line profiling",
+        make: |p| PolicyKind::StaticInstrumentation { stub_cost: p[0] },
+    },
+    PolicySpec {
+        kind: "oracle",
+        params: "[:N]",
+        defaults: &[500],
+        about: "decisions on the true run length",
+        make: |p| PolicyKind::Oracle { threshold: p[0] },
+    },
+];
+
+/// One line per policy spec: its syntax, then what it is.
+pub fn policy_specs() -> impl Iterator<Item = String> {
+    POLICIES
+        .iter()
+        .map(|p| format!("{:<18} {}", format!("{}{}", p.kind, p.params), p.about))
+}
+
+/// Parses a policy spec `KIND[:P1[:P2]]` against [`POLICIES`]; omitted
+/// parameters take the spec's defaults.
 pub fn parse_policy(spec: &str) -> Result<PolicyKind, ParseArgsError> {
     let mut parts = spec.split(':');
-    let name = parts.next().unwrap_or_default();
-    let p1 = parts.next();
-    let p2 = parts.next();
-    if parts.next().is_some() {
-        return Err(err(format!("policy '{spec}': too many ':' fields")));
-    }
-    let num = |s: Option<&str>, default: u64| -> Result<u64, ParseArgsError> {
-        match s {
-            None => Ok(default),
-            Some(v) => v
-                .replace('_', "")
-                .parse()
-                .map_err(|_| err(format!("policy '{spec}': '{v}' is not a number"))),
-        }
+    let kind = parts.next().unwrap_or_default();
+    let Some(p) = POLICIES.iter().find(|p| p.kind == kind) else {
+        let kinds: Vec<&str> = POLICIES.iter().map(|p| p.kind).collect();
+        return Err(err(format!(
+            "unknown policy '{kind}' (expected {})",
+            kinds.join("|")
+        )));
     };
-    match name {
-        "baseline" | "none" => Ok(PolicyKind::Baseline),
-        "always" => Ok(PolicyKind::AlwaysOffload),
-        "hi" => Ok(PolicyKind::HardwarePredictor { threshold: num(p1, 500)? }),
-        "hi-dm" => Ok(PolicyKind::HardwarePredictorDirectMapped { threshold: num(p1, 500)? }),
-        "hi-sa" => Ok(PolicyKind::HardwarePredictorSetAssoc {
-            threshold: num(p1, 500)?,
-            sets: 64,
-            ways: num(p2, 4)? as usize,
-        }),
-        "hi-global" => Ok(PolicyKind::HardwarePredictorGlobalOnly { threshold: num(p1, 500)? }),
-        "hi-lastvalue" => Ok(PolicyKind::HardwarePredictorLastValue { threshold: num(p1, 500)? }),
-        "di" => Ok(PolicyKind::DynamicInstrumentation {
-            threshold: num(p1, 500)?,
-            cost: num(p2, 120)?,
-        }),
-        "si" => Ok(PolicyKind::StaticInstrumentation { stub_cost: num(p1, 25)? }),
-        "oracle" => Ok(PolicyKind::Oracle { threshold: num(p1, 500)? }),
-        other => Err(err(format!(
-            "unknown policy '{other}' (expected baseline|always|hi|hi-dm|hi-sa|hi-global|hi-lastvalue|di|si|oracle)"
-        ))),
+    let mut params = p.defaults.to_vec();
+    for (i, v) in parts.enumerate() {
+        let slot = params
+            .get_mut(i)
+            .ok_or_else(|| err(format!("policy '{spec}': too many ':' fields")))?;
+        *slot = int(&format!("policy '{spec}'"), v)?;
     }
+    Ok((p.make)(&params))
+}
+
+fn parse_workload(name: &str) -> Result<Profile, ParseArgsError> {
+    Profile::by_name(name).ok_or_else(|| {
+        let names: Vec<&str> = Profile::all_server()
+            .iter()
+            .chain(Profile::all_compute().iter())
+            .map(|p| p.name)
+            .collect();
+        err(format!(
+            "--workload: unknown workload '{name}' (available: {})",
+            names.join(", ")
+        ))
+    })
+}
+
+fn parse_run_args(args: &[String]) -> Result<RunArgs, ParseArgsError> {
+    let (flags, words) = split(args)?;
+    let mut a = RunArgs::default();
+    let mut warmup = None;
+    for f in flags {
+        match f.name {
+            "workload" => a.workload = parse_workload(f.text()?)?,
+            "policy" => {
+                a.policy = parse_policy(f.text()?).map_err(|e| err(format!("--policy: {e}")))?
+            }
+            "latency" => a.latency = f.num()?,
+            "instructions" => a.instructions = f.num()?,
+            "warmup" => warmup = Some(f.num()?),
+            "seed" => a.seed = f.num()?,
+            "cores" => a.cores = f.num()?,
+            "tuner" => a.tuner = f.switch()?,
+            "rpc" => a.rpc = f.switch()?,
+            "adapt" => a.adapt_milli = Some(f.num()?),
+            "energy" => a.energy = f.switch()?,
+            "json" => a.json = f.switch()?,
+            "telemetry" => a.telemetry = f.switch()?,
+            "trace-out" => {
+                a.trace_out = Some(f.path()?);
+                a.telemetry = true;
+            }
+            _ => return Err(f.unknown()),
+        }
+    }
+    // Words are checked after flags, so `--latency 1000` names the flag.
+    no_words(&words)?;
+    a.warmup = warmup.unwrap_or(a.instructions / 2);
+    Ok(a)
+}
+
+/// The runner flags every experiment takes.
+fn parse_runner_options(flags: &[Flag<'_>]) -> Result<RunnerOptions, ParseArgsError> {
+    let mut o = RunnerOptions::default();
+    for &f in flags {
+        match f.name {
+            "workers" => o.workers = f.num()?,
+            "retries" => o.retries = f.num()?,
+            "quiet" => o.quiet = f.switch()?,
+            "out" => o.out_dir = f.path()?,
+            "telemetry" => o.telemetry = f.switch()?,
+            "trace-out" => {
+                o.trace_out = Some(f.path()?);
+                o.telemetry = true;
+            }
+            "profile" => o.profile = f.switch()?,
+            "journal" => o.journal = Some(f.path()?),
+            "resume" => o.resume = Some(f.path()?),
+            "resume-retry-failed" => o.resume_retry_failed = f.switch()?,
+            "deadline-ms" => o.deadline_ms = Some(f.num()?),
+            "backoff-ms" => o.backoff_ms = f.num()?,
+            "canonical" => o.canonical = f.switch()?,
+            "inject-faults" => o.fault_seed = Some(f.num()?),
+            _ => return Err(f.unknown()),
+        }
+    }
+    Ok(o)
+}
+
+fn parse_scale(word: &str) -> Result<Scale, ParseArgsError> {
+    Scale::from_arg(word).ok_or_else(|| {
+        err(format!(
+            "unknown scale '{word}' (expected quick|full|paper)"
+        ))
+    })
+}
+
+fn parse_experiment_args(
+    experiment: &'static Experiment,
+    args: &[String],
+) -> Result<Command, ParseArgsError> {
+    let (flags, words) = split(args)?;
+    let opts = parse_runner_options(&flags)?;
+    let scale = match words.as_slice() {
+        [] => Scale::full(),
+        [word] => parse_scale(word)?,
+        [_, extra, ..] => return Err(err(format!("unexpected argument '{extra}'"))),
+    };
+    Ok(Command::Experiment {
+        experiment,
+        scale,
+        opts,
+    })
 }
 
 fn parse_inspect_args(args: &[String]) -> Result<InspectArgs, ParseArgsError> {
-    match args.first().map(String::as_str) {
-        Some("show") => match args.get(1) {
-            Some(path) if args.len() == 2 => Ok(InspectArgs::Show { path: path.clone() }),
-            _ => Err(err("usage: inspect show <file>")),
-        },
+    let (flags, words) = split(args)?;
+    let paths: Vec<String> = words.iter().skip(1).map(|w| w.to_string()).collect();
+    match words.first().copied() {
+        Some("show") => {
+            if let Some(&f) = flags.first() {
+                return Err(f.unknown());
+            }
+            match <[String; 1]>::try_from(paths) {
+                Ok([path]) => Ok(InspectArgs::Show { path }),
+                Err(_) => Err(err("usage: inspect show <file>")),
+            }
+        }
         Some("find") => {
             let mut digest = None;
-            let mut paths = Vec::new();
-            for arg in &args[1..] {
-                if let Some(v) = arg.strip_prefix("--digest=") {
-                    if v.len() != 16 || !v.chars().all(|c| c.is_ascii_hexdigit()) {
-                        return Err(err(format!("--digest: '{v}' is not a 16-hex-digit digest")));
+            for f in flags {
+                match f.name {
+                    "digest" => {
+                        let v = f.text()?;
+                        if v.len() != 16 || !v.chars().all(|c| c.is_ascii_hexdigit()) {
+                            return Err(err(format!(
+                                "--digest: '{v}' is not a 16-hex-digit digest"
+                            )));
+                        }
+                        digest = Some(v.to_ascii_lowercase());
                     }
-                    digest = Some(v.to_ascii_lowercase());
-                } else if arg.starts_with("--") {
-                    return Err(err(format!("inspect find: unknown flag '{arg}'")));
-                } else {
-                    paths.push(arg.clone());
+                    _ => return Err(f.unknown()),
                 }
             }
             let digest = digest.ok_or_else(|| err("inspect find needs --digest=<hex>"))?;
@@ -296,22 +559,20 @@ fn parse_inspect_args(args: &[String]) -> Result<InspectArgs, ParseArgsError> {
         Some("diff") => {
             let mut gate = None;
             let mut canonical = false;
-            let mut paths = Vec::new();
-            for arg in &args[1..] {
-                if let Some(v) = arg.strip_prefix("--gate=") {
-                    let pct: f64 = v
-                        .parse()
-                        .map_err(|_| err(format!("--gate: '{v}' is not a number")))?;
-                    if !pct.is_finite() || pct < 0.0 {
-                        return Err(err("--gate must be a non-negative percentage"));
+            for f in flags {
+                match f.name {
+                    "gate" => {
+                        let v = f.text()?;
+                        let pct: f64 = v
+                            .parse()
+                            .map_err(|_| err(format!("--gate: '{v}' is not a number")))?;
+                        if !pct.is_finite() || pct < 0.0 {
+                            return Err(err("--gate must be a non-negative percentage"));
+                        }
+                        gate = Some(pct);
                     }
-                    gate = Some(pct);
-                } else if arg == "--canonical" {
-                    canonical = true;
-                } else if arg.starts_with("--") {
-                    return Err(err(format!("inspect diff: unknown flag '{arg}'")));
-                } else {
-                    paths.push(arg.clone());
+                    "canonical" => canonical = f.switch()?,
+                    _ => return Err(f.unknown()),
                 }
             }
             match <[String; 2]>::try_from(paths) {
@@ -333,179 +594,99 @@ fn parse_inspect_args(args: &[String]) -> Result<InspectArgs, ParseArgsError> {
     }
 }
 
-fn parse_eq_u64(arg: &str, flag: &str) -> Result<u64, ParseArgsError> {
-    let v = arg
-        .strip_prefix(flag)
-        .and_then(|rest| rest.strip_prefix('='))
-        .ok_or_else(|| err(format!("{flag} needs =VALUE")))?;
-    v.replace('_', "")
-        .parse()
-        .map_err(|_| err(format!("{flag}: '{v}' is not a number")))
+fn parse_serve_args(args: &[String]) -> Result<ServeArgs, ParseArgsError> {
+    let (flags, words) = split(args)?;
+    let Some((&op, rest)) = words.split_first() else {
+        return Err(err("usage: serve <start|submit|proxy|ping|stats|stop> …"));
+    };
+    let parsed = parse_serve_flags(op, &flags)?;
+    no_words(rest)?;
+    Ok(parsed)
 }
 
-fn parse_serve_args(args: &[String]) -> Result<ServeArgs, ParseArgsError> {
-    let port_flag = |arg: &str| -> Result<u16, ParseArgsError> {
-        let n = parse_eq_u64(arg, "--port")?;
-        u16::try_from(n).map_err(|_| err(format!("--port: {n} is not a TCP port")))
-    };
-    // Flags that configure a duration or size where `0` would disable
-    // the protection entirely are rejected at parse time.
-    let positive = |arg: &str, flag: &str| -> Result<u64, ParseArgsError> {
-        let n = parse_eq_u64(arg, flag)?;
-        if n == 0 {
-            return Err(err(format!("{flag} must be positive")));
-        }
-        Ok(n)
-    };
-    match args.first().map(String::as_str) {
-        Some("start") => {
-            let mut port = 7411u16;
-            let mut cache = "results/serve/cache.wal".to_string();
-            let mut out = "results/serve".to_string();
-            let (mut workers, mut retries, mut cache_max) = (0usize, 0u32, 0usize);
-            let mut cache_ttl_secs = 0u64;
-            let (mut submit_slots, mut admit_queue, mut conn_workers) = (2usize, 4usize, 0usize);
-            let (mut read_timeout_ms, mut write_timeout_ms) = (60_000u64, 60_000u64);
-            let mut request_deadline_ms = 0u64;
-            let mut max_line_bytes = 1usize << 20;
-            let mut inject_faults = None;
-            let mut quiet = false;
-            for arg in &args[1..] {
-                if arg.starts_with("--port") {
-                    port = port_flag(arg)?;
-                } else if let Some(v) = arg.strip_prefix("--cache=") {
-                    cache = v.to_string();
-                } else if let Some(v) = arg.strip_prefix("--out=") {
-                    out = v.to_string();
-                } else if arg.starts_with("--workers") {
-                    workers = parse_eq_u64(arg, "--workers")? as usize;
-                } else if arg.starts_with("--retries") {
-                    retries = parse_eq_u64(arg, "--retries")? as u32;
-                } else if arg.starts_with("--cache-max") {
-                    cache_max = parse_eq_u64(arg, "--cache-max")? as usize;
-                } else if arg.starts_with("--cache-ttl-secs") {
-                    cache_ttl_secs = parse_eq_u64(arg, "--cache-ttl-secs")?;
-                } else if arg.starts_with("--submit-slots") {
-                    submit_slots = positive(arg, "--submit-slots")? as usize;
-                } else if arg.starts_with("--admit-queue") {
-                    admit_queue = parse_eq_u64(arg, "--admit-queue")? as usize;
-                } else if arg.starts_with("--conn-workers") {
-                    conn_workers = parse_eq_u64(arg, "--conn-workers")? as usize;
-                } else if arg.starts_with("--read-timeout-ms") {
-                    read_timeout_ms = positive(arg, "--read-timeout-ms")?;
-                } else if arg.starts_with("--write-timeout-ms") {
-                    write_timeout_ms = positive(arg, "--write-timeout-ms")?;
-                } else if arg.starts_with("--request-deadline-ms") {
-                    request_deadline_ms = parse_eq_u64(arg, "--request-deadline-ms")?;
-                } else if arg.starts_with("--max-line-bytes") {
-                    max_line_bytes = positive(arg, "--max-line-bytes")? as usize;
-                } else if arg.starts_with("--inject-faults") {
-                    inject_faults = Some(parse_eq_u64(arg, "--inject-faults")?);
-                } else if arg == "--quiet" {
-                    quiet = true;
-                } else {
-                    return Err(err(format!("serve start: unknown flag '{arg}'")));
+fn parse_serve_flags(op: &str, flags: &[Flag<'_>]) -> Result<ServeArgs, ParseArgsError> {
+    match op {
+        "start" => {
+            let mut o = ServeOptions::default();
+            for &f in flags {
+                match f.name {
+                    "port" => o.port = f.num()?,
+                    "cache" => o.cache = f.path()?,
+                    "out" => o.out_dir = f.path()?,
+                    "workers" => o.workers = f.num()?,
+                    "retries" => o.retries = f.num()?,
+                    "cache-max" => o.cache_capacity = f.num()?,
+                    "cache-ttl-secs" => o.cache_ttl_secs = f.num()?,
+                    "submit-slots" => o.submit_slots = f.positive()?,
+                    "admit-queue" => o.admit_queue = f.num()?,
+                    "conn-workers" => o.conn_workers = f.num()?,
+                    "read-timeout-ms" => o.read_timeout_ms = f.positive()?,
+                    "write-timeout-ms" => o.write_timeout_ms = f.positive()?,
+                    "request-deadline-ms" => o.request_deadline_ms = f.num()?,
+                    "max-line-bytes" => o.max_line_bytes = f.positive()?,
+                    "inject-faults" => o.fault_seed = Some(f.num()?),
+                    "quiet" => o.quiet = f.switch()?,
+                    _ => return Err(f.unknown()),
                 }
             }
-            Ok(ServeArgs::Start {
-                port,
-                cache,
-                out,
-                workers,
-                retries,
-                cache_max,
-                cache_ttl_secs,
-                submit_slots,
-                admit_queue,
-                conn_workers,
-                read_timeout_ms,
-                write_timeout_ms,
-                request_deadline_ms,
-                max_line_bytes,
-                inject_faults,
-                quiet,
-            })
+            Ok(ServeArgs::Start(o))
         }
-        Some("submit") => {
-            let mut port = 7411u16;
-            let mut fig4 = None;
-            let mut require_cached = false;
-            let mut retries = 5u32;
-            let mut backoff_ms = 50u64;
-            let mut quiet = false;
-            for arg in &args[1..] {
-                if arg.starts_with("--port") {
-                    port = port_flag(arg)?;
-                } else if let Some(v) = arg.strip_prefix("--fig4=") {
-                    if !matches!(v, "quick" | "full" | "paper") {
-                        return Err(err(format!("--fig4: '{v}' is not quick|full|paper")));
-                    }
-                    fig4 = Some(v.to_string());
-                } else if arg == "--require-cached" {
-                    require_cached = true;
-                } else if arg.starts_with("--retries") {
-                    retries = parse_eq_u64(arg, "--retries")? as u32;
-                } else if arg.starts_with("--backoff-ms") {
-                    backoff_ms = positive(arg, "--backoff-ms")?;
-                } else if arg == "--quiet" {
-                    quiet = true;
-                } else {
-                    return Err(err(format!("serve submit: unknown flag '{arg}'")));
+        "submit" => {
+            let (mut port, mut fig4, mut require_cached, mut quiet) =
+                (DEFAULT_PORT, None, false, false);
+            let mut retry = RetryPolicy::default();
+            for &f in flags {
+                match f.name {
+                    "port" => port = f.num()?,
+                    "fig4" => fig4 = Some(parse_scale(f.text()?)?),
+                    "require-cached" => require_cached = f.switch()?,
+                    "retries" => retry.retries = f.num()?,
+                    "backoff-ms" => retry.backoff_ms = f.positive()?,
+                    "quiet" => quiet = f.switch()?,
+                    _ => return Err(f.unknown()),
                 }
             }
             Ok(ServeArgs::Submit {
                 port,
                 fig4: fig4.ok_or_else(|| err("serve submit needs --fig4=quick|full|paper"))?,
                 require_cached,
-                retries,
-                backoff_ms,
+                retry,
                 quiet,
             })
         }
-        Some("proxy") => {
-            let mut port = 0u16;
-            let mut upstream = None;
-            let mut seed = 0xC4A05u64;
-            let mut fault_pct = 50u32;
-            let mut log = None;
-            for arg in &args[1..] {
-                if arg.starts_with("--port") {
-                    port = port_flag(arg)?;
-                } else if arg.starts_with("--upstream") {
-                    let n = parse_eq_u64(arg, "--upstream")?;
-                    upstream = Some(
-                        u16::try_from(n)
-                            .map_err(|_| err(format!("--upstream: {n} is not a TCP port")))?,
-                    );
-                } else if arg.starts_with("--seed") {
-                    seed = parse_eq_u64(arg, "--seed")?;
-                } else if arg.starts_with("--fault-pct") {
-                    let n = parse_eq_u64(arg, "--fault-pct")?;
-                    if n > 100 {
-                        return Err(err(format!("--fault-pct: {n} is not a percentage")));
+        "proxy" => {
+            let (mut port, mut upstream, mut seed, mut log) = (0, None, 0xC4A05, None);
+            let mut chaos = ChaosConfig::default();
+            for &f in flags {
+                match f.name {
+                    "port" => port = f.num()?,
+                    "upstream" => upstream = Some(f.num()?),
+                    "seed" => seed = f.num()?,
+                    "fault-pct" => {
+                        let pct: u32 = f.num()?;
+                        if pct > 100 {
+                            return Err(err(format!("--fault-pct: {pct} is not a percentage")));
+                        }
+                        chaos.fault_rate = f64::from(pct) / 100.0;
                     }
-                    fault_pct = n as u32;
-                } else if let Some(v) = arg.strip_prefix("--log=") {
-                    log = Some(v.to_string());
-                } else {
-                    return Err(err(format!("serve proxy: unknown flag '{arg}'")));
+                    "log" => log = Some(f.path()?),
+                    _ => return Err(f.unknown()),
                 }
             }
             Ok(ServeArgs::Proxy {
                 port,
                 upstream: upstream.ok_or_else(|| err("serve proxy needs --upstream=PORT"))?,
                 seed,
-                fault_pct,
+                chaos,
                 log,
             })
         }
-        Some(op @ ("ping" | "stats" | "stop")) => {
-            let mut port = 7411u16;
-            for arg in &args[1..] {
-                if arg.starts_with("--port") {
-                    port = port_flag(arg)?;
-                } else {
-                    return Err(err(format!("serve {op}: unknown flag '{arg}'")));
+        "ping" | "stats" | "stop" => {
+            let mut port = DEFAULT_PORT;
+            for &f in flags {
+                match f.name {
+                    "port" => port = f.num()?,
+                    _ => return Err(f.unknown()),
                 }
             }
             Ok(match op {
@@ -514,97 +695,61 @@ fn parse_serve_args(args: &[String]) -> Result<ServeArgs, ParseArgsError> {
                 _ => ServeArgs::Stop { port },
             })
         }
-        Some(other) => Err(err(format!(
-            "unknown serve subcommand '{other}' (expected start|submit|ping|stats|stop)"
+        other => Err(err(format!(
+            "unknown serve subcommand '{other}' (expected start|submit|proxy|ping|stats|stop)"
         ))),
-        None => Err(err("usage: serve <start|submit|ping|stats|stop> …")),
     }
-}
-
-fn parse_run_args(args: &[String]) -> Result<RunArgs, ParseArgsError> {
-    let mut out = RunArgs::default();
-    let mut explicit_warmup = false;
-    let mut it = args.iter().map(String::as_str).peekable();
-    while let Some(flag) = it.next() {
-        match flag {
-            "--profile" | "-p" => {
-                let v = it.next().ok_or_else(|| err("--profile needs a value"))?;
-                if Profile::by_name(v).is_none() {
-                    let names: Vec<&str> = Profile::all_server()
-                        .iter()
-                        .chain(Profile::all_compute().iter())
-                        .map(|p| p.name)
-                        .collect();
-                    return Err(err(format!(
-                        "unknown profile '{v}' (available: {})",
-                        names.join(", ")
-                    )));
-                }
-                out.profile = v.to_string();
-            }
-            "--policy" => {
-                let v = it.next().ok_or_else(|| err("--policy needs a value"))?;
-                out.policy = parse_policy(v)?;
-            }
-            "--latency" | "-l" => out.latency = parse_u64(flag, it.next())?,
-            "--instructions" | "-n" => out.instructions = parse_u64(flag, it.next())?,
-            "--warmup" => {
-                out.warmup = parse_u64(flag, it.next())?;
-                explicit_warmup = true;
-            }
-            "--seed" => out.seed = parse_u64(flag, it.next())?,
-            "--cores" => out.cores = parse_u64(flag, it.next())? as usize,
-            "--tuner" => out.tuner = true,
-            "--rpc" => out.rpc = true,
-            "--adapt" => out.adapt_milli = Some(parse_u64(flag, it.next())?),
-            "--energy" => out.energy = true,
-            "--json" => out.json = true,
-            "--telemetry" => out.telemetry = true,
-            "--trace-out" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| err("--trace-out needs a directory"))?;
-                out.trace_out = Some(v.to_string());
-                out.telemetry = true;
-            }
-            other => return Err(err(format!("unknown flag '{other}'"))),
-        }
-    }
-    if !explicit_warmup {
-        out.warmup = out.instructions / 2;
-    }
-    if out.instructions == 0 {
-        return Err(err("--instructions must be positive"));
-    }
-    if out.cores == 0 {
-        return Err(err("--cores must be positive"));
-    }
-    Ok(out)
 }
 
 /// Parses the whole command line (excluding `argv[0]`).
 pub fn parse(args: &[String]) -> Result<Command, ParseArgsError> {
-    match args.first().map(String::as_str) {
-        None | Some("help") | Some("-h") | Some("--help") => Ok(Command::Help),
-        Some("list") => Ok(Command::List),
-        Some("run") => Ok(Command::Run(parse_run_args(&args[1..])?)),
-        Some("compare") => Ok(Command::Compare(parse_run_args(&args[1..])?)),
-        Some("sweep") => Ok(Command::Sweep(parse_run_args(&args[1..])?)),
-        Some("trace") => Ok(Command::Trace(parse_run_args(&args[1..])?)),
-        Some("inspect") => Ok(Command::Inspect(parse_inspect_args(&args[1..])?)),
-        Some("serve") => Ok(Command::Serve(parse_serve_args(&args[1..])?)),
-        Some(other) => Err(err(format!(
-            "unknown subcommand '{other}' (expected run|compare|sweep|trace|inspect|serve|list|help)"
-        ))),
-    }
+    let Some((first, rest)) = args.split_first() else {
+        return Ok(Command::Help);
+    };
+    Ok(match first.as_str() {
+        "help" | "-h" | "--help" => Command::Help,
+        "list" => match rest.first() {
+            None => Command::List,
+            Some(extra) => return Err(err(format!("unexpected argument '{extra}'"))),
+        },
+        "run" => Command::Run(parse_run_args(rest)?),
+        "compare" => Command::Compare(parse_run_args(rest)?),
+        "sweep" => Command::Sweep(parse_run_args(rest)?),
+        "trace" => Command::Trace(parse_run_args(rest)?),
+        "inspect" => Command::Inspect(parse_inspect_args(rest)?),
+        "serve" => Command::Serve(parse_serve_args(rest)?),
+        name => match EXPERIMENTS.iter().find(|e| e.name == name) {
+            Some(experiment) => parse_experiment_args(experiment, rest)?,
+            None => return Err(err(format!("unknown subcommand or experiment '{name}'"))),
+        },
+    })
 }
 
-/// The `help` text.
-pub const USAGE: &str = "\
+/// The `help` text: every subcommand, flag, policy and experiment.
+pub fn usage() -> String {
+    let indent = |lines: Vec<String>| -> String {
+        lines
+            .iter()
+            .map(|l| format!("      {l}\n"))
+            .collect::<String>()
+    };
+    let policies = indent(policy_specs().collect());
+    let experiments = indent(
+        EXPERIMENTS
+            .iter()
+            .map(|e| format!("{:<20}{}", e.name, e.artefact))
+            .collect(),
+    );
+    format!(
+        "\
 osoffload — selective off-loading of OS functionality (Nellans et al., WIOSCA 2010)
 
 USAGE:
     osoffload <run|compare|sweep|trace|inspect|serve|list|help> [flags]
+    osoffload <experiment> [quick|full|paper] [flags]
+
+    Every flag is --name=value or a bare --name; numbers may use _
+    separators.
 
 SUBCOMMANDS:
     run       simulate one configuration and print the full report
@@ -616,27 +761,41 @@ SUBCOMMANDS:
     list      available workload profiles and policy specs
     help      this text
 
-FLAGS (run/compare/sweep):
-    -p, --profile <name>        workload profile        [apache]
-        --policy <spec>         decision policy         [hi:500]
-                                  baseline | always | hi[:N] | hi-dm[:N] |
-                                  hi-sa[:N[:WAYS]] | hi-global[:N] | hi-lastvalue[:N] |
-                                  di[:N[:COST]] | si[:STUB] | oracle[:N]
-    -l, --latency <cycles>      one-way migration cost  [1000]
-    -n, --instructions <count>  measured instructions   [1000000]
-        --warmup <count>        warm-up instructions    [instructions/2]
-        --seed <n>              master seed             [42]
-        --cores <n>             user cores              [1]
-        --tuner                 enable the dynamic-N estimator (paper §III-B)
-        --rpc                   RPC transport instead of thread migration
-        --adapt <milli>         resource adaptation: run long OS sequences
-                                locally, throttled by milli/1000 (no OS core)
-        --energy                also score energy and EDP
-        --json                  emit the report as JSON (run only)
-        --telemetry             capture spans + epoch metrics; write a Chrome
-                                trace and metric time series (see TELEMETRY.md)
-        --trace-out <dir>       telemetry output directory [results/telemetry]
-                                (implies --telemetry)
+FLAGS (run/compare/sweep/trace):
+    --workload=NAME          workload profile        [apache]
+    --policy=SPEC            decision policy         [hi:500], one of:
+{policies}    --latency=CYCLES         one-way migration cost  [1000]
+    --instructions=COUNT     measured instructions   [1000000]
+    --warmup=COUNT           warm-up instructions    [instructions/2]
+    --seed=N                 master seed             [42]
+    --cores=N                user cores              [1]
+    --tuner                  enable the dynamic-N estimator (paper §III-B)
+    --rpc                    RPC transport instead of thread migration
+    --adapt=MILLI            resource adaptation: run long OS sequences
+                             locally, throttled by milli/1000 (no OS core)
+    --energy                 also score energy and EDP
+    --json                   emit the report as JSON (run only)
+    --telemetry              capture spans + epoch metrics; write a Chrome
+                             trace and metric time series (see TELEMETRY.md)
+    --trace-out=DIR          telemetry output directory [results/telemetry]
+                             (implies --telemetry)
+
+EXPERIMENTS (default scale: full; see EXPERIMENTS.md):
+{experiments}
+FLAGS (experiments; default workers: all hardware threads):
+    --workers=N  --retries=N  --quiet  --out=DIR [results]  --telemetry
+    --trace-out=DIR  --profile  --journal=FILE  --resume=FILE
+    --resume-retry-failed  --deadline-ms=N  --backoff-ms=N  --canonical
+    --inject-faults=SEED
+    --telemetry writes per-point Chrome traces + epoch metrics and runner
+    self-profiling under OUT/telemetry (or --trace-out, which implies it);
+    --profile writes per-point cycle-attribution profiles (collapsed
+    stacks + top-N tables) under OUT/profile (see TELEMETRY.md);
+    --journal/--resume give crash-safe checkpointed campaigns
+    (--resume-retry-failed re-attempts journaled failures), and
+    --deadline-ms/--inject-faults add watchdogs and chaos testing (see
+    ROBUSTNESS.md); --canonical zeroes the archive's wall-clock fields
+    and worker count, so reruns compare byte for byte
 
 INSPECT SUBCOMMANDS (see TELEMETRY.md, \"Profiling & inspection\"):
     inspect show <file>                     summarise an archive or journal;
@@ -658,7 +817,7 @@ SERVE SUBCOMMANDS (see SERVING.md):
                 [--write-timeout-ms=N] [--request-deadline-ms=N]
                 [--max-line-bytes=N] [--inject-faults=SEED] [--quiet]
                                             boot the daemon in the foreground
-                                            (port 7411; 0 = ephemeral);
+                                            (port {port}; 0 = ephemeral);
                                             --submit-slots concurrent sweeps
                                             with --admit-queue waiters, the
                                             rest shed with 'overloaded'
@@ -680,55 +839,83 @@ SERVE SUBCOMMANDS (see SERVING.md):
                                             (stop drains gracefully)
 
 EXAMPLES:
-    osoffload run -p apache --policy hi:500 -l 1000 --energy
-    osoffload run -p apache --telemetry --trace-out results/telemetry
-    osoffload compare -p specjbb2005 -l 5000
-    osoffload sweep -p derby -l 100 -n 2000000
+    osoffload run --workload=apache --policy=hi:500 --latency=1000 --energy
+    osoffload run --telemetry --trace-out=results/telemetry
+    osoffload compare --workload=specjbb2005 --latency=5000
+    osoffload sweep --workload=derby --latency=100 --instructions=2_000_000
+    osoffload fig4 quick --workers=4 --canonical --out=/tmp/r
     osoffload inspect show results/fig4.json
     osoffload inspect diff results/fig4.json results/fig4-new.json --gate=5
-";
+",
+        port = DEFAULT_PORT,
+    )
+}
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::Path;
 
     fn argv(s: &str) -> Vec<String> {
         s.split_whitespace().map(String::from).collect()
     }
 
+    fn run_args(s: &str) -> RunArgs {
+        match parse(&argv(s)) {
+            Ok(Command::Run(a)) => a,
+            other => panic!("{s}: expected run, got {other:?}"),
+        }
+    }
+
+    fn runner_options(s: &str) -> (Scale, RunnerOptions) {
+        match parse(&argv(s)) {
+            Ok(Command::Experiment { scale, opts, .. }) => (scale, opts),
+            other => panic!("{s}: expected an experiment, got {other:?}"),
+        }
+    }
+
+    fn serve_args(s: &str) -> ServeArgs {
+        match parse(&argv(s)) {
+            Ok(Command::Serve(a)) => a,
+            other => panic!("{s}: expected serve, got {other:?}"),
+        }
+    }
+
+    fn error(s: &str) -> String {
+        match parse(&argv(s)) {
+            Err(e) => e.0,
+            Ok(c) => panic!("{s}: parsed as {c:?}"),
+        }
+    }
+
     #[test]
     fn no_args_is_help() {
-        assert_eq!(parse(&[]), Ok(Command::Help));
-        assert_eq!(parse(&argv("--help")), Ok(Command::Help));
-        assert_eq!(parse(&argv("help")), Ok(Command::Help));
+        for s in ["", "--help", "-h", "help"] {
+            assert!(matches!(parse(&argv(s)), Ok(Command::Help)), "{s}");
+        }
     }
 
     #[test]
     fn list_parses() {
-        assert_eq!(parse(&argv("list")), Ok(Command::List));
+        assert!(matches!(parse(&argv("list")), Ok(Command::List)));
+        assert!(parse(&argv("list extra")).is_err());
     }
 
     #[test]
     fn run_defaults() {
-        let Command::Run(a) = parse(&argv("run")).unwrap() else {
-            panic!("expected run")
-        };
-        assert_eq!(a.profile, "apache");
+        let a = run_args("run");
+        assert_eq!(a.workload.name, "apache");
         assert_eq!(a.policy, PolicyKind::HardwarePredictor { threshold: 500 });
         assert_eq!(a.warmup, a.instructions / 2);
     }
 
     #[test]
     fn run_full_flag_set() {
-        let cmd = parse(&argv(
-            "run -p derby --policy di:1000:200 -l 5000 -n 500000 --warmup 100000 \
-             --seed 7 --cores 2 --tuner --rpc --energy",
-        ))
-        .unwrap();
-        let Command::Run(a) = cmd else {
-            panic!("expected run")
-        };
-        assert_eq!(a.profile, "derby");
+        let a = run_args(
+            "run --workload=derby --policy=di:1000:200 --latency=5000 --instructions=500000 \
+             --warmup=100000 --seed=7 --cores=2 --tuner --rpc --energy",
+        );
+        assert_eq!(a.workload.name, "derby");
         assert_eq!(
             a.policy,
             PolicyKind::DynamicInstrumentation {
@@ -746,45 +933,71 @@ mod tests {
 
     #[test]
     fn json_flag() {
-        let Command::Run(a) = parse(&argv("run --json")).unwrap() else {
-            panic!()
-        };
-        assert!(a.json);
+        assert!(run_args("run --json").json);
+        assert!(error("run --json=yes").contains("--json takes no value"));
     }
 
     #[test]
     fn telemetry_flags() {
-        let Command::Run(a) = parse(&argv("run --telemetry")).unwrap() else {
-            panic!()
-        };
+        let a = run_args("run --telemetry");
         assert!(a.telemetry);
         assert_eq!(a.trace_out, None);
-        let Command::Run(a) = parse(&argv("run --trace-out out/t")).unwrap() else {
-            panic!()
-        };
+        let a = run_args("run --trace-out=out/t");
         assert!(a.telemetry, "--trace-out implies --telemetry");
-        assert_eq!(a.trace_out.as_deref(), Some("out/t"));
-        assert!(parse(&argv("run --trace-out")).is_err());
+        assert_eq!(a.trace_out.as_deref(), Some(Path::new("out/t")));
+        let a = run_args("run --telemetry --trace-out=out/t");
+        assert_eq!(a.trace_out.as_deref(), Some(Path::new("out/t")));
+        assert!(error("run --trace-out").contains("--trace-out needs a value"));
     }
 
     #[test]
     fn adapt_flag() {
-        let Command::Run(a) = parse(&argv("run --adapt 1250")).unwrap() else {
-            panic!()
-        };
-        assert_eq!(a.adapt_milli, Some(1_250));
+        assert_eq!(run_args("run --adapt=1250").adapt_milli, Some(1_250));
     }
 
     #[test]
-    fn numbers_accept_underscores() {
-        let Command::Run(a) = parse(&argv("run -n 2_000_000")).unwrap() else {
+    fn numbers_accept_underscores_in_every_flag() {
+        assert_eq!(
+            run_args("run --instructions=2_000_000").instructions,
+            2_000_000
+        );
+        let (_, o) = runner_options("fig4 --workers=1_2 --deadline-ms=5_000");
+        assert_eq!((o.workers, o.deadline_ms), (12, Some(5_000)));
+        let ServeArgs::Start(o) = serve_args("serve start --max-line-bytes=65_536") else {
             panic!()
         };
-        assert_eq!(a.instructions, 2_000_000);
+        assert_eq!(o.max_line_bytes, 65_536);
+    }
+
+    /// Each integer flag parses into its field's own type: a value that
+    /// does not fit is refused with the flag's name instead of wrapping.
+    #[test]
+    fn integer_flags_refuse_out_of_range_values() {
+        for (s, flag) in [
+            ("fig4 quick --retries=4294967296", "--retries"),
+            ("serve start --retries=4294967296", "--retries"),
+            (
+                "serve submit --fig4=quick --retries=4294967296",
+                "--retries",
+            ),
+            ("serve start --port=70000", "--port"),
+            ("serve proxy --upstream=65536", "--upstream"),
+            ("run --latency=18446744073709551616", "--latency"),
+        ] {
+            let e = error(s);
+            assert!(
+                e.starts_with(flag) && e.contains("out of range"),
+                "{s}: {e}"
+            );
+        }
+        let (_, o) = runner_options("fig4 quick --retries=4294967295");
+        assert_eq!(o.retries, u32::MAX);
+        assert!(error("fig4 quick --workers=abc").contains("--workers: 'abc' is not a number"));
+        assert!(error("fig4 quick --workers=").contains("--workers"));
     }
 
     #[test]
-    fn policy_specs() {
+    fn policy_specs_use_the_codec_kind_names() {
         assert_eq!(parse_policy("baseline"), Ok(PolicyKind::Baseline));
         assert_eq!(parse_policy("always"), Ok(PolicyKind::AlwaysOffload));
         assert_eq!(
@@ -800,6 +1013,14 @@ mod tests {
             Ok(PolicyKind::HardwarePredictorDirectMapped { threshold: 100 })
         );
         assert_eq!(
+            parse_policy("hi-sa:200:8"),
+            Ok(PolicyKind::HardwarePredictorSetAssoc {
+                threshold: 200,
+                sets: 64,
+                ways: 8
+            })
+        );
+        assert_eq!(
             parse_policy("si:30"),
             Ok(PolicyKind::StaticInstrumentation { stub_cost: 30 })
         );
@@ -809,117 +1030,251 @@ mod tests {
         );
         assert!(parse_policy("bogus").is_err());
         assert!(parse_policy("hi:x").is_err());
+        assert!(parse_policy("hi:1:2").is_err());
         assert!(parse_policy("di:1:2:3").is_err());
+        // Every spec's name is the `kind` its policy encodes to, so the
+        // name a journal or serve request writes is the one the command
+        // line reads back.
+        for p in POLICIES {
+            let encoded = parse_policy(p.kind).unwrap().to_value();
+            assert_eq!(encoded.get("kind").and_then(|k| k.as_str()), Some(p.kind));
+        }
+        assert_eq!(
+            parse_policy("hi-last-value:7"),
+            Ok(PolicyKind::HardwarePredictorLastValue { threshold: 7 })
+        );
+        let e = parse_policy("none").unwrap_err().0;
+        assert!(
+            e.contains("baseline|always|hi|hi-dm|hi-sa|hi-global|hi-last-value|di|si|oracle"),
+            "{e}"
+        );
     }
 
     #[test]
-    fn unknown_profile_lists_alternatives() {
-        let e = parse(&argv("run -p nginx")).unwrap_err();
-        assert!(e.0.contains("apache"), "{e}");
-        assert!(e.0.contains("canneal"), "{e}");
+    fn unknown_workload_lists_alternatives() {
+        let e = error("run --workload=nginx");
+        assert!(e.starts_with("--workload"), "{e}");
+        assert!(e.contains("apache"), "{e}");
+        assert!(e.contains("canneal"), "{e}");
     }
 
     #[test]
     fn unknown_flag_and_subcommand_error() {
-        assert!(parse(&argv("run --bogus")).is_err());
-        assert!(parse(&argv("frobnicate")).is_err());
-        assert!(parse(&argv("run -n 0")).is_err());
-        assert!(parse(&argv("run --cores 0")).is_err());
+        assert!(error("run --bogus").contains("unknown flag '--bogus'"));
+        assert!(error("run extra").contains("unexpected argument 'extra'"));
+        assert!(error("frobnicate").contains("'frobnicate'"));
+    }
+
+    #[test]
+    fn every_experiment_parses_by_name_and_none_is_a_subcommand() {
+        for e in EXPERIMENTS {
+            match parse(&argv(e.name)) {
+                Ok(Command::Experiment {
+                    experiment, scale, ..
+                }) => {
+                    assert_eq!(experiment.name, e.name);
+                    assert_eq!(scale, Scale::full());
+                }
+                other => panic!("{}: parsed as {other:?}", e.name),
+            }
+        }
+        let (scale, _) = runner_options("fig4 quick");
+        assert_eq!(scale, Scale::quick());
+        assert!(error("fig4 huge").contains("unknown scale 'huge'"));
+        assert!(error("fig4 quick extra").contains("unexpected argument 'extra'"));
+        assert!(error("fig4 --lanes=4").contains("unknown flag '--lanes'"));
+    }
+
+    #[test]
+    fn flag_parsing_splits_runner_options() {
+        let (scale, opts) = runner_options(
+            "fig4 quick --workers=3 --quiet --retries=1 --out=tmp --telemetry \
+             --trace-out=tmp/traces --journal=tmp/unit.journal --deadline-ms=5000 \
+             --backoff-ms=7 --canonical --inject-faults=99 --profile --resume-retry-failed",
+        );
+        assert_eq!(scale, Scale::quick());
+        assert_eq!(opts.workers, 3);
+        assert_eq!(opts.retries, 1);
+        assert!(opts.quiet);
+        assert_eq!(opts.out_dir, PathBuf::from("tmp"));
+        assert!(opts.telemetry);
+        assert_eq!(opts.telemetry_dir(), PathBuf::from("tmp/traces"));
+        assert_eq!(opts.journal, Some(PathBuf::from("tmp/unit.journal")));
+        assert_eq!(opts.resume, None);
+        assert_eq!(opts.deadline_ms, Some(5_000));
+        assert_eq!(opts.backoff_ms, 7);
+        assert!(opts.canonical);
+        assert_eq!(opts.fault_seed, Some(99));
+        assert!(opts.profile);
+        assert_eq!(opts.profile_dir(), PathBuf::from("tmp/profile"));
+        assert!(opts.resume_retry_failed);
+    }
+
+    #[test]
+    fn trace_out_implies_telemetry_and_defaults_under_out_dir() {
+        let (_, opts) = runner_options("fig4 --trace-out=x");
+        assert!(opts.telemetry);
+        let (_, plain) = runner_options("fig4");
+        assert!(!plain.telemetry);
+        assert_eq!(plain.telemetry_dir(), PathBuf::from("results/telemetry"));
     }
 
     #[test]
     fn serve_args_parse() {
-        let cmd = parse(&argv(
+        let ServeArgs::Start(o) = serve_args(
             "serve start --port=0 --cache=c.wal --out=o --workers=2 \
              --retries=3 --cache-max=10 --cache-ttl-secs=3600 --submit-slots=3 \
              --admit-queue=8 --conn-workers=12 --read-timeout-ms=5000 \
              --write-timeout-ms=4000 --request-deadline-ms=30000 \
              --max-line-bytes=65536 --inject-faults=7 --quiet",
-        ))
-        .unwrap();
-        assert_eq!(
-            cmd,
-            Command::Serve(ServeArgs::Start {
-                port: 0,
-                cache: "c.wal".into(),
-                out: "o".into(),
-                workers: 2,
-                retries: 3,
-                cache_max: 10,
-                cache_ttl_secs: 3600,
-                submit_slots: 3,
-                admit_queue: 8,
-                conn_workers: 12,
-                read_timeout_ms: 5000,
-                write_timeout_ms: 4000,
-                request_deadline_ms: 30000,
-                max_line_bytes: 65536,
-                inject_faults: Some(7),
-                quiet: true,
-            })
-        );
-        let cmd = parse(&argv(
+        ) else {
+            panic!("expected start")
+        };
+        assert_eq!(o.port, 0);
+        assert_eq!(o.cache, PathBuf::from("c.wal"));
+        assert_eq!(o.out_dir, PathBuf::from("o"));
+        assert_eq!((o.workers, o.retries), (2, 3));
+        assert_eq!((o.cache_capacity, o.cache_ttl_secs), (10, 3600));
+        assert_eq!((o.submit_slots, o.admit_queue, o.conn_workers), (3, 8, 12));
+        assert_eq!((o.read_timeout_ms, o.write_timeout_ms), (5000, 4000));
+        assert_eq!((o.request_deadline_ms, o.max_line_bytes), (30000, 65536));
+        assert_eq!(o.fault_seed, Some(7));
+        assert!(o.quiet);
+        let ServeArgs::Start(o) = serve_args("serve start") else {
+            panic!("expected start")
+        };
+        let d = ServeOptions::default();
+        assert_eq!((o.port, o.submit_slots), (d.port, d.submit_slots));
+
+        let ServeArgs::Submit {
+            port,
+            fig4,
+            require_cached,
+            retry,
+            quiet,
+        } = serve_args(
             "serve submit --fig4=quick --port=7500 --require-cached --retries=2 --backoff-ms=10",
-        ))
-        .unwrap();
+        )
+        else {
+            panic!("expected submit")
+        };
         assert_eq!(
-            cmd,
-            Command::Serve(ServeArgs::Submit {
-                port: 7500,
-                fig4: "quick".into(),
-                require_cached: true,
-                retries: 2,
-                backoff_ms: 10,
-                quiet: false,
-            })
+            (port, fig4, require_cached, quiet),
+            (7500, Scale::quick(), true, false)
         );
-        let cmd = parse(&argv(
-            "serve proxy --upstream=7411 --port=7500 --seed=9 --fault-pct=30 --log=f.log",
-        ))
-        .unwrap();
-        assert_eq!(
-            cmd,
-            Command::Serve(ServeArgs::Proxy {
-                port: 7500,
-                upstream: 7411,
-                seed: 9,
-                fault_pct: 30,
-                log: Some("f.log".into()),
-            })
-        );
-        assert_eq!(
-            parse(&argv("serve ping")).unwrap(),
-            Command::Serve(ServeArgs::Ping { port: 7411 })
-        );
+        assert_eq!((retry.retries, retry.backoff_ms), (2, 10));
+        let ServeArgs::Submit { port, retry, .. } = serve_args("serve submit --fig4=full") else {
+            panic!("expected submit")
+        };
+        assert_eq!(port, DEFAULT_PORT);
+        assert_eq!(retry, RetryPolicy::default());
+
+        let ServeArgs::Proxy {
+            port,
+            upstream,
+            seed,
+            chaos,
+            log,
+        } = serve_args(
+            "serve proxy --upstream=7400 --port=7500 --seed=9 --fault-pct=30 --log=f.log",
+        )
+        else {
+            panic!("expected proxy")
+        };
+        assert_eq!((port, upstream, seed), (7500, 7400, 9));
+        assert!((chaos.fault_rate - 0.3).abs() < 1e-12);
+        assert_eq!(log, Some(PathBuf::from("f.log")));
+
+        assert!(matches!(
+            serve_args("serve ping"),
+            ServeArgs::Ping { port } if port == DEFAULT_PORT
+        ));
+        assert!(matches!(
+            serve_args("serve stop --port=7500"),
+            ServeArgs::Stop { port: 7500 }
+        ));
         assert!(parse(&argv("serve submit")).is_err(), "submit needs --fig4");
         assert!(parse(&argv("serve start --lanes=1")).is_err());
         assert!(parse(&argv("serve submit --fig4=huge")).is_err());
-        assert!(parse(&argv("serve start --port=70000")).is_err());
         assert!(parse(&argv("serve frobnicate")).is_err());
+        assert!(parse(&argv("serve ping extra")).is_err());
         // Zero would disable the corresponding protection entirely —
         // rejected at parse time, not silently accepted.
-        assert!(parse(&argv("serve start --submit-slots=0")).is_err());
-        assert!(parse(&argv("serve start --read-timeout-ms=0")).is_err());
-        assert!(parse(&argv("serve start --write-timeout-ms=0")).is_err());
-        assert!(parse(&argv("serve start --max-line-bytes=0")).is_err());
-        assert!(parse(&argv("serve submit --fig4=quick --backoff-ms=0")).is_err());
+        for s in [
+            "serve start --submit-slots=0",
+            "serve start --read-timeout-ms=0",
+            "serve start --write-timeout-ms=0",
+            "serve start --max-line-bytes=0",
+            "serve submit --fig4=quick --backoff-ms=0",
+        ] {
+            assert!(error(s).contains("must be positive"), "{s}");
+        }
         assert!(parse(&argv("serve proxy")).is_err(), "proxy needs upstream");
-        assert!(parse(&argv("serve proxy --upstream=7411 --fault-pct=101")).is_err());
+        assert!(parse(&argv("serve proxy --upstream=7400 --fault-pct=101")).is_err());
+    }
+
+    #[test]
+    fn inspect_args_parse() {
+        assert_eq!(
+            parse_inspect_args(&argv("show a.json")),
+            Ok(InspectArgs::Show {
+                path: "a.json".into()
+            })
+        );
+        assert_eq!(
+            parse_inspect_args(&argv("find --digest=00000000DEADBEEF a b")),
+            Ok(InspectArgs::Find {
+                digest: "00000000deadbeef".into(),
+                paths: vec!["a".into(), "b".into()]
+            })
+        );
+        assert_eq!(
+            parse_inspect_args(&argv("diff a b --gate=5 --canonical")),
+            Ok(InspectArgs::Diff {
+                a: "a".into(),
+                b: "b".into(),
+                gate: Some(5.0),
+                canonical: true
+            })
+        );
+        assert!(parse_inspect_args(&argv("find --digest=xyz a")).is_err());
+        assert!(parse_inspect_args(&argv("diff a b --gate=-1")).is_err());
+        assert!(parse_inspect_args(&argv("diff a")).is_err());
+        assert!(parse_inspect_args(&argv("show a --canonical")).is_err());
     }
 
     #[test]
     fn compare_and_sweep_share_parsing() {
         assert!(matches!(
-            parse(&argv("compare -p apache")).unwrap(),
-            Command::Compare(_)
+            parse(&argv("compare --workload=apache")),
+            Ok(Command::Compare(_))
         ));
         assert!(matches!(
-            parse(&argv("sweep -l 100")).unwrap(),
-            Command::Sweep(_)
+            parse(&argv("sweep --latency=100")),
+            Ok(Command::Sweep(_))
         ));
         assert!(matches!(
-            parse(&argv("trace -p derby")).unwrap(),
-            Command::Trace(_)
+            parse(&argv("trace --workload=derby")),
+            Ok(Command::Trace(_))
         ));
+    }
+
+    #[test]
+    fn usage_lists_every_policy_and_experiment() {
+        let text = usage();
+        for p in POLICIES {
+            assert!(
+                text.contains(&format!("      {}{}", p.kind, p.params)),
+                "{}",
+                p.kind
+            );
+        }
+        for e in EXPERIMENTS {
+            assert!(
+                text.contains(&format!("      {:<20}", e.name)),
+                "{}",
+                e.name
+            );
+        }
     }
 }

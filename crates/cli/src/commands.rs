@@ -1,16 +1,26 @@
 //! Subcommand implementations for the `osoffload` binary.
+//!
+//! Each simulation subcommand builds its configurations with
+//! [`SystemConfigBuilder::try_build`], so a configuration that
+//! [`SystemConfig::validate`] refuses comes back as a [`ConfigError`]
+//! (exit 2) instead of a panic.
+//!
+//! [`SystemConfigBuilder::try_build`]: osoffload_system::SystemConfigBuilder::try_build
 
-use crate::args::RunArgs;
+use crate::args::{policy_specs, RunArgs};
+use crate::harness::render_table;
 use osoffload_core::TunerConfig;
 use osoffload_energy::{evaluate, EnergyParams};
 use osoffload_obs::TelemetryMode;
-use osoffload_system::{OffloadMechanism, PolicyKind, SimReport, Simulation, SystemConfig};
+use osoffload_system::{
+    ConfigError, OffloadMechanism, PolicyKind, SimReport, Simulation, SystemConfig,
+};
 use osoffload_workload::Profile;
+use std::path::PathBuf;
 
-fn build_config(a: &RunArgs, policy: PolicyKind) -> SystemConfig {
-    let profile = Profile::by_name(&a.profile).expect("validated by the parser");
+fn build_config(a: &RunArgs, policy: PolicyKind) -> Result<SystemConfig, ConfigError> {
     let mut b = SystemConfig::builder()
-        .profile(profile)
+        .profile(a.workload.clone())
         .policy(policy)
         .migration_latency(a.latency)
         .user_cores(a.cores)
@@ -26,11 +36,7 @@ fn build_config(a: &RunArgs, policy: PolicyKind) -> SystemConfig {
     if a.tuner {
         b = b.tuner(TunerConfig::for_run_length(a.instructions));
     }
-    b.build()
-}
-
-fn simulate(a: &RunArgs, policy: PolicyKind) -> SimReport {
-    Simulation::new(build_config(a, policy)).run()
+    b.try_build()
 }
 
 fn print_energy(report: &SimReport) {
@@ -43,17 +49,20 @@ fn print_energy(report: &SimReport) {
 /// `osoffload run`: one simulation, detailed report.
 ///
 /// With `--telemetry`, the run captures spans and epoch-sampled metrics
-/// and writes `<profile>.trace.json`, `<profile>.metrics.csv`, and
-/// `<profile>.metrics.json` under `--trace-out` (default
+/// and writes `<workload>.trace.json`, `<workload>.metrics.csv`, and
+/// `<workload>.metrics.json` under `--trace-out` (default
 /// `results/telemetry`). Telemetry is observational: the printed report
 /// is bit-identical with or without it.
-pub fn run(a: &RunArgs) -> i32 {
+pub fn run(a: &RunArgs) -> Result<(), ConfigError> {
+    let mut cfg = build_config(a, a.policy)?;
     let report = if a.telemetry {
-        let mut cfg = build_config(a, a.policy);
         cfg.telemetry = TelemetryMode::Full;
         let (report, observed) = Simulation::new(cfg).run_observed();
-        let dir = std::path::PathBuf::from(a.trace_out.as_deref().unwrap_or("results/telemetry"));
-        match observed.telemetry.write_files(&dir, &a.profile) {
+        let dir = a
+            .trace_out
+            .clone()
+            .unwrap_or_else(|| PathBuf::from("results/telemetry"));
+        match observed.telemetry.write_files(&dir, a.workload.name) {
             Ok(paths) => {
                 for p in paths {
                     eprintln!("telemetry: wrote {}", p.display());
@@ -66,11 +75,11 @@ pub fn run(a: &RunArgs) -> i32 {
         }
         report
     } else {
-        simulate(a, a.policy)
+        Simulation::new(cfg).run()
     };
     if a.json {
         println!("{}", report.to_json());
-        return 0;
+        return Ok(());
     }
     println!("{report}");
     println!(
@@ -119,27 +128,35 @@ pub fn run(a: &RunArgs) -> i32 {
     if a.energy {
         print_energy(&report);
     }
-    0
+    Ok(())
+}
+
+/// Simulates `a` under each policy, baseline first. Every
+/// configuration is built before any runs, so a refused one prints
+/// nothing.
+fn simulate_all(
+    a: &RunArgs,
+    policies: impl IntoIterator<Item = PolicyKind>,
+) -> Result<Vec<SimReport>, ConfigError> {
+    let configs = std::iter::once(PolicyKind::Baseline)
+        .chain(policies)
+        .map(|policy| build_config(a, policy))
+        .collect::<Result<Vec<_>, _>>()?;
+    Ok(configs
+        .into_iter()
+        .map(|cfg| Simulation::new(cfg).run())
+        .collect())
 }
 
 /// `osoffload compare`: baseline vs SI vs DI vs HI.
-pub fn compare(a: &RunArgs) -> i32 {
-    let baseline = simulate(a, PolicyKind::Baseline);
-    println!(
-        "{} @ {} cyc one-way, {} insn (baseline {:.4} insn/cyc)\n",
-        a.profile, a.latency, a.instructions, baseline.throughput
-    );
-    println!(
-        "{:<10} {:>11} {:>10} {:>14}",
-        "policy", "normalized", "offloads", "overhead cyc"
-    );
+pub fn compare(a: &RunArgs) -> Result<(), ConfigError> {
     // The dynamic schemes compare at the threshold from --policy (or the
     // 500-instruction default).
     let n = match a.policy {
         PolicyKind::HardwarePredictor { threshold } => threshold,
         _ => 500,
     };
-    for (name, policy) in [
+    let schemes = [
         ("SI", PolicyKind::StaticInstrumentation { stub_cost: 25 }),
         (
             "DI",
@@ -149,53 +166,98 @@ pub fn compare(a: &RunArgs) -> i32 {
             },
         ),
         ("HI", PolicyKind::HardwarePredictor { threshold: n }),
-    ] {
-        let r = simulate(a, policy);
+    ];
+    let reports = simulate_all(a, schemes.map(|(_, policy)| policy))?;
+    let baseline = &reports[0];
+    println!(
+        "{} @ {} cyc one-way, {} insn (baseline {:.4} insn/cyc)\n",
+        a.workload.name, a.latency, a.instructions, baseline.throughput
+    );
+    println!(
+        "{:<10} {:>11} {:>10} {:>14}",
+        "policy", "normalized", "offloads", "overhead cyc"
+    );
+    for ((name, _), r) in schemes.iter().zip(&reports[1..]) {
         println!(
             "{:<10} {:>11.3} {:>10} {:>14}",
             name,
-            r.normalized_to(&baseline),
+            r.normalized_to(baseline),
             r.offloads,
             r.decision_overhead_cycles
         );
     }
-    0
+    Ok(())
 }
 
 /// `osoffload sweep`: threshold sweep (the x-axis of Figure 4).
-pub fn sweep(a: &RunArgs) -> i32 {
-    let baseline = simulate(a, PolicyKind::Baseline);
+pub fn sweep(a: &RunArgs) -> Result<(), ConfigError> {
+    let thresholds = [0u64, 100, 500, 1_000, 2_000, 5_000, 10_000];
+    let reports = simulate_all(
+        a,
+        thresholds.map(|threshold| PolicyKind::HardwarePredictor { threshold }),
+    )?;
+    let baseline = &reports[0];
     println!(
         "{} @ {} cyc one-way (baseline {:.4} insn/cyc)\n",
-        a.profile, a.latency, baseline.throughput
+        a.workload.name, a.latency, baseline.throughput
     );
     println!(
         "{:<10} {:>11} {:>10} {:>13}",
         "N", "normalized", "offloads", "OS-core busy"
     );
-    for n in [0u64, 100, 500, 1_000, 2_000, 5_000, 10_000] {
-        let r = simulate(a, PolicyKind::HardwarePredictor { threshold: n });
+    for (n, r) in thresholds.iter().zip(&reports[1..]) {
         println!(
             "{:<10} {:>11.3} {:>10} {:>12.1}%",
             n,
-            r.normalized_to(&baseline),
+            r.normalized_to(baseline),
             r.offloads,
             r.os_core_busy_frac * 100.0
         );
     }
-    0
+    Ok(())
 }
 
-/// `osoffload trace`: per-invocation CSV to stdout, summary to stderr.
-pub fn trace(a: &RunArgs) -> i32 {
-    let mut cfg = build_config(a, a.policy);
-    cfg.trace_capacity = 100_000;
+/// `osoffload trace`: the per-invocation trace of one run as CSV on
+/// stdout (pipe it into a file for off-line analysis), and on stderr
+/// the report, the ring's retention line and a per-syscall summary
+/// table.
+pub fn trace(a: &RunArgs) -> Result<(), ConfigError> {
+    let mut cfg = build_config(a, a.policy)?;
+    cfg.trace_capacity = TRACE_CAPACITY;
     let (report, observed) = Simulation::new(cfg).run_observed();
-    print!("{}", observed.trace.to_csv());
+    let trace = observed.trace;
+    print!("{}", trace.to_csv());
     eprintln!("{report}");
-    eprintln!("{}", observed.trace);
-    0
+    eprintln!("{trace}\n");
+    let rows: Vec<Vec<String>> = trace
+        .summarize()
+        .iter()
+        .map(|s| {
+            vec![
+                s.syscall.to_string(),
+                s.count.to_string(),
+                s.offloaded.to_string(),
+                format!("{:.0}", s.mean_len),
+                format!("{:.0}", s.mean_abs_error),
+                format!("{:.0}", s.mean_cycles),
+            ]
+        })
+        .collect();
+    let headers = [
+        "syscall",
+        "count",
+        "offloaded",
+        "mean len",
+        "mean |err|",
+        "mean cycles",
+    ];
+    eprint!("{}", render_table(&headers, &rows));
+    Ok(())
 }
+
+/// Invocation records `osoffload trace` retains; older ones are
+/// dropped and counted.
+const TRACE_CAPACITY: usize = 50_000;
 
 /// `osoffload list`: profiles and policy specs.
 pub fn list() -> i32 {
@@ -213,33 +275,8 @@ pub fn list() -> i32 {
         );
     }
     println!("\npolicy specs:");
-    for (spec, what) in [
-        ("baseline", "no off-loading (single core)"),
-        ("always", "off-load every privileged invocation"),
-        (
-            "hi[:N]",
-            "hardware predictor, 200-entry CAM (the paper's scheme)",
-        ),
-        (
-            "hi-dm[:N]",
-            "hardware predictor, 1,500-entry direct-mapped RAM",
-        ),
-        ("hi-global[:N]", "ablation: global-only prediction"),
-        (
-            "hi-lastvalue[:N]",
-            "ablation: infinite last-value, no confidence",
-        ),
-        (
-            "di[:N[:COST]]",
-            "dynamic software instrumentation of every entry",
-        ),
-        (
-            "si[:STUB]",
-            "static instrumentation from off-line profiling",
-        ),
-        ("oracle[:N]", "decisions on the true run length"),
-    ] {
-        println!("  {spec:<18} {what}");
+    for line in policy_specs() {
+        println!("  {line}");
     }
     0
 }
@@ -260,7 +297,7 @@ mod tests {
     fn run_emits_json_when_asked() {
         let mut a = tiny_args();
         a.json = true;
-        assert_eq!(run(&a), 0);
+        assert_eq!(run(&a), Ok(()));
     }
 
     #[test]
@@ -268,13 +305,13 @@ mod tests {
         let mut a = tiny_args();
         a.energy = true;
         a.tuner = true;
-        assert_eq!(run(&a), 0);
+        assert_eq!(run(&a), Ok(()));
         let mut a = tiny_args();
         a.rpc = true;
-        assert_eq!(run(&a), 0);
+        assert_eq!(run(&a), Ok(()));
         let mut a = tiny_args();
         a.adapt_milli = Some(1_250);
-        assert_eq!(run(&a), 0);
+        assert_eq!(run(&a), Ok(()));
     }
 
     #[test]
@@ -282,8 +319,8 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("osoff-cli-telem-{}", std::process::id()));
         let mut a = tiny_args();
         a.telemetry = true;
-        a.trace_out = Some(dir.to_string_lossy().into_owned());
-        assert_eq!(run(&a), 0);
+        a.trace_out = Some(dir.clone());
+        assert_eq!(run(&a), Ok(()));
         let trace = dir.join("apache.trace.json");
         let text = std::fs::read_to_string(&trace).expect("trace file written");
         assert!(text.starts_with("{\"traceEvents\":["));
@@ -294,8 +331,8 @@ mod tests {
 
     #[test]
     fn compare_and_sweep_complete() {
-        assert_eq!(compare(&tiny_args()), 0);
-        assert_eq!(sweep(&tiny_args()), 0);
+        assert_eq!(compare(&tiny_args()), Ok(()));
+        assert_eq!(sweep(&tiny_args()), Ok(()));
     }
 
     #[test]
@@ -305,7 +342,65 @@ mod tests {
 
     #[test]
     fn trace_completes() {
-        assert_eq!(trace(&tiny_args()), 0);
+        assert_eq!(trace(&tiny_args()), Ok(()));
+    }
+
+    /// Every configuration `validate` refuses comes back as its typed
+    /// error from each simulation subcommand, before anything runs.
+    #[test]
+    fn refused_configurations_are_errors_not_panics() {
+        let huge = u64::MAX / 2 + 1;
+        let cases = [
+            (
+                RunArgs {
+                    cores: 100,
+                    ..tiny_args()
+                },
+                ConfigError::TooManyCores { total: 101 },
+            ),
+            (
+                RunArgs {
+                    cores: 0,
+                    ..tiny_args()
+                },
+                ConfigError::NoUserCores,
+            ),
+            (
+                RunArgs {
+                    instructions: 0,
+                    ..tiny_args()
+                },
+                ConfigError::NoInstructions,
+            ),
+            (
+                RunArgs {
+                    adapt_milli: Some(0),
+                    ..tiny_args()
+                },
+                ConfigError::ZeroAdaptationSlowdown,
+            ),
+            (
+                RunArgs {
+                    latency: huge,
+                    ..tiny_args()
+                },
+                ConfigError::MigrationOverflow { one_way: huge },
+            ),
+        ];
+        for (a, expected) in cases {
+            assert_eq!(run(&a), Err(expected.clone()));
+            assert_eq!(trace(&a), Err(expected.clone()));
+            // compare and sweep build their baseline first, which has
+            // no OS core to count.
+            for command in [compare, sweep] {
+                let e = command(&a).unwrap_err();
+                assert_eq!(
+                    std::mem::discriminant(&e),
+                    std::mem::discriminant(&expected),
+                    "{e}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -313,14 +408,14 @@ mod tests {
         let mut a = tiny_args();
         a.rpc = true;
         a.cores = 2;
-        let cfg = build_config(&a, PolicyKind::HardwarePredictor { threshold: 9 });
+        let cfg = build_config(&a, PolicyKind::HardwarePredictor { threshold: 9 }).unwrap();
         assert_eq!(cfg.mechanism, OffloadMechanism::RemoteCall);
         assert_eq!(cfg.user_cores, 2);
         assert_eq!(cfg.total_cores(), 3);
 
         let mut a = tiny_args();
         a.adapt_milli = Some(1_500);
-        let cfg = build_config(&a, PolicyKind::HardwarePredictor { threshold: 9 });
+        let cfg = build_config(&a, PolicyKind::HardwarePredictor { threshold: 9 }).unwrap();
         assert_eq!(cfg.resource_adaptation, Some(1_500));
         assert_eq!(cfg.total_cores(), 1, "adaptation adds no OS core");
     }

@@ -1,22 +1,20 @@
-//! `osoffload-bench`: one entry point for every table and figure of the
-//! paper's evaluation plus the extensions built on it.
+//! The experiment registry: one entry for every table and figure of
+//! the paper's evaluation plus the extensions built on it.
 //!
-//! Usage: `cargo run --release -p osoffload-bench -- <experiment>
-//! [quick|full|paper] [--workers=N] [--quiet] [--out=DIR] [--canonical] …`
-//! (run it without arguments for the full flag list and every
-//! experiment name).
+//! `osoffload <experiment> [quick|full|paper] [runner flags]` runs one
+//! entry by name; `osoffload help` lists them all.
 //!
 //! [`EXPERIMENTS`] is the registry. Every experiment that simulates more
 //! than one point runs through [`harness::run`], so each is parallel,
 //! archived as `results/<name>.json`, and honours `--canonical`,
 //! `--journal` and `--resume`. Drivers return reports; scoring and table
 //! rendering happen after the runner returns, because the runner's
-//! enumeration pass feeds each driver placeholder reports. Two entries
-//! run directly, because they need special simulation modes:
-//! `tuner_trace` and `invocation_trace`. `calibration`, `table1`,
-//! `table2` and `fig2` simulate nothing.
+//! enumeration pass feeds each driver placeholder reports. `tuner_trace`
+//! runs one traced simulation directly, and `calibration`, `table1`,
+//! `table2` and `fig2` simulate nothing. The per-invocation trace is the
+//! `osoffload trace` subcommand.
 
-use osoffload_bench::{harness, pct, render_table, spark};
+use crate::harness::{self, pct, render_table, spark};
 use osoffload_core::{CamPredictor, DirectMappedPredictor, RunLengthPredictor};
 use osoffload_cpu::{CoreParams, Tlb};
 use osoffload_energy::{evaluate, EnergyParams};
@@ -27,21 +25,22 @@ use osoffload_system::experiments::{
     scaled_builder, sensitivity_with, single_config, table3_with, Scale, FIG4_LATENCIES,
     FIG4_THRESHOLDS, TABLE3_THRESHOLDS,
 };
-use osoffload_system::{PolicyKind, SimReport, Simulation};
+use osoffload_system::{PolicyKind, SimReport};
 use osoffload_workload::{validate, Profile, CATALOG, OS_SYSCALL_TABLE};
 
 /// One registry entry: an experiment the binary can run by name.
-struct Experiment {
+#[derive(Debug)]
+pub struct Experiment {
     /// Command-line name; also the archive's file stem.
-    name: &'static str,
+    pub name: &'static str,
     /// The paper artefact (or extension) it regenerates.
-    artefact: &'static str,
+    pub artefact: &'static str,
     /// Runs the experiment and prints its table on stdout.
-    run: fn(Scale, &RunnerOptions),
+    pub run: fn(Scale, &RunnerOptions),
 }
 
-/// Every experiment: the paper's artefacts, then extensions and tools.
-const EXPERIMENTS: &[Experiment] = &[
+/// Every experiment: the paper's artefacts, then extensions and checks.
+pub const EXPERIMENTS: &[Experiment] = &[
     Experiment {
         name: "table1",
         artefact: "Table I: distinct system calls per OS",
@@ -147,51 +146,7 @@ const EXPERIMENTS: &[Experiment] = &[
         artefact: "model check: workload calibration",
         run: calibration,
     },
-    Experiment {
-        name: "invocation_trace",
-        artefact: "tool: per-invocation CSV trace",
-        run: invocation_trace,
-    },
 ];
-
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some((name, scale, opts)) = harness::parse_args(&args) else {
-        usage()
-    };
-    match EXPERIMENTS.iter().find(|e| e.name == name) {
-        Some(experiment) => (experiment.run)(scale, &opts),
-        None => usage(),
-    }
-}
-
-/// Help for the scale word and the runner flags that
-/// [`harness::parse_args`] accepts after an experiment name.
-const USAGE: &str = "\
-usage: osoffload-bench <experiment> [quick|full|paper] [--workers=N]
-         [--retries=N] [--quiet] [--out=DIR] [--telemetry] [--trace-out=DIR]
-         [--profile] [--journal=FILE] [--resume=FILE] [--resume-retry-failed]
-         [--deadline-ms=N] [--backoff-ms=N] [--canonical]
-         [--inject-faults=SEED]
-       (default scale: full; default workers: all hardware threads)
-       --telemetry writes per-point Chrome traces + epoch metrics and
-       runner self-profiling under results/telemetry/ (see TELEMETRY.md)
-       --profile writes per-point cycle-attribution profiles (collapsed
-       stacks + top-N tables) under results/profile/ (see TELEMETRY.md)
-       --journal/--resume give crash-safe checkpointed campaigns
-       (--resume-retry-failed re-attempts journaled failures), and
-       --deadline-ms/--inject-faults add watchdogs and chaos testing
-       (see ROBUSTNESS.md)
-       points of one workload shape replay one recorded instruction
-       stream per worker (see EXPERIMENTS.md)";
-
-fn usage() -> ! {
-    eprintln!("{USAGE}\n\nexperiments:");
-    for e in EXPERIMENTS {
-        eprintln!("  {:<20}{}", e.name, e.artefact);
-    }
-    std::process::exit(2);
-}
 
 /// Prints `rows` as an aligned table, one line of `cells` per row.
 fn print_rows<T>(headers: &[&str], rows: &[T], cells: impl Fn(&T) -> Vec<String>) {
@@ -951,7 +906,7 @@ fn outliers(scale: Scale, opts: &RunnerOptions) {
 }
 
 // ---------------------------------------------------------------------
-// Model checks and tools
+// Model checks
 // ---------------------------------------------------------------------
 
 /// The workload-model calibration table: what each profile actually
@@ -999,50 +954,4 @@ fn calibration(scale: Scale, _: &RunnerOptions) {
     println!("\nPaper anchors: Apache/webservers can exceed half the instructions in");
     println!("the OS; SPECjbb ~1/3; compute negligible. Bounded AState diversity is");
     println!("what makes the 200-entry CAM sufficient (§III-A).");
-}
-
-/// Dumps the per-invocation trace of one run as CSV (stdout) plus a
-/// per-entry-point summary table (stderr), for off-line analysis:
-/// `osoffload-bench invocation_trace quick > trace.csv`.
-fn invocation_trace(scale: Scale, _: &RunnerOptions) {
-    let hi = PolicyKind::HardwarePredictor { threshold: 500 };
-    let cfg = scaled_builder(Profile::apache(), hi, 1_000, scale)
-        .trace(50_000)
-        .build();
-    let (report, observed) = Simulation::new(cfg).run_observed();
-    let trace = observed.trace;
-
-    // CSV to stdout (pipe into a file), human summary to stderr.
-    print!("{}", trace.to_csv());
-
-    eprintln!("{report}");
-    eprintln!("{trace}\n");
-    let rows: Vec<Vec<String>> = trace
-        .summarize()
-        .iter()
-        .map(|s| {
-            vec![
-                s.syscall.to_string(),
-                s.count.to_string(),
-                s.offloaded.to_string(),
-                format!("{:.0}", s.mean_len),
-                format!("{:.0}", s.mean_abs_error),
-                format!("{:.0}", s.mean_cycles),
-            ]
-        })
-        .collect();
-    eprint!(
-        "{}",
-        render_table(
-            &[
-                "syscall",
-                "count",
-                "offloaded",
-                "mean len",
-                "mean |err|",
-                "mean cycles"
-            ],
-            &rows
-        )
-    );
 }

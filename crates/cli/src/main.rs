@@ -1,28 +1,40 @@
-//! `osoffload` — command-line front end for the simulator.
+//! `osoffload` — command-line front end for the simulator and the
+//! experiment registry that regenerates the paper's evaluation.
 //!
-//! See `osoffload help` (or [`args::USAGE`]) for the interface.
+//! See `osoffload help` (or [`args::usage`]) for the interface.
 
 mod args;
 mod commands;
+mod experiments;
+mod harness;
 mod inspect;
 mod serve;
 
 use args::Command;
+use osoffload_system::ConfigError;
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let code = match args::parse(&argv) {
         Ok(Command::Help) => {
-            print!("{}", args::USAGE);
+            print!("{}", args::usage());
             0
         }
         Ok(Command::List) => commands::list(),
-        Ok(Command::Run(a)) => commands::run(&a),
-        Ok(Command::Compare(a)) => commands::compare(&a),
-        Ok(Command::Sweep(a)) => commands::sweep(&a),
-        Ok(Command::Trace(a)) => commands::trace(&a),
+        Ok(Command::Experiment {
+            experiment,
+            scale,
+            opts,
+        }) => {
+            (experiment.run)(scale, &opts);
+            0
+        }
+        Ok(Command::Run(a)) => exit_code(commands::run(&a)),
+        Ok(Command::Compare(a)) => exit_code(commands::compare(&a)),
+        Ok(Command::Sweep(a)) => exit_code(commands::sweep(&a)),
+        Ok(Command::Trace(a)) => exit_code(commands::trace(&a)),
         Ok(Command::Inspect(a)) => inspect::inspect(&a),
-        Ok(Command::Serve(a)) => serve::serve(&a),
+        Ok(Command::Serve(a)) => serve::serve(a),
         Err(e) => {
             eprintln!("error: {e}");
             eprintln!("run 'osoffload help' for usage");
@@ -30,4 +42,16 @@ fn main() {
         }
     };
     std::process::exit(code);
+}
+
+/// A configuration that `SystemConfig::validate` refuses is a usage
+/// error like a bad flag: exit 2 with its message, not a panic.
+fn exit_code(result: Result<(), ConfigError>) -> i32 {
+    match result {
+        Ok(()) => 0,
+        Err(e) => {
+            eprintln!("error: {e}");
+            2
+        }
+    }
 }

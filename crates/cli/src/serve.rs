@@ -4,57 +4,21 @@
 
 use crate::args::ServeArgs;
 use osoffload_runner::record_plan;
-use osoffload_serve::chaos::{ChaosConfig, ChaosProxy};
+use osoffload_serve::chaos::ChaosProxy;
 use osoffload_serve::client::{self, RetryPolicy};
-use osoffload_serve::daemon::{Daemon, ServeOptions};
-use osoffload_system::experiments::{fig4_grid_with, Scale, FIG4_LATENCIES, FIG4_THRESHOLDS};
+use osoffload_serve::daemon::Daemon;
+use osoffload_system::experiments::{fig4_grid_with, FIG4_LATENCIES, FIG4_THRESHOLDS};
 use std::io::Write;
 use std::net::SocketAddr;
-use std::path::PathBuf;
 
 /// Exit code of `serve submit --require-cached` when any point had to
 /// be computed fresh.
 pub const EXIT_NOT_CACHED: i32 = 4;
 
 /// Runs one `serve` subcommand, returning the process exit code.
-pub fn serve(args: &ServeArgs) -> i32 {
+pub fn serve(args: ServeArgs) -> i32 {
     match args {
-        ServeArgs::Start {
-            port,
-            cache,
-            out,
-            workers,
-            retries,
-            cache_max,
-            cache_ttl_secs,
-            submit_slots,
-            admit_queue,
-            conn_workers,
-            read_timeout_ms,
-            write_timeout_ms,
-            request_deadline_ms,
-            max_line_bytes,
-            inject_faults,
-            quiet,
-        } => {
-            let opts = ServeOptions {
-                port: *port,
-                cache: PathBuf::from(cache),
-                out_dir: PathBuf::from(out),
-                cache_capacity: *cache_max,
-                cache_ttl_secs: *cache_ttl_secs,
-                workers: *workers,
-                retries: *retries,
-                submit_slots: *submit_slots,
-                admit_queue: *admit_queue,
-                conn_workers: *conn_workers,
-                read_timeout_ms: *read_timeout_ms,
-                write_timeout_ms: *write_timeout_ms,
-                request_deadline_ms: *request_deadline_ms,
-                max_line_bytes: *max_line_bytes,
-                fault_seed: *inject_faults,
-                quiet: *quiet,
-            };
+        ServeArgs::Start(opts) => {
             let mut daemon = match Daemon::bind(opts) {
                 Ok(d) => d,
                 Err(why) => {
@@ -81,13 +45,11 @@ pub fn serve(args: &ServeArgs) -> i32 {
             port,
             fig4,
             require_cached,
-            retries,
-            backoff_ms,
+            retry,
             quiet,
         } => {
-            let scale = Scale::from_arg(fig4).expect("validated by the parser");
-            let plan = record_plan("fig4", scale.seed, |ev| {
-                fig4_grid_with(scale, FIG4_LATENCIES, FIG4_THRESHOLDS, ev)
+            let plan = record_plan("fig4", fig4.seed, |ev| {
+                fig4_grid_with(fig4, FIG4_LATENCIES, FIG4_THRESHOLDS, ev)
             });
             let request = match client::submit_request_line(&plan) {
                 Ok(line) => line,
@@ -97,11 +59,10 @@ pub fn serve(args: &ServeArgs) -> i32 {
                 }
             };
             let policy = RetryPolicy {
-                retries: *retries,
-                backoff_ms: *backoff_ms,
                 seed: plan.master_seed(),
+                ..retry
             };
-            let outcome = client::submit_with_retry(*port, &request, policy, |event| {
+            let outcome = client::submit_with_retry(port, &request, policy, |event| {
                 if !quiet {
                     println!("{event}");
                 }
@@ -114,7 +75,7 @@ pub fn serve(args: &ServeArgs) -> i32 {
                     );
                     if o.failed > 0 {
                         1
-                    } else if *require_cached && o.misses > 0 {
+                    } else if require_cached && o.misses > 0 {
                         eprintln!(
                             "serve submit: --require-cached but {} points were computed fresh",
                             o.misses
@@ -134,21 +95,11 @@ pub fn serve(args: &ServeArgs) -> i32 {
             port,
             upstream,
             seed,
-            fault_pct,
+            chaos,
             log,
         } => {
-            let cfg = ChaosConfig {
-                fault_rate: f64::from(*fault_pct) / 100.0,
-                ..ChaosConfig::default()
-            };
-            let target: SocketAddr = ([127, 0, 0, 1], *upstream).into();
-            let proxy = match ChaosProxy::start(
-                *port,
-                target,
-                *seed,
-                cfg,
-                log.as_deref().map(std::path::Path::new),
-            ) {
+            let target: SocketAddr = ([127, 0, 0, 1], upstream).into();
+            let proxy = match ChaosProxy::start(port, target, seed, chaos, log.as_deref()) {
                 Ok(p) => p,
                 Err(why) => {
                     eprintln!("error: {why}");
@@ -168,9 +119,9 @@ pub fn serve(args: &ServeArgs) -> i32 {
                 std::thread::park();
             }
         }
-        ServeArgs::Ping { port } => one_shot(client::ping(*port)),
-        ServeArgs::Stats { port } => one_shot(client::stats(*port)),
-        ServeArgs::Stop { port } => one_shot(client::stop(*port)),
+        ServeArgs::Ping { port } => one_shot(client::ping(port)),
+        ServeArgs::Stats { port } => one_shot(client::stats(port)),
+        ServeArgs::Stop { port } => one_shot(client::stop(port)),
     }
 }
 

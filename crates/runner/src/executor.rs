@@ -92,69 +92,6 @@ impl Default for RunnerOptions {
 }
 
 impl RunnerOptions {
-    /// Splits recognised runner flags out of an argument list, returning
-    /// the parsed options and the untouched remainder.
-    ///
-    /// Recognised: `--workers=N` (or `-jN`), `--retries=N`, `--quiet`,
-    /// `--out=DIR`, `--telemetry`, `--trace-out=DIR` (implies
-    /// `--telemetry`), `--profile`, `--journal=FILE`, `--resume=FILE`,
-    /// `--resume-retry-failed`, `--deadline-ms=N`, `--backoff-ms=N`,
-    /// `--canonical`, and `--inject-faults=SEED`. Malformed values
-    /// abort with a message on stderr.
-    pub fn parse_flags(args: &[String]) -> (RunnerOptions, Vec<String>) {
-        let mut opts = RunnerOptions::default();
-        let mut rest = Vec::new();
-        let parse_num = |flag: &str, v: &str| -> usize {
-            v.parse().unwrap_or_else(|_| {
-                eprintln!("invalid value for {flag}: {v:?}");
-                std::process::exit(2);
-            })
-        };
-        let parse_u64 = |flag: &str, v: &str| -> u64 {
-            v.parse().unwrap_or_else(|_| {
-                eprintln!("invalid value for {flag}: {v:?}");
-                std::process::exit(2);
-            })
-        };
-        for arg in args {
-            if let Some(v) = arg.strip_prefix("--workers=") {
-                opts.workers = parse_num("--workers", v);
-            } else if let Some(v) = arg.strip_prefix("-j") {
-                opts.workers = parse_num("-j", v);
-            } else if let Some(v) = arg.strip_prefix("--retries=") {
-                opts.retries = parse_num("--retries", v) as u32;
-            } else if arg == "--quiet" {
-                opts.quiet = true;
-            } else if let Some(v) = arg.strip_prefix("--out=") {
-                opts.out_dir = PathBuf::from(v);
-            } else if arg == "--telemetry" {
-                opts.telemetry = true;
-            } else if let Some(v) = arg.strip_prefix("--trace-out=") {
-                opts.telemetry = true;
-                opts.trace_out = Some(PathBuf::from(v));
-            } else if let Some(v) = arg.strip_prefix("--journal=") {
-                opts.journal = Some(PathBuf::from(v));
-            } else if let Some(v) = arg.strip_prefix("--resume=") {
-                opts.resume = Some(PathBuf::from(v));
-            } else if arg == "--resume-retry-failed" {
-                opts.resume_retry_failed = true;
-            } else if arg == "--profile" {
-                opts.profile = true;
-            } else if let Some(v) = arg.strip_prefix("--deadline-ms=") {
-                opts.deadline_ms = Some(parse_u64("--deadline-ms", v));
-            } else if let Some(v) = arg.strip_prefix("--backoff-ms=") {
-                opts.backoff_ms = parse_u64("--backoff-ms", v);
-            } else if arg == "--canonical" {
-                opts.canonical = true;
-            } else if let Some(v) = arg.strip_prefix("--inject-faults=") {
-                opts.fault_seed = Some(parse_u64("--inject-faults", v));
-            } else {
-                rest.push(arg.clone());
-            }
-        }
-        (opts, rest)
-    }
-
     fn effective_workers(&self, points: usize) -> usize {
         let auto = std::thread::available_parallelism().map_or(1, |n| n.get());
         let w = if self.workers == 0 {
@@ -1243,62 +1180,6 @@ mod tests {
             _ => unreachable!(),
         }
         assert_eq!(sweep.rows[1].attempt_ms.len(), 3);
-    }
-
-    #[test]
-    fn flag_parsing_splits_runner_options() {
-        let args: Vec<String> = [
-            "quick",
-            "--workers=3",
-            "--quiet",
-            "--retries=1",
-            "--out=tmp",
-            "--telemetry",
-            "--trace-out=tmp/traces",
-            "--journal=tmp/unit.journal",
-            "--deadline-ms=5000",
-            "--backoff-ms=7",
-            "--canonical",
-            "--inject-faults=99",
-            "--profile",
-            "--resume-retry-failed",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        let (opts, rest) = RunnerOptions::parse_flags(&args);
-        assert_eq!(opts.workers, 3);
-        assert_eq!(opts.retries, 1);
-        assert!(opts.quiet);
-        assert_eq!(opts.out_dir, std::path::PathBuf::from("tmp"));
-        assert!(opts.telemetry);
-        assert_eq!(opts.telemetry_dir(), std::path::PathBuf::from("tmp/traces"));
-        assert_eq!(
-            opts.journal,
-            Some(std::path::PathBuf::from("tmp/unit.journal"))
-        );
-        assert_eq!(opts.resume, None);
-        assert_eq!(opts.deadline_ms, Some(5_000));
-        assert_eq!(opts.backoff_ms, 7);
-        assert!(opts.canonical);
-        assert_eq!(opts.fault_seed, Some(99));
-        assert!(opts.profile);
-        assert_eq!(opts.profile_dir(), std::path::PathBuf::from("tmp/profile"));
-        assert!(opts.resume_retry_failed);
-        assert_eq!(rest, vec!["quick".to_string()]);
-    }
-
-    #[test]
-    fn trace_out_implies_telemetry_and_defaults_under_out_dir() {
-        let args: Vec<String> = vec!["--trace-out=x".to_string()];
-        let (opts, _) = RunnerOptions::parse_flags(&args);
-        assert!(opts.telemetry);
-        let plain = RunnerOptions::default();
-        assert!(!plain.telemetry);
-        assert_eq!(
-            plain.telemetry_dir(),
-            std::path::PathBuf::from("results/telemetry")
-        );
     }
 
     #[test]

@@ -713,16 +713,10 @@ impl SystemConfigBuilder {
 
     /// Enables Li & John-style resource adaptation: selected invocations
     /// run locally under a `milli`/1,000 per-instruction slowdown while
-    /// the core throttles, and no OS core exists.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `milli` is zero.
+    /// the core throttles, and no OS core exists. A zero `milli` is
+    /// refused by [`try_build`](Self::try_build) as
+    /// [`ConfigError::ZeroAdaptationSlowdown`].
     pub fn resource_adaptation(mut self, milli: u64) -> Self {
-        assert!(
-            milli > 0,
-            "SystemConfig: adaptation slowdown must be positive"
-        );
         self.resource_adaptation = Some(milli);
         self
     }
@@ -955,6 +949,11 @@ mod tests {
         let mut cfg = base().build();
         cfg.resource_adaptation = Some(0);
         assert_eq!(cfg.validate(), Err(ConfigError::ZeroAdaptationSlowdown));
+        assert_eq!(
+            base().resource_adaptation(0).try_build().err(),
+            Some(ConfigError::ZeroAdaptationSlowdown),
+            "the setter leaves the refusal to try_build"
+        );
 
         let mut cfg = base().build();
         cfg.migration = MigrationModel::new(u64::MAX / 2 + 1);

@@ -17,8 +17,8 @@
 //! | [`mechanism_ablation`] | §II — thread migration vs RPC-style off-load |
 //! | [`sensitivity_with`] | memory-substrate sensitivity of the benefit |
 //!
-//! The `osoffload-bench` binary runs each of them by name
-//! (`osoffload-bench fig4 quick`; see its experiment registry).
+//! The `osoffload` binary runs each of them by name
+//! (`osoffload fig4 quick`; `osoffload help` lists the registry).
 //!
 //! The paper's runs simulate hundreds of millions of instructions on
 //! Simics; this reproduction exposes a [`Scale`] knob so the same
@@ -89,12 +89,12 @@ impl Scale {
         }
     }
 
-    /// Parses `quick` / `full` / `paper` (used by `osoffload-bench`).
+    /// Parses the scale word of `osoffload <experiment> quick|full|paper`.
     pub fn from_arg(arg: &str) -> Option<Scale> {
         match arg {
-            "quick" | "--quick" => Some(Scale::quick()),
-            "full" | "--full" => Some(Scale::full()),
-            "paper" | "--paper" => Some(Scale::paper()),
+            "quick" => Some(Scale::quick()),
+            "full" => Some(Scale::full()),
+            "paper" => Some(Scale::paper()),
             _ => None,
         }
     }
@@ -940,7 +940,9 @@ mod tests {
     #[test]
     fn scale_parsing() {
         assert_eq!(Scale::from_arg("quick"), Some(Scale::quick()));
-        assert_eq!(Scale::from_arg("--paper"), Some(Scale::paper()));
+        assert_eq!(Scale::from_arg("full"), Some(Scale::full()));
+        assert_eq!(Scale::from_arg("paper"), Some(Scale::paper()));
+        assert_eq!(Scale::from_arg("--paper"), None, "one spelling per scale");
         assert_eq!(Scale::from_arg("bogus"), None);
     }
 

@@ -5,7 +5,7 @@
 //! module measures what a profile actually generates — OS instruction
 //! share, invocation-length distribution, instruction mix, AState
 //! diversity — so the claim can be checked mechanically
-//! (`osoffload-bench calibration` prints the table; unit tests pin the
+//! (`osoffload calibration` prints the table; unit tests pin the
 //! tolerances).
 
 use crate::generator::{Segment, ThreadWorkload};

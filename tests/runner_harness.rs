@@ -205,7 +205,7 @@ fn digests_name_exactly_one_configuration() {
     }
 }
 
-/// Records `name`'s plan as `osoffload-bench` does (`record_plan`, the
+/// Records `name`'s plan as `osoffload <name>` does (`record_plan`, the
 /// first step of `run_driver`) and runs it twice, canonical on two
 /// workers: through `run_plan`, where every shape with several points
 /// replays a tape, and through a live evaluator. The archives must be
