@@ -78,13 +78,14 @@ pub struct RunArgs {
     pub rpc: bool,
     /// Resource-adaptation slowdown in milli-units (no OS core).
     pub adapt_milli: Option<u64>,
-    /// Score energy/EDP after the run.
+    /// Score energy/EDP after the run (`run` only).
     pub energy: bool,
     /// Emit the report as JSON instead of prose (`run` only).
     pub json: bool,
-    /// Capture full telemetry (spans + epoch metrics) during the run.
+    /// Capture full telemetry (spans + epoch metrics) during the run
+    /// (`run` only).
     pub telemetry: bool,
-    /// Directory for telemetry files (implies `telemetry`).
+    /// Directory for telemetry files (implies `telemetry`; `run` only).
     pub trace_out: Option<PathBuf>,
 }
 
@@ -433,11 +434,22 @@ fn parse_workload(name: &str) -> Result<Profile, ParseArgsError> {
     })
 }
 
-fn parse_run_args(args: &[String]) -> Result<RunArgs, ParseArgsError> {
+/// Parses the flags of simulation subcommand `command`. `run` reads
+/// every [`RunArgs`] field; the others refuse the flags they would
+/// ignore, naming the flag, rather than drop them silently.
+fn parse_run_args(command: &str, args: &[String]) -> Result<RunArgs, ParseArgsError> {
+    let ignored: &[&str] = match command {
+        "run" => &[],
+        "sweep" => &["policy", "json", "energy", "telemetry", "trace-out"],
+        _ => &["json", "energy", "telemetry", "trace-out"],
+    };
     let (flags, words) = split(args)?;
     let mut a = RunArgs::default();
     let mut warmup = None;
     for f in flags {
+        if ignored.contains(&f.name) {
+            return Err(err(format!("{command} does not take --{}", f.name)));
+        }
         match f.name {
             "workload" => a.workload = parse_workload(f.text()?)?,
             "policy" => {
@@ -712,10 +724,10 @@ pub fn parse(args: &[String]) -> Result<Command, ParseArgsError> {
             None => Command::List,
             Some(extra) => return Err(err(format!("unexpected argument '{extra}'"))),
         },
-        "run" => Command::Run(parse_run_args(rest)?),
-        "compare" => Command::Compare(parse_run_args(rest)?),
-        "sweep" => Command::Sweep(parse_run_args(rest)?),
-        "trace" => Command::Trace(parse_run_args(rest)?),
+        "run" => Command::Run(parse_run_args(first, rest)?),
+        "compare" => Command::Compare(parse_run_args(first, rest)?),
+        "sweep" => Command::Sweep(parse_run_args(first, rest)?),
+        "trace" => Command::Trace(parse_run_args(first, rest)?),
         "inspect" => Command::Inspect(parse_inspect_args(rest)?),
         "serve" => Command::Serve(parse_serve_args(rest)?),
         name => match EXPERIMENTS.iter().find(|e| e.name == name) {
@@ -761,9 +773,9 @@ SUBCOMMANDS:
     list      available workload profiles and policy specs
     help      this text
 
-FLAGS (run/compare/sweep/trace):
+FLAGS (run/compare/sweep/trace; each refuses the flags it would ignore):
     --workload=NAME          workload profile        [apache]
-    --policy=SPEC            decision policy         [hi:500], one of:
+    --policy=SPEC            decision policy         [hi:500] (not sweep), one of:
 {policies}    --latency=CYCLES         one-way migration cost  [1000]
     --instructions=COUNT     measured instructions   [1000000]
     --warmup=COUNT           warm-up instructions    [instructions/2]
@@ -773,12 +785,13 @@ FLAGS (run/compare/sweep/trace):
     --rpc                    RPC transport instead of thread migration
     --adapt=MILLI            resource adaptation: run long OS sequences
                              locally, throttled by milli/1000 (no OS core)
-    --energy                 also score energy and EDP
+    --energy                 also score energy and EDP (run only)
     --json                   emit the report as JSON (run only)
     --telemetry              capture spans + epoch metrics; write a Chrome
-                             trace and metric time series (see TELEMETRY.md)
+                             trace and metric time series (run only; see
+                             TELEMETRY.md)
     --trace-out=DIR          telemetry output directory [results/telemetry]
-                             (implies --telemetry)
+                             (run only; implies --telemetry)
 
 EXPERIMENTS (default scale: full; see EXPERIMENTS.md):
 {experiments}
@@ -929,6 +942,41 @@ mod tests {
         assert_eq!(a.seed, 7);
         assert_eq!(a.cores, 2);
         assert!(a.tuner && a.rpc && a.energy);
+    }
+
+    /// The four simulation subcommands share one flag set, and each
+    /// refuses, by name, the flags it would ignore.
+    #[test]
+    fn simulation_subcommands_refuse_flags_they_ignore() {
+        let flags = [
+            "--workload=derby",
+            "--policy=hi:100",
+            "--latency=10",
+            "--instructions=1000",
+            "--warmup=10",
+            "--seed=1",
+            "--cores=2",
+            "--tuner",
+            "--rpc",
+            "--adapt=1200",
+            "--energy",
+            "--json",
+            "--telemetry",
+            "--trace-out=d",
+        ];
+        for (command, accepted) in [("run", 14), ("compare", 10), ("sweep", 9), ("trace", 10)] {
+            let mut taken = 0;
+            for flag in flags {
+                match parse(&argv(&format!("{command} {flag}"))) {
+                    Ok(_) => taken += 1,
+                    Err(e) => {
+                        let name = flag.split('=').next().unwrap();
+                        assert_eq!(e.0, format!("{command} does not take {name}"));
+                    }
+                }
+            }
+            assert_eq!(taken, accepted, "{command}");
+        }
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! `osoffload inspect` — run analytics over `results/` artefacts.
 //!
 //! Three subcommands over the runner's on-disk formats (see
-//! TELEMETRY.md, "Profiling & inspection"):
+//! TELEMETRY.md, "Profiling & inspection"). Archives, journals and serve
+//! caches load as the runner's own [`PointResult`] rows, through
+//! `report::read_sweep`, `journal::load` and `cache::read_entries`:
 //!
-//! - `show` summarises a sweep archive or results journal row by row,
-//!   and pretty-prints any other JSON document (fuzz repros, runner
-//!   summaries, static tables).
+//! - `show` summarises a sweep archive, results journal or serve cache
+//!   row by row, and pretty-prints any other JSON document (fuzz
+//!   repros, runner summaries, static tables).
 //! - `find` locates points by their FNV-1a `config_digest` — the hash
 //!   archived with failed rows — across any number of artefacts.
 //! - `diff` emits report-level deltas (IPC, cycle-breakdown components,
@@ -22,42 +24,30 @@
 
 use crate::args::InspectArgs;
 use osoffload_obs::json::{self, Value};
-use osoffload_runner::journal::{self, config_digest, extract_config};
-use osoffload_runner::Outcome;
+use osoffload_runner::{journal, report, Outcome, PointResult};
+use osoffload_system::SimReport;
 use std::fmt::Write as _;
 use std::path::Path;
 
 /// Exit code when `--gate` is breached (distinct from usage/load errors).
 const EXIT_GATE: i32 = 3;
 
-/// One result row in inspector form, whichever artefact it came from.
-struct Row {
-    index: usize,
-    id: String,
-    status: String,
-    /// `panic` message / timeout deadline for non-ok rows.
-    detail: String,
-    digest: String,
-    config: String,
-    report: Option<Value>,
-    /// Runner wall-clock for the point; 0 in canonical artefacts.
-    wall_ms: f64,
-}
-
 /// A loaded artefact.
 enum Artefact {
-    /// A sweep archive (`results/<plan>.json`).
-    Sweep { summary: String, rows: Vec<Row> },
-    /// A results journal (`--journal` / `--resume`).
-    Journal { summary: String, rows: Vec<Row> },
+    /// A sweep archive, results journal or serve cache: a summary line
+    /// and its result rows.
+    Rows {
+        summary: String,
+        rows: Vec<PointResult>,
+    },
     /// Any other JSON document (repro files, runner summaries, …).
     Other(Value),
 }
 
 impl Artefact {
-    fn rows(&self) -> &[Row] {
+    fn rows(&self) -> &[PointResult] {
         match self {
-            Artefact::Sweep { rows, .. } | Artefact::Journal { rows, .. } => rows,
+            Artefact::Rows { rows, .. } => rows,
             Artefact::Other(_) => &[],
         }
     }
@@ -73,32 +63,6 @@ fn load(path: &str) -> Result<Artefact, String> {
             return load_serve_cache(path);
         }
         let loaded = journal::load(Path::new(path)).map_err(|e| format!("{path}: {e}"))?;
-        let rows = loaded
-            .rows
-            .iter()
-            .map(|r| {
-                let (status, detail) = match &r.outcome {
-                    Outcome::Ok(_) => ("ok".to_string(), String::new()),
-                    Outcome::Failed { panic, .. } => ("failed".to_string(), panic.clone()),
-                    Outcome::TimedOut { deadline_ms, .. } => {
-                        ("timeout".to_string(), format!("deadline {deadline_ms} ms"))
-                    }
-                };
-                Row {
-                    index: r.index,
-                    id: r.id.clone(),
-                    status,
-                    detail,
-                    digest: r.config_digest(),
-                    config: r.config_json.clone(),
-                    report: match &r.outcome {
-                        Outcome::Ok(rep) => json::parse(&rep.to_json()).ok(),
-                        _ => None,
-                    },
-                    wall_ms: r.wall_ms,
-                }
-            })
-            .collect();
         let summary = format!(
             "journal: experiment={} master_seed={} points={} ({} journaled)",
             loaded.header.experiment,
@@ -106,31 +70,29 @@ fn load(path: &str) -> Result<Artefact, String> {
             loaded.header.points,
             loaded.rows.len()
         );
-        return Ok(Artefact::Journal { summary, rows });
+        return Ok(Artefact::Rows {
+            summary,
+            rows: loaded.rows,
+        });
     }
     let doc = json::parse(&text).map_err(|e| format!("{path}: bad JSON: {e}"))?;
-    if doc.get("rows").is_some() && doc.get("master_seed").is_some() {
-        let rows = split_rows(&text)
-            .into_iter()
-            .filter_map(parse_archive_row)
-            .collect::<Vec<Row>>();
-        let num = |key: &str| {
-            doc.get(key)
-                .and_then(Value::as_u64)
-                .map_or("?".to_string(), |n| n.to_string())
-        };
-        let summary = format!(
-            "archive: experiment={} master_seed={} workers={} points={} failed={} timeouts={}",
-            doc.get("experiment").and_then(Value::as_str).unwrap_or("?"),
-            num("master_seed"),
-            num("workers"),
-            num("points"),
-            num("failed"),
-            num("timeouts"),
-        );
-        return Ok(Artefact::Sweep { summary, rows });
+    if doc.get("rows").is_none() || doc.get("master_seed").is_none() {
+        return Ok(Artefact::Other(doc));
     }
-    Ok(Artefact::Other(doc))
+    let sweep = report::read_sweep(Path::new(path))?;
+    let summary = format!(
+        "archive: experiment={} master_seed={} workers={} points={} failed={} timeouts={}",
+        sweep.name,
+        sweep.master_seed,
+        sweep.workers,
+        sweep.rows.len(),
+        sweep.failures().count(),
+        sweep.timeouts(),
+    );
+    Ok(Artefact::Rows {
+        summary,
+        rows: sweep.rows,
+    })
 }
 
 /// Loads a serve result cache (read-only — inspection never heals or
@@ -142,22 +104,6 @@ fn load_serve_cache(path: &str) -> Result<Artefact, String> {
     for warning in &warnings {
         eprintln!("warning: {warning}");
     }
-    let rows = entries
-        .iter()
-        .map(|e| Row {
-            index: e.row.index,
-            id: e.row.id.clone(),
-            status: "ok".to_string(),
-            detail: String::new(),
-            digest: e.digest.clone(),
-            config: e.row.config_json.clone(),
-            report: match &e.row.outcome {
-                Outcome::Ok(rep) => json::parse(&rep.to_json()).ok(),
-                _ => None,
-            },
-            wall_ms: e.row.wall_ms,
-        })
-        .collect();
     let summary = format!(
         "serve cache: entries={}{}",
         entries.len(),
@@ -167,85 +113,50 @@ fn load_serve_cache(path: &str) -> Result<Artefact, String> {
             format!(" ({} records skipped)", warnings.len())
         }
     );
-    Ok(Artefact::Journal { summary, rows })
-}
-
-/// Slices the verbatim row objects out of an archive's `"rows":[…]`
-/// array (string-aware, so braces inside panic messages cannot mislead
-/// it). The verbatim text is what the archived `config_digest` hashes
-/// over, so re-serialising through the parser would not do.
-fn split_rows(text: &str) -> Vec<&str> {
-    const MARKER: &str = "\"rows\":[";
-    let Some(start) = text.find(MARKER) else {
-        return Vec::new();
-    };
-    let bytes = text.as_bytes();
-    let mut pos = start + MARKER.len();
-    let mut rows = Vec::new();
-    while pos < bytes.len() {
-        match bytes[pos] {
-            b'{' => {
-                let Some(end) = json::value_end(text, pos) else {
-                    break;
-                };
-                rows.push(&text[pos..end]);
-                pos = end;
-            }
-            b']' => break,
-            _ => pos += 1,
-        }
-    }
-    rows
-}
-
-fn parse_archive_row(text: &str) -> Option<Row> {
-    let v = json::parse(text).ok()?;
-    let config = extract_config(text)?;
-    let status = v.get("status").and_then(Value::as_str)?.to_string();
-    let detail = match status.as_str() {
-        "failed" => v
-            .get("panic")
-            .and_then(Value::as_str)
-            .unwrap_or("?")
-            .to_string(),
-        "timeout" => format!(
-            "deadline {} ms",
-            v.get("deadline_ms").and_then(Value::as_u64).unwrap_or(0)
-        ),
-        _ => String::new(),
-    };
-    Some(Row {
-        index: v.get("index").and_then(Value::as_usize)?,
-        id: v.get("id").and_then(Value::as_str)?.to_string(),
-        status,
-        detail,
-        digest: config_digest(&config),
-        config,
-        report: v.get("report").cloned(),
-        wall_ms: v.get("wall_ms").and_then(Value::as_f64).unwrap_or(0.0),
+    Ok(Artefact::Rows {
+        summary,
+        rows: entries.into_iter().map(|e| e.row).collect(),
     })
+}
+
+/// A row's status word and, for a row without a report, what stopped it.
+fn status(r: &PointResult) -> (&'static str, String) {
+    match &r.outcome {
+        Outcome::Ok(_) => ("ok", String::new()),
+        Outcome::Failed { panic, .. } => ("failed", panic.clone()),
+        Outcome::TimedOut { deadline_ms, .. } => ("timeout", format!("deadline {deadline_ms} ms")),
+    }
+}
+
+/// The row's report, if its point completed.
+fn report_of(r: &PointResult) -> Option<&SimReport> {
+    match &r.outcome {
+        Outcome::Ok(report) => Some(report),
+        Outcome::Failed { .. } | Outcome::TimedOut { .. } => None,
+    }
 }
 
 /// Renders one summary line per row: index, id, status, digest, and the
 /// headline report numbers for ok rows.
-fn render_rows(out: &mut String, rows: &[Row]) {
+fn render_rows(out: &mut String, rows: &[PointResult]) {
     for r in rows {
+        let (status, detail) = status(r);
         let _ = write!(
             out,
             "  [{:>3}] {:<28} {:<7} {}",
-            r.index, r.id, r.status, r.digest
+            r.index,
+            r.id,
+            status,
+            r.config_digest()
         );
-        if let Some(rep) = &r.report {
-            let f = |key: &str| rep.get(key).and_then(Value::as_f64).unwrap_or(0.0);
+        if let Some(rep) = report_of(r) {
             let _ = write!(
                 out,
                 "  ipc={:.6} cycles={} offloads={}",
-                f("throughput"),
-                f("cycles"),
-                f("offloads"),
+                rep.throughput, rep.cycles, rep.offloads,
             );
-        } else if !r.detail.is_empty() {
-            let _ = write!(out, "  {}", r.detail);
+        } else if !detail.is_empty() {
+            let _ = write!(out, "  {detail}");
         }
         out.push('\n');
     }
@@ -254,7 +165,7 @@ fn render_rows(out: &mut String, rows: &[Row]) {
 fn render_show(path: &str) -> Result<String, String> {
     let mut out = String::new();
     match load(path)? {
-        Artefact::Sweep { summary, rows } | Artefact::Journal { summary, rows } => {
+        Artefact::Rows { summary, rows } => {
             out.push_str(&summary);
             out.push('\n');
             render_rows(&mut out, &rows);
@@ -272,20 +183,18 @@ fn render_find(digest: &str, paths: &[String]) -> Result<(String, bool), String>
     for path in paths {
         let artefact = load(path)?;
         for r in artefact.rows() {
-            if r.digest == digest {
+            if r.config_digest() == digest {
                 found = true;
+                let (status, detail) = status(r);
+                let detail = if detail.is_empty() {
+                    detail
+                } else {
+                    format!(" ({detail})")
+                };
                 let _ = writeln!(
                     out,
-                    "{path}: [{}] {} {}{}\n  config: {}",
-                    r.index,
-                    r.id,
-                    r.status,
-                    if r.detail.is_empty() {
-                        String::new()
-                    } else {
-                        format!(" ({})", r.detail)
-                    },
-                    r.config
+                    "{path}: [{}] {} {status}{detail}\n  config: {}",
+                    r.index, r.id, r.config_json
                 );
             }
         }
@@ -308,45 +217,28 @@ struct Metric {
 /// The metrics `diff` compares, pulled from one pair of reports. Gate
 /// decisions use only the first two (IPC and total cycles) — the
 /// headline performance numbers.
-fn metrics(a: &Value, b: &Value) -> Vec<Metric> {
-    let mut out = Vec::new();
-    let mut rel = |label: &str, x: Option<f64>, y: Option<f64>| {
-        if let (Some(x), Some(y)) = (x, y) {
-            out.push(Metric {
-                label: label.to_string(),
-                a: x,
-                b: y,
-                relative: true,
-            });
-        }
+fn metrics(a: &SimReport, b: &SimReport) -> Vec<Metric> {
+    let rel = |label: String, a: f64, b: f64| Metric {
+        label,
+        a,
+        b,
+        relative: true,
     };
-    let f = |v: &Value, key: &str| v.get(key).and_then(Value::as_f64);
-    rel("ipc", f(a, "throughput"), f(b, "throughput"));
-    rel("cycles", f(a, "cycles"), f(b, "cycles"));
-    for key in [
-        "base",
-        "fetch",
-        "data",
-        "tlb",
-        "branch",
-        "migration",
-        "queue_wait",
-        "decision",
-    ] {
-        let sub = |v: &Value| v.get("cycle_breakdown").and_then(|c| f(c, key));
-        rel(&format!("cycle_breakdown.{key}"), sub(a), sub(b));
+    let mut out = vec![
+        rel("ipc".to_string(), a.throughput, b.throughput),
+        rel("cycles".to_string(), a.cycles as f64, b.cycles as f64),
+    ];
+    let (ca, cb) = (
+        a.cycle_breakdown.components(),
+        b.cycle_breakdown.components(),
+    );
+    for ((key, x), (_, y)) in ca.into_iter().zip(cb) {
+        out.push(rel(format!("cycle_breakdown.{key}"), x as f64, y as f64));
     }
-    for key in ["p50_delay", "p95_delay", "p99_delay"] {
-        let sub = |v: &Value| v.get("queue").and_then(|q| f(q, key));
-        rel(&format!("queue.{key}"), sub(a), sub(b));
+    for ((key, x), (_, y)) in a.queue.percentiles().into_iter().zip(b.queue.percentiles()) {
+        out.push(rel(format!("queue.{key}"), x as f64, y as f64));
     }
-    let utils = |v: &Value| -> Vec<f64> {
-        v.get("os_core_utilisation")
-            .and_then(Value::as_arr)
-            .map(|items| items.iter().filter_map(Value::as_f64).collect())
-            .unwrap_or_default()
-    };
-    let (ua, ub) = (utils(a), utils(b));
+    let (ua, ub) = (&a.os_core_utilisation, &b.os_core_utilisation);
     for i in 0..ua.len().max(ub.len()) {
         // Utilisation is already a fraction, so its delta is absolute.
         out.push(Metric {
@@ -372,6 +264,14 @@ fn pct(a: f64, b: f64) -> f64 {
     }
 }
 
+/// The completed rows of an artefact: index, id and report.
+fn ok_rows(doc: &Artefact) -> Vec<(usize, &str, &SimReport)> {
+    doc.rows()
+        .iter()
+        .filter_map(|r| Some((r.index, r.id.as_str(), report_of(r)?)))
+        .collect()
+}
+
 /// Renders the report-level deltas between artefacts `a` and `b`.
 /// Returns the text and the largest headline (IPC/cycles) percentage
 /// delta, for the gate.
@@ -381,12 +281,6 @@ fn render_diff(a: &str, b: &str, canonical: bool) -> Result<(String, f64), Strin
     if !canonical {
         let _ = writeln!(out, "diff: {a} vs {b}");
     }
-    let ok_rows = |doc: &Artefact| -> Vec<(usize, String, Value)> {
-        doc.rows()
-            .iter()
-            .filter_map(|r| Some((r.index, r.id.clone(), r.report.clone()?)))
-            .collect()
-    };
     let (rows_a, rows_b) = (ok_rows(&doc_a), ok_rows(&doc_b));
     let _ = writeln!(out, "rows: {} vs {} ok", rows_a.len(), rows_b.len());
     // Wall-clock / throughput deltas, only when both sides carry real
@@ -557,12 +451,8 @@ mod tests {
     #[test]
     fn find_locates_points_by_digest_and_misses_cleanly() {
         let path = fixture("mini_base.json");
-        // Digest of row 0, computed the same way the archive does.
-        let text = std::fs::read_to_string(&path).unwrap();
-        let row = split_rows(&text)[0];
-        let config = extract_config(row).unwrap();
-        let digest = config_digest(&config);
-        let (out, found) = render_find(&digest, std::slice::from_ref(&path)).unwrap();
+        // FNV-1a over the verbatim bytes of row 0's configuration.
+        let (out, found) = render_find("df0175420ba6caad", std::slice::from_ref(&path)).unwrap();
         assert!(found, "{out}");
         assert!(out.contains("config: {"), "{out}");
         let (out, found) = render_find("0000000000000000", &[path]).unwrap();
@@ -571,7 +461,7 @@ mod tests {
     }
 
     #[test]
-    fn find_and_show_search_serve_caches_too() {
+    fn find_and_show_read_archives_journals_and_serve_caches() {
         use osoffload_runner::{record_plan, run_plan, RunnerOptions};
         use osoffload_serve::cache::ResultCache;
         use osoffload_system::experiments::{single_config, Scale};
@@ -593,28 +483,40 @@ mod tests {
                 scale,
             ));
         });
+        let journal = dir.join("inspect-cache.journal");
         let sweep = run_plan(
             &plan,
             &RunnerOptions {
                 quiet: true,
                 canonical: true,
                 out_dir: dir.clone(),
+                journal: Some(journal.clone()),
                 ..RunnerOptions::default()
             },
         );
+        let archive = report::write_sweep(&sweep, &dir).unwrap();
         let row = &sweep.rows[0];
         let cache_path = dir.join("cache.wal");
         let mut cache = ResultCache::open(&cache_path, 0).unwrap();
         assert!(cache.insert(&row.config_json, row).unwrap());
         drop(cache);
 
-        let path = cache_path.to_str().unwrap().to_string();
-        let text = render_show(&path).expect("loads");
-        assert!(text.starts_with("serve cache: entries=1"), "{text}");
-        let (out, found) = render_find(&row.config_digest(), std::slice::from_ref(&path)).unwrap();
-        assert!(found, "inspect find must search serve caches: {out}");
-        assert!(out.contains(&row.id), "{out}");
-        let (_, found) = render_find("0000000000000000", &[path]).unwrap();
+        let paths: Vec<String> = [&archive, &journal, &cache_path]
+            .map(|p| p.to_str().unwrap().to_string())
+            .into();
+        for (path, summary) in paths.iter().zip([
+            "archive: experiment=inspect-cache",
+            "journal: experiment=inspect-cache",
+            "serve cache: entries=1",
+        ]) {
+            let text = render_show(path).expect("loads");
+            assert!(text.starts_with(summary), "{text}");
+            assert!(text.contains(&row.config_digest()), "{text}");
+        }
+        let (out, found) = render_find(&row.config_digest(), &paths).unwrap();
+        assert!(found, "{out}");
+        assert_eq!(out.matches(&row.id).count(), 3, "one match per file: {out}");
+        let (_, found) = render_find("0000000000000000", &paths).unwrap();
         assert!(!found);
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -192,6 +192,51 @@ fn refused_configurations_exit_2() {
             assert!(o.stdout.is_empty(), "{command} {flag} printed output");
         }
     }
+    // A predictor table past the size bound is refused before it is
+    // allocated, by the two subcommands that simulate `--policy`.
+    for command in ["run", "trace"] {
+        let o = run(&[
+            command,
+            "--instructions=1000",
+            "--policy=hi-sa:500:100000000",
+        ]);
+        assert_eq!(o.status.code(), Some(2), "{command}: {o:?}");
+        let stderr = String::from_utf8_lossy(&o.stderr);
+        assert!(
+            stderr.starts_with("error: ")
+                && stderr.contains("predictor table of 6400000000 entries exceeds"),
+            "{command}: {stderr}"
+        );
+        assert!(o.stdout.is_empty(), "{command} printed output");
+    }
+}
+
+/// `compare`, `sweep` and `trace` refuse the `run` flags they would
+/// otherwise ignore, so `compare --json` cannot print prose and
+/// `sweep --trace-out=DIR` cannot silently write nothing.
+#[test]
+fn simulation_subcommands_refuse_flags_they_ignore() {
+    let dir = scratch("ignored");
+    let trace_out = format!("--trace-out={}", dir.display());
+    for (command, flag) in [
+        ("compare", "--json"),
+        ("compare", "--energy"),
+        ("trace", "--telemetry"),
+        ("trace", trace_out.as_str()),
+        ("sweep", "--policy=hi:100"),
+        ("sweep", trace_out.as_str()),
+    ] {
+        let o = run(&[command, "--instructions=20000", flag]);
+        assert_eq!(o.status.code(), Some(2), "{command} {flag}: {o:?}");
+        let name = flag.split('=').next().unwrap();
+        let stderr = String::from_utf8_lossy(&o.stderr);
+        assert!(
+            stderr.starts_with(&format!("error: {command} does not take {name}")),
+            "{command} {flag}: {stderr}"
+        );
+        assert!(o.stdout.is_empty(), "{command} {flag} printed output");
+    }
+    assert!(!dir.exists(), "a refused --trace-out wrote files");
 }
 
 /// `--telemetry` with `--trace-out=DIR` writes the run's three telemetry

@@ -572,17 +572,7 @@ fn check_invariants(cfg: &osoffload_system::SystemConfig, r: &SimReport) -> Resu
         );
     }
 
-    for (name, x) in [
-        ("os_share", r.os_share),
-        ("l1d_hit_rate", r.l1d_hit_rate),
-        ("l1i_hit_rate", r.l1i_hit_rate),
-        ("user_branch_accuracy", r.user_branch_accuracy),
-        ("l2_user_hit_rate", r.l2_user_hit_rate),
-        ("l2_os_hit_rate", r.l2_os_hit_rate),
-        ("l2_mean_hit_rate", r.l2_mean_hit_rate),
-        ("os_core_busy_frac", r.os_core_busy_frac),
-        ("user_cores_busy_frac", r.user_cores_busy_frac),
-    ] {
+    for (name, x) in r.fractions() {
         require(
             x.is_finite() && (0.0..=1.0).contains(&x),
             format!("{name} = {x} outside [0, 1]"),
@@ -609,12 +599,7 @@ fn check_invariants(cfg: &osoffload_system::SystemConfig, r: &SimReport) -> Resu
     );
 
     if let Some(p) = &r.predictor {
-        for (name, x) in [
-            ("exact", p.exact),
-            ("within_5pct", p.within_5pct),
-            ("underestimates", p.underestimates),
-            ("local_fraction", p.local_fraction),
-        ] {
+        for (name, x) in p.fractions() {
             require(
                 x.is_finite() && (0.0..=1.0).contains(&x),
                 format!("predictor {name} = {x} outside [0, 1]"),

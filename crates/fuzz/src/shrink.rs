@@ -93,6 +93,28 @@ fn passes() -> Vec<Pass> {
             })
         },
         |c| {
+            (c.os_cores > 1).then(|| {
+                let mut n = c.clone();
+                n.os_cores = 1.max(c.os_cores / 2);
+                n
+            })
+        },
+        |c| {
+            let d = FuzzCase::default();
+            (c.dispatch != d.dispatch).then(|| {
+                let mut n = c.clone();
+                n.dispatch = d.dispatch;
+                n
+            })
+        },
+        |c| {
+            (c.os_cold_penalty != 0).then(|| {
+                let mut n = c.clone();
+                n.os_cold_penalty = 0;
+                n
+            })
+        },
+        |c| {
             (c.os_core_contexts != 1).then(|| {
                 let mut n = c.clone();
                 n.os_core_contexts = 1;
@@ -196,7 +218,7 @@ pub fn shrink(case: &FuzzCase, oracle: OracleKind) -> Shrunk {
 mod tests {
     use super::*;
     use crate::gen;
-    use osoffload_system::PolicyKind;
+    use osoffload_system::{DispatchPolicy, PolicyKind};
 
     /// A synthetic "bug": an oracle that fails whenever the case uses
     /// the remote-call mechanism with more than one user core. The
@@ -205,15 +227,15 @@ mod tests {
         c.remote_call && c.user_cores >= 2
     }
 
-    /// Drives the shrink loop against the synthetic predicate (the
+    /// Drives the shrink loop against a synthetic predicate (the
     /// pass/fixpoint machinery, without needing a real simulator bug).
-    fn shrink_synthetic(case: &FuzzCase) -> FuzzCase {
+    fn shrink_synthetic(case: &FuzzCase, fails: fn(&FuzzCase) -> bool) -> FuzzCase {
         let mut current = case.clone();
         loop {
             let mut adopted = false;
             for pass in passes() {
                 while let Some(candidate) = pass(&current) {
-                    if candidate.to_config().is_ok() && synthetic_fails(&candidate) {
+                    if candidate.to_config().is_ok() && fails(&candidate) {
                         current = candidate;
                         adopted = true;
                     } else {
@@ -241,12 +263,20 @@ mod tests {
         case.phases = vec![(10_000, "mcf".into())];
         case.tuner_scale = None;
         case.half_l2 = true;
+        case.os_cores = 4;
+        case.dispatch = DispatchPolicy::RoundRobin;
+        case.os_cold_penalty = 500;
         assert!(synthetic_fails(&case));
 
-        let min = shrink_synthetic(&case);
+        let min = shrink_synthetic(&case, synthetic_fails);
         assert!(synthetic_fails(&min));
         assert!(min.phases.is_empty());
         assert!(!min.half_l2);
+        assert_eq!(
+            (min.os_cores, min.dispatch, min.os_cold_penalty),
+            (1, DispatchPolicy::LeastLoaded, 0),
+            "the topology shrinks to the one-OS-core default"
+        );
         assert_eq!(min.user_cores, 2, "halved to the smallest failing value");
         assert_eq!(min.policy, FuzzCase::default().policy);
         assert_eq!(min.seed, 0);
@@ -265,6 +295,22 @@ mod tests {
         assert!(fields.contains(&"remote_call"), "{fields:?}");
         assert!(fields.contains(&"user_cores"), "{fields:?}");
         assert!(fields.len() <= 5, "not locally minimal: {fields:?}");
+    }
+
+    #[test]
+    fn os_cores_halve_to_the_smallest_failing_count() {
+        // A "bug" that needs two OS cores and a cold penalty.
+        let fails = |c: &FuzzCase| c.os_cores >= 2 && c.os_cold_penalty > 0;
+        let mut case = gen::generate(0xC0FF_EE00);
+        case.resource_adaptation = None;
+        case.os_cores = 4;
+        case.dispatch = DispatchPolicy::AStateAffinity;
+        case.os_cold_penalty = 2_000;
+        let min = shrink_synthetic(&case, fails);
+        assert_eq!(
+            (min.os_cores, min.dispatch, min.os_cold_penalty),
+            (2, DispatchPolicy::LeastLoaded, 2_000)
+        );
     }
 
     #[test]

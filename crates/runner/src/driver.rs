@@ -19,7 +19,7 @@
 use crate::executor::{run_plan, Outcome, RunnerOptions, SweepResult};
 use crate::plan::ExperimentPlan;
 use osoffload_system::experiments::Evaluator;
-use osoffload_system::{CycleBreakdown, QueueReport, SimReport, SystemConfig};
+use osoffload_system::{SimReport, SystemConfig};
 
 /// A placeholder [`SimReport`] served during the record pass.
 ///
@@ -32,44 +32,8 @@ use osoffload_system::{CycleBreakdown, QueueReport, SimReport, SystemConfig};
 /// restores reports losslessly.
 pub fn placeholder_report() -> SimReport {
     SimReport {
-        profile: String::new(),
-        policy: String::new(),
-        threshold: None,
-        final_threshold: None,
-        migration_one_way: 0,
-        user_cores: 0,
-        os_cores: 0,
-        dispatch: String::new(),
-        threads: 0,
-        instructions: 0,
-        cycles: 0,
         throughput: 1.0,
-        os_share: 0.0,
-        offloads: 0,
-        local_invocations: 0,
-        decision_overhead_cycles: 0,
-        l1d_hit_rate: 0.0,
-        l1i_hit_rate: 0.0,
-        user_branch_accuracy: 0.0,
-        l2_user_hit_rate: 0.0,
-        l2_os_hit_rate: 0.0,
-        l2_mean_hit_rate: 0.0,
-        c2c_transfers: 0,
-        invalidation_rounds: 0,
-        l1d_accesses: 0,
-        l1i_accesses: 0,
-        l2_accesses: 0,
-        dram_accesses: 0,
-        throttled_cycles: 0,
-        os_core_busy_frac: 0.0,
-        os_core_busy_cycles: Vec::new(),
-        os_core_utilisation: Vec::new(),
-        user_cores_busy_frac: 0.0,
-        queue: QueueReport::default(),
-        predictor: None,
-        cycle_breakdown: CycleBreakdown::default(),
-        binary_accuracy: Vec::new(),
-        tuner_events: 0,
+        ..SimReport::default()
     }
 }
 

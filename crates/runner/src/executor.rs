@@ -169,10 +169,11 @@ pub struct PointResult {
     /// Faults the active [`FaultPlan`] scheduled for this point (0
     /// without fault injection).
     pub injected_faults: u32,
-    /// When the row was restored from a results journal, the verbatim
-    /// stable-row text as originally archived. [`stable_json`]
-    /// (Self::stable_json) returns it unchanged, which is what makes a
-    /// resumed archive byte-identical to an uninterrupted one.
+    /// When the row was restored from text (a results journal, an
+    /// archive or a serve cache), the verbatim stable-row text as
+    /// originally archived. [`stable_json`](Self::stable_json) returns it
+    /// unchanged, which is what makes a resumed archive byte-identical to
+    /// an uninterrupted one.
     pub restored: Option<String>,
 }
 
@@ -497,17 +498,6 @@ impl std::fmt::Debug for ExecHooks<'_> {
     }
 }
 
-/// Per-attempt context handed to [`run_plan_ctx`] evaluators.
-#[derive(Debug, Clone)]
-pub struct EvalCtx {
-    /// The attempt number (1 = first try).
-    pub attempt: u32,
-    /// Cancellation token the worker watchdog raises when the attempt
-    /// outlives its deadline; install it into the simulation (see
-    /// [`Simulation::with_cancel`]) so hung points can be reclaimed.
-    pub cancel: CancelToken,
-}
-
 /// Executes `plan` with the default evaluator (simulate the point's
 /// configuration).
 ///
@@ -528,7 +518,7 @@ pub fn run_plan(plan: &ExperimentPlan, opts: &RunnerOptions) -> SweepResult {
 /// final.
 ///
 /// Workers claim the points to evaluate a workload shape at a time
-/// (see [`run_plan_ctx`]). A point whose shape has another point to
+/// (see [`run_plan_with`]). A point whose shape has another point to
 /// evaluate replays its worker's tape of that shape (see `lane_exec`);
 /// a point alone in its shape generates its stream live, since a
 /// recording would serve no second replay. Telemetry, profiling and the
@@ -544,7 +534,7 @@ pub fn run_plan_hooked(
     let armed = opts.deadline_ms.is_some();
     let telemetry_dir = opts.telemetry_dir().join(plan.name());
     let profile_dir = opts.profile_dir().join(plan.name());
-    run_units(plan, opts, hooks, |p, ctx, replay| {
+    run_units(plan, opts, hooks, |p, cancel, replay| {
         let mut cfg = p.config.clone();
         if opts.telemetry {
             cfg.telemetry = osoffload_obs::TelemetryMode::Full;
@@ -552,7 +542,7 @@ pub fn run_plan_hooked(
         cfg.profiling = opts.profile;
         let run = |sim: Simulation| {
             let sim = if armed {
-                sim.with_cancel(ctx.cancel.clone())
+                sim.with_cancel(cancel.clone())
             } else {
                 sim
             };
@@ -581,16 +571,6 @@ pub fn run_plan_hooked(
     })
 }
 
-/// Executes `plan` with a caller-supplied evaluator that ignores the
-/// attempt context. See [`run_plan_ctx`] for the full semantics.
-pub fn run_plan_with(
-    plan: &ExperimentPlan,
-    opts: &RunnerOptions,
-    eval: impl Fn(&Point) -> SimReport + Sync,
-) -> SweepResult {
-    run_plan_ctx(plan, opts, move |p, _ctx| eval(p))
-}
-
 /// Executes `plan` with a caller-supplied evaluator.
 ///
 /// `opts.workers` scoped threads (at most one per point to evaluate)
@@ -603,10 +583,10 @@ pub fn run_plan_with(
 /// [`Outcome::Failed`] — one bad point never aborts the sweep. Rows
 /// come back in plan order.
 ///
-/// With `opts.deadline_ms` set, a watchdog thread raises each attempt's
-/// [`EvalCtx::cancel`] token once the deadline passes; an attempt that
-/// unwinds with [`Cancelled`] counts against the retry budget and is
-/// finally recorded as [`Outcome::TimedOut`].
+/// `eval` does not see the attempt's cancel token, so `opts.deadline_ms`
+/// cannot cut its points short: [`run_plan`]'s evaluator installs the
+/// token in the simulation, which unwinds once the worker watchdog
+/// raises it, and the point is recorded as [`Outcome::TimedOut`].
 ///
 /// With `opts.journal`/`opts.resume` set, every completed point is
 /// appended to a write-ahead journal as one fsynced line before it is
@@ -617,39 +597,29 @@ pub fn run_plan_with(
 /// scheduled panics, delays, and journal-write errors are injected at
 /// the scheduled attempts — deterministically, so a crashed campaign
 /// and its resume see the identical failure sequence.
-pub fn run_plan_ctx(
+pub fn run_plan_with(
     plan: &ExperimentPlan,
     opts: &RunnerOptions,
-    eval: impl Fn(&Point, &EvalCtx) -> SimReport + Sync,
+    eval: impl Fn(&Point) -> SimReport + Sync,
 ) -> SweepResult {
-    run_plan_ctx_hooked(plan, opts, ExecHooks::default(), eval)
+    run_units(plan, opts, ExecHooks::default(), |p, _, _| eval(p))
 }
 
-/// [`run_plan_ctx`] with embedding hooks (see [`ExecHooks`] and
-/// [`run_plan_hooked`]). Journal restore wins over a prefilled row for
-/// the same point; either way the point is served, not evaluated.
-pub fn run_plan_ctx_hooked(
-    plan: &ExperimentPlan,
-    opts: &RunnerOptions,
-    hooks: ExecHooks<'_>,
-    eval: impl Fn(&Point, &EvalCtx) -> SimReport + Sync,
-) -> SweepResult {
-    run_units(plan, opts, hooks, |p, ctx, _| eval(p, ctx))
-}
-
-/// The executor behind every `run_plan*` entry point. The points left
-/// to evaluate once journal and prefilled rows are installed form one
-/// claim unit per workload shape ([`shape_units`]); workers claim units
-/// in order from a shared atomic index and evaluate each member as its
-/// own attempt, telling `eval` whether the member's unit holds another
-/// point. Once every unit is claimed, idle workers take the next
-/// members of units still in progress: a unit-long tail would idle one
-/// worker for a share of the sweep that depends on who claimed what.
+/// The executor behind every `run_plan*` entry point. Journal-restored
+/// and prefilled rows are installed first; the points left to evaluate
+/// form one claim unit per workload shape ([`shape_units`]); workers
+/// claim units in order from a shared atomic index and evaluate each
+/// member as its own attempt, handing `eval` the attempt's cancel token
+/// (raised by the watchdog once `opts.deadline_ms` passes) and whether
+/// the member's unit holds another point. Once every unit is claimed,
+/// idle workers take the next members of units still in progress: a
+/// unit-long tail would idle one worker for a share of the sweep that
+/// depends on who claimed what.
 fn run_units(
     plan: &ExperimentPlan,
     opts: &RunnerOptions,
     hooks: ExecHooks<'_>,
-    eval: impl Fn(&Point, &EvalCtx, bool) -> SimReport + Sync,
+    eval: impl Fn(&Point, &CancelToken, bool) -> SimReport + Sync,
 ) -> SweepResult {
     let points = plan.points();
     let n = points.len();
@@ -671,11 +641,9 @@ fn run_units(
         master_seed: plan.master_seed(),
         points: n,
     };
-    let slots: Vec<Mutex<Option<PointResult>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let mut restored_ok = 0usize;
-    let mut restored_failed = 0usize;
-    let journal_writer: Option<Journal> = if let Some(path) = &opts.resume {
-        if path.exists() {
+    let mut journaled = Vec::new();
+    let journal_writer = match (&opts.resume, &opts.journal) {
+        (Some(path), _) if path.exists() => {
             let loaded = journal::load(path)
                 .unwrap_or_else(|e| panic!("cannot resume from {}: {e}", path.display()));
             assert_eq!(
@@ -688,92 +656,75 @@ fn run_units(
                 "journal {} belongs to a different campaign",
                 path.display()
             );
-            for row in loaded.rows {
-                assert!(row.index < n, "journal row index out of range");
-                assert_eq!(
-                    row.config_json,
-                    points[row.index].config.to_json(),
-                    "journal row {} does not match the plan's configuration",
-                    row.index
-                );
-                if row.is_ok() {
-                    restored_ok += 1;
-                } else if opts.resume_retry_failed {
-                    // Leave the slot empty so a worker re-evaluates the
-                    // point; its fresh row (whatever the outcome) is
-                    // re-journaled like any new completion.
-                    continue;
-                } else {
-                    restored_failed += 1;
-                }
-                let index = row.index;
-                *slots[index].lock().expect("result slot poisoned") = Some(row);
-            }
+            journaled = loaded.rows;
             Some(
                 Journal::open_append(path)
                     .unwrap_or_else(|e| panic!("cannot append to journal {}: {e}", path.display())),
             )
-        } else {
-            Some(
-                Journal::create(path, &header)
-                    .unwrap_or_else(|e| panic!("cannot create journal {}: {e}", path.display())),
-            )
         }
-    } else {
-        opts.journal.as_ref().map(|path| {
+        (Some(path), _) | (None, Some(path)) => Some(
             Journal::create(path, &header)
-                .unwrap_or_else(|e| panic!("cannot create journal {}: {e}", path.display()))
-        })
+                .unwrap_or_else(|e| panic!("cannot create journal {}: {e}", path.display())),
+        ),
+        (None, None) => None,
     };
     let journal_writer = Mutex::new(journal_writer);
 
-    // Install caller-supplied rows (cache hits) into still-empty slots.
-    // A journal-restored row for the same point wins: it is this
-    // campaign's own record.
-    let mut prefilled_ok = 0usize;
-    let mut prefilled_failed = 0usize;
-    for (i, row) in hooks.prefill.iter().enumerate().take(n) {
-        let Some(row) = row else { continue };
-        let mut slot = slots[i].lock().expect("result slot poisoned");
+    // Install the rows served without evaluation: the journal's first,
+    // since it is this campaign's own record, then the caller's
+    // prefilled rows (cache hits) into the slots still empty.
+    let mut slots: Vec<Mutex<Option<PointResult>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    let (mut resumed, mut resumed_failed, mut served, mut served_failed) = (0, 0, 0, 0);
+    let journaled = journaled.into_iter().map(|row| (row.index, true, row));
+    let prefilled = hooks.prefill.into_iter().take(n).enumerate();
+    let prefilled = prefilled.filter_map(|(i, row)| Some((i, false, row?)));
+    for (index, from_journal, row) in journaled.chain(prefilled) {
+        let what = if from_journal { "journal" } else { "prefilled" };
+        assert!(index < n, "{what} row index out of range");
+        let slot = slots[index].get_mut().expect("result slot poisoned");
         if slot.is_some() {
             continue;
         }
-        assert_eq!(row.index, i, "prefilled row index mismatch");
+        assert_eq!(row.index, index, "{what} row index mismatch");
         assert_eq!(
             row.config_json,
-            points[i].config.to_json(),
-            "prefilled row {i} does not match the plan's configuration"
+            points[index].config.to_json(),
+            "{what} row {index} does not match the plan's configuration"
         );
         if row.is_ok() {
-            prefilled_ok += 1;
+            served += 1;
+            resumed += usize::from(from_journal);
+        } else if from_journal && opts.resume_retry_failed {
+            // Leave the slot empty so a worker re-evaluates the point;
+            // its fresh row (whatever the outcome) is re-journaled like
+            // any new completion.
+            continue;
         } else {
-            prefilled_failed += 1;
+            served_failed += 1;
+            resumed_failed += usize::from(from_journal);
         }
-        *slot = Some(row.clone());
+        *slot = Some(row);
     }
     let on_point = hooks.on_point;
 
     let progress = Progress::new(plan.name(), n, opts.quiet);
-    if restored_ok + restored_failed + prefilled_ok + prefilled_failed > 0 {
-        progress.skip(
-            restored_ok + prefilled_ok,
-            restored_failed + prefilled_failed,
-        );
-        if !opts.quiet && restored_ok + restored_failed > 0 {
+    if served + served_failed > 0 {
+        progress.skip(served, served_failed);
+        if !opts.quiet && resumed + resumed_failed > 0 {
             eprintln!(
                 "[{}] resumed {}/{} points from journal ({} failed)",
                 plan.name(),
-                restored_ok + restored_failed,
+                resumed + resumed_failed,
                 n,
-                restored_failed
+                resumed_failed
             );
         }
     }
-    // Every pre-served row (journal or prefill) is announced before the
-    // workers start, so `on_point` sees each point exactly once.
+    // Every pre-served row is announced before the workers start, so
+    // `on_point` sees each point exactly once.
     if let Some(cb) = on_point {
-        for slot in &slots {
-            if let Some(row) = slot.lock().expect("result slot poisoned").as_ref() {
+        for slot in &mut slots {
+            if let Some(row) = slot.get_mut().expect("result slot poisoned").as_ref() {
                 cb(row, true);
             }
         }
@@ -873,10 +824,6 @@ fn run_units(
                             *watch[worker].0.lock().expect("watch slot poisoned") =
                                 Some((attempt_start, token.clone()));
                         }
-                        let ctx = EvalCtx {
-                            attempt: attempts,
-                            cancel: token,
-                        };
                         let injected_delay = if attempts == 1 { faults.delay_ms } else { None };
                         let inject_panic = attempts <= faults.panics;
                         let result = catch_unwind(AssertUnwindSafe(|| {
@@ -889,7 +836,7 @@ fn run_units(
                                     attempt: attempts,
                                 });
                             }
-                            eval(point, &ctx, shared)
+                            eval(point, &token, shared)
                         }));
                         if deadline.is_some() {
                             *watch[worker].0.lock().expect("watch slot poisoned") = None;
@@ -1333,7 +1280,7 @@ mod tests {
             prefill,
             on_point: Some(&cb),
         };
-        let second = run_plan_ctx_hooked(&plan, &opts, hooks, |p, _ctx| {
+        let second = run_units(&plan, &opts, hooks, |p, _, _| {
             evaluated.fetch_add(1, Ordering::Relaxed);
             fake_report(p)
         });
@@ -1434,10 +1381,10 @@ mod tests {
             deadline_ms: Some(5),
             ..RunnerOptions::default()
         };
-        let sweep = run_plan_ctx(&plan, &opts, |_p, ctx| {
+        let sweep = run_units(&plan, &opts, ExecHooks::default(), |_, cancel, _| {
             // A cooperative "hang": spin until the watchdog fires, then
             // unwind exactly as Simulation::account would.
-            while !ctx.cancel.is_cancelled() {
+            while !cancel.is_cancelled() {
                 std::thread::sleep(Duration::from_millis(1));
             }
             std::panic::panic_any(Cancelled);

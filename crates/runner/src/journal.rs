@@ -26,7 +26,7 @@
 
 use crate::executor::{Outcome, PointResult};
 use osoffload_obs::json::{self, Value};
-use osoffload_system::{BinaryPoint, CycleBreakdown, PredictorReport, QueueReport, SimReport};
+use osoffload_system::SimReport;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
 use std::path::Path;
@@ -281,66 +281,47 @@ fn parse_header(body: &str) -> Result<JournalHeader, String> {
 }
 
 /// Rebuilds one result row from a record body, or `None` if anything
-/// about the record is off (the point then simply re-runs).
+/// about the record is off (the point then simply re-runs): the stable
+/// slice decodes like any other stable row, then takes the record's
+/// timings.
 fn restore_row(body: &str) -> Option<PointResult> {
-    let stable_text = extract_stable(body)?;
-    let v = json::parse(body).ok()?;
-    let stable = v.get("stable")?;
-    let config_json = extract_config(stable_text)?;
-    let outcome = parse_outcome(stable)?;
-    Some(PointResult {
-        index: v.get("index").and_then(Value::as_usize)?,
-        id: stable.get("id").and_then(Value::as_str)?.to_string(),
-        seed: stable.get("seed").and_then(Value::as_u64)?,
-        config_json,
-        outcome,
-        wall_ms: v.get("wall_ms").and_then(Value::as_f64)?,
-        start_ms: v.get("start_ms").and_then(Value::as_f64)?,
-        worker: v.get("worker").and_then(Value::as_usize)?,
-        attempts: v.get("attempts").and_then(Value::as_u32)?,
-        attempt_ms: v
-            .get("attempt_ms")
-            .and_then(Value::as_arr)?
-            .iter()
-            .map(Value::as_f64)
-            .collect::<Option<Vec<f64>>>()?,
-        injected_faults: v.get("injected_faults").and_then(Value::as_u32)?,
-        restored: Some(stable_text.to_string()),
-    })
+    let (timings, stable) = split_record(body)?;
+    let mut row = decode_stable(stable).ok()?;
+    read_timings(&mut row, &json::parse(&timings).ok()?).ok()?;
+    Some(row)
 }
 
-/// Parses the outcome encoded in a stable-row's `status` (+ payload)
-/// fields.
-fn parse_outcome(stable: &Value) -> Option<Outcome> {
-    Some(match stable.get("status").and_then(Value::as_str)? {
-        "ok" => Outcome::Ok(Box::new(restore_report(stable.get("report")?)?)),
+/// Decodes a stable-row text — the deterministic part of an archive row,
+/// a journal record or a serve-cache entry — into a result row: the
+/// outcome (the report through [`SimReport::from_json`]) is parsed out
+/// of the text, the non-deterministic fields take their canonical zeros
+/// (`attempts` 1, one zero attempt), and the verbatim text is kept so
+/// archives re-emit it byte for byte, the contract journal resume relies
+/// on. Every result row rebuilt from text goes through here.
+pub(crate) fn decode_stable(stable_text: &str) -> Result<PointResult, String> {
+    let stable = json::parse(stable_text)?;
+    let what = "row";
+    let attempts = || stable.field(what, "attempts", Value::as_u32);
+    let outcome = match stable.field(what, "status", Value::as_str)? {
+        "ok" => Outcome::Ok(Box::new(SimReport::from_json(
+            stable.field(what, "report", Some)?,
+        )?)),
         "failed" => Outcome::Failed {
-            panic: stable.get("panic").and_then(Value::as_str)?.to_string(),
-            attempts: stable.get("attempts").and_then(Value::as_u32)?,
+            panic: stable.field(what, "panic", Value::as_str)?.to_string(),
+            attempts: attempts()?,
         },
         "timeout" => Outcome::TimedOut {
-            deadline_ms: stable.get("deadline_ms").and_then(Value::as_u64)?,
-            attempts: stable.get("attempts").and_then(Value::as_u32)?,
+            deadline_ms: stable.field(what, "deadline_ms", Value::as_u64)?,
+            attempts: attempts()?,
         },
-        _ => return None,
-    })
-}
-
-/// Restores a result row from a stable-row text alone — the form the
-/// serve cache stores. The outcome (including the full report) is
-/// parsed out of the text, the non-deterministic fields are set to
-/// their canonical zeros (`attempts` 1, one zero attempt), and the
-/// verbatim text is retained so archives re-emit it byte-for-byte, the
-/// same contract journal resume relies on.
-pub fn restore_from_stable(stable_text: &str) -> Option<PointResult> {
-    let stable = json::parse(stable_text).ok()?;
-    let config_json = extract_config(stable_text)?;
-    Some(PointResult {
-        index: stable.get("index").and_then(Value::as_usize)?,
-        id: stable.get("id").and_then(Value::as_str)?.to_string(),
-        seed: stable.get("seed").and_then(Value::as_u64)?,
-        config_json,
-        outcome: parse_outcome(&stable)?,
+        other => return Err(format!("unknown row status {other:?}")),
+    };
+    Ok(PointResult {
+        index: stable.field(what, "index", Value::as_usize)?,
+        id: stable.field(what, "id", Value::as_str)?.to_string(),
+        seed: stable.field(what, "seed", Value::as_u64)?,
+        config_json: extract_config(stable_text).ok_or("row config does not slice out")?,
+        outcome,
         wall_ms: 0.0,
         start_ms: 0.0,
         worker: 0,
@@ -348,6 +329,45 @@ pub fn restore_from_stable(stable_text: &str) -> Option<PointResult> {
         attempt_ms: vec![0.0],
         injected_faults: 0,
         restored: Some(stable_text.to_string()),
+    })
+}
+
+/// Restores a result row from a stable-row text alone — the form the
+/// serve cache stores — through the one stable-row decoder that journal
+/// resume and `report::read_sweep` use too; `None` when the text does
+/// not decode.
+pub fn restore_from_stable(stable_text: &str) -> Option<PointResult> {
+    decode_stable(stable_text).ok()
+}
+
+/// Sets the non-deterministic fields of `row` from the `wall_ms`,
+/// `start_ms`, `worker`, `attempts`, `injected_faults` and `attempt_ms`
+/// keys of `v` (a journal record, or an archive row's timing tail). An
+/// absent key keeps the canonical zero [`decode_stable`] gave it.
+pub(crate) fn read_timings(row: &mut PointResult, v: &Value) -> Result<(), String> {
+    fn set<T>(
+        v: &Value,
+        key: &str,
+        slot: &mut T,
+        get: impl FnOnce(&Value) -> Option<T>,
+    ) -> Result<(), String> {
+        if let Some(x) = v.get(key) {
+            *slot = get(x).ok_or_else(|| format!("row {key} has the wrong type"))?;
+        }
+        Ok(())
+    }
+    set(v, "wall_ms", &mut row.wall_ms, Value::as_f64)?;
+    set(v, "start_ms", &mut row.start_ms, Value::as_f64)?;
+    set(v, "worker", &mut row.worker, Value::as_usize)?;
+    set(v, "attempts", &mut row.attempts, Value::as_u32)?;
+    set(
+        v,
+        "injected_faults",
+        &mut row.injected_faults,
+        Value::as_u32,
+    )?;
+    set(v, "attempt_ms", &mut row.attempt_ms, |x| {
+        x.as_arr()?.iter().map(Value::as_f64).collect()
     })
 }
 
@@ -365,22 +385,22 @@ pub fn rekey_stable(stable: &str, index: usize, id: &str, seed: u64) -> Option<S
     ))
 }
 
-/// Slices the verbatim stable-row text out of a record body. `stable`
-/// is the record's last key and every earlier value is numeric, so the
-/// first occurrence of the marker is the real one and the value runs to
-/// the body's closing brace.
-fn extract_stable(body: &str) -> Option<&str> {
-    const MARKER: &str = ",\"stable\":";
-    let start = body.find(MARKER)? + MARKER.len();
-    let stable = body.get(start..body.len().checked_sub(1)?)?;
-    (stable.starts_with('{') && stable.ends_with('}')).then_some(stable)
+/// Splits a record body into its timings, closed off as an object of
+/// their own, and the verbatim stable-row text. `stable` is the
+/// record's last key and every earlier value is numeric, so the first
+/// occurrence of the key is the real one and its value runs to the
+/// body's closing brace.
+fn split_record(body: &str) -> Option<(String, &str)> {
+    const KEY: &str = ",\"stable\":";
+    let at = body.find(KEY)?;
+    let stable = body.get(at + KEY.len()..body.len().checked_sub(1)?)?;
+    (stable.starts_with('{') && stable.ends_with('}'))
+        .then(|| (format!("{}}}", &body[..at]), stable))
 }
 
-/// Slices the verbatim configuration JSON out of a stable-row text.
-/// Archive rows share the stable row's leading field order, so
-/// `osoffload inspect` reuses this to recover the exact bytes behind an
-/// archived `config_digest`.
-pub fn extract_config(stable: &str) -> Option<String> {
+/// Slices the verbatim configuration JSON out of a stable-row text:
+/// the exact bytes its `config_digest` hashes.
+fn extract_config(stable: &str) -> Option<String> {
     let start = config_key_at(stable)? + CONFIG_KEY.len();
     let end = json::value_end(stable, start)?;
     Some(stable[start..end].to_string())
@@ -399,104 +419,6 @@ fn config_key_at(stable: &str) -> Option<usize> {
         pos = json::value_end(stable, pos)?;
     }
     stable[pos..].starts_with(CONFIG_KEY).then_some(pos)
-}
-
-/// Rebuilds a [`SimReport`] from its parsed JSON, field for field —
-/// including `cycle_breakdown`, whose all-integer components round-trip
-/// exactly.
-fn restore_report(v: &Value) -> Option<SimReport> {
-    let f = |key: &str| v.get(key).and_then(Value::as_f64);
-    let u = |key: &str| v.get(key).and_then(Value::as_u64);
-    let us = |key: &str| v.get(key).and_then(Value::as_usize);
-    let opt_u = |key: &str| match v.get(key) {
-        Some(Value::Null) | None => Some(None),
-        Some(val) => val.as_u64().map(Some),
-    };
-    let queue = v.get("queue")?;
-    let cb = v.get("cycle_breakdown")?;
-    let predictor = match v.get("predictor") {
-        Some(Value::Null) | None => None,
-        Some(p) => Some(PredictorReport {
-            exact: p.get("exact").and_then(Value::as_f64)?,
-            within_5pct: p.get("within_5pct").and_then(Value::as_f64)?,
-            underestimates: p.get("underestimates").and_then(Value::as_f64)?,
-            local_fraction: p.get("local_fraction").and_then(Value::as_f64)?,
-        }),
-    };
-    Some(SimReport {
-        profile: v.get("profile").and_then(Value::as_str)?.to_string(),
-        policy: v.get("policy").and_then(Value::as_str)?.to_string(),
-        threshold: opt_u("threshold")?,
-        final_threshold: opt_u("final_threshold")?,
-        migration_one_way: u("migration_one_way")?,
-        user_cores: us("user_cores")?,
-        os_cores: us("os_cores")?,
-        dispatch: v.get("dispatch").and_then(Value::as_str)?.to_string(),
-        threads: us("threads")?,
-        instructions: u("instructions")?,
-        cycles: u("cycles")?,
-        throughput: f("throughput")?,
-        os_share: f("os_share")?,
-        offloads: u("offloads")?,
-        local_invocations: u("local_invocations")?,
-        decision_overhead_cycles: u("decision_overhead_cycles")?,
-        l1d_hit_rate: f("l1d_hit_rate")?,
-        l1i_hit_rate: f("l1i_hit_rate")?,
-        user_branch_accuracy: f("user_branch_accuracy")?,
-        l2_user_hit_rate: f("l2_user_hit_rate")?,
-        l2_os_hit_rate: f("l2_os_hit_rate")?,
-        l2_mean_hit_rate: f("l2_mean_hit_rate")?,
-        c2c_transfers: u("c2c_transfers")?,
-        invalidation_rounds: u("invalidation_rounds")?,
-        l1d_accesses: u("l1d_accesses")?,
-        l1i_accesses: u("l1i_accesses")?,
-        l2_accesses: u("l2_accesses")?,
-        dram_accesses: u("dram_accesses")?,
-        throttled_cycles: u("throttled_cycles")?,
-        os_core_busy_frac: f("os_core_busy_frac")?,
-        os_core_busy_cycles: v
-            .get("os_core_busy_cycles")
-            .and_then(Value::as_arr)
-            .map(|a| a.iter().filter_map(Value::as_u64).collect())
-            .unwrap_or_default(),
-        os_core_utilisation: v
-            .get("os_core_utilisation")
-            .and_then(Value::as_arr)
-            .map(|a| a.iter().filter_map(Value::as_f64).collect())
-            .unwrap_or_default(),
-        user_cores_busy_frac: f("user_cores_busy_frac")?,
-        queue: QueueReport {
-            requests: queue.get("requests").and_then(Value::as_u64)?,
-            stalled: queue.get("stalled").and_then(Value::as_u64)?,
-            mean_delay: queue.get("mean_delay").and_then(Value::as_f64)?,
-            p50_delay: queue.get("p50_delay").and_then(Value::as_u64)?,
-            p95_delay: queue.get("p95_delay").and_then(Value::as_u64)?,
-            p99_delay: queue.get("p99_delay").and_then(Value::as_u64)?,
-        },
-        predictor,
-        cycle_breakdown: CycleBreakdown {
-            base: cb.get("base").and_then(Value::as_u64)?,
-            fetch: cb.get("fetch").and_then(Value::as_u64)?,
-            data: cb.get("data").and_then(Value::as_u64)?,
-            tlb: cb.get("tlb").and_then(Value::as_u64)?,
-            branch: cb.get("branch").and_then(Value::as_u64)?,
-            migration: cb.get("migration").and_then(Value::as_u64)?,
-            queue_wait: cb.get("queue_wait").and_then(Value::as_u64)?,
-            decision: cb.get("decision").and_then(Value::as_u64)?,
-        },
-        binary_accuracy: v
-            .get("binary_accuracy")?
-            .as_arr()?
-            .iter()
-            .map(|b| {
-                Some(BinaryPoint {
-                    threshold: b.get("threshold").and_then(Value::as_u64)?,
-                    accuracy: b.get("accuracy").and_then(Value::as_f64)?,
-                })
-            })
-            .collect::<Option<Vec<_>>>()?,
-        tuner_events: us("tuner_events")?,
-    })
 }
 
 #[cfg(test)]

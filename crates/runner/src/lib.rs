@@ -10,7 +10,7 @@
 //!   caller or derived from a master seed via
 //!   [`Rng64::split`](osoffload_sim::Rng64::split) in plan order.
 //!   Execution order therefore cannot influence any result.
-//! - [`run_plan`] / [`run_plan_with`] / [`run_plan_ctx`] — a pool of
+//! - [`run_plan`] / [`run_plan_hooked`] / [`run_plan_with`] — a pool of
 //!   scoped worker threads claiming points a workload shape at a time
 //!   from a shared atomic index (`run_plan`'s points replay a recorded
 //!   tape of their shape when it has several), with per-point panic
@@ -22,8 +22,9 @@
 //!   `*_with` experiment driver in parallel and returns exactly the
 //!   rows the sequential path would produce.
 //! - [`report`] — schema-stable JSON results written atomically into
-//!   `results/`; rows are bit-identical across worker counts except for
-//!   the explicitly non-deterministic timing/worker fields.
+//!   `results/` and read back as typed rows by [`report::read_sweep`];
+//!   rows are bit-identical across worker counts except for the
+//!   explicitly non-deterministic timing/worker fields.
 //! - [`journal`] — a write-ahead results journal: every completed point
 //!   is an fsynced, checksummed line, and `--resume` restores journaled
 //!   points verbatim so an interrupted campaign finishes with a final
@@ -59,8 +60,8 @@ pub mod report;
 
 pub use driver::{record_plan, run_driver};
 pub use executor::{
-    backoff_delay_ms, run_plan, run_plan_ctx, run_plan_ctx_hooked, run_plan_hooked, run_plan_with,
-    EvalCtx, ExecHooks, Outcome, PointResult, RunnerOptions, SweepResult, WorkerProfile,
+    backoff_delay_ms, run_plan, run_plan_hooked, run_plan_with, ExecHooks, Outcome, PointResult,
+    RunnerOptions, SweepResult, WorkerProfile,
 };
 pub use fault::{FaultConfig, FaultPlan, InjectedPanic, PointFaults};
 pub use journal::{

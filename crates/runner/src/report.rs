@@ -26,9 +26,11 @@
 //! Every file in this module is written through
 //! [`osoffload_obs::atomic_write`] — temp file, fsync, atomic rename —
 //! so a crash mid-write can never leave a half-written archive where a
-//! previous good one stood.
+//! previous good one stood. [`read_sweep`] reads an archive back.
 
-use crate::executor::{Outcome, SweepResult};
+use crate::executor::{Outcome, PointResult, SweepResult};
+use crate::journal::{decode_stable, read_timings};
+use osoffload_obs::json::Value;
 use osoffload_obs::{atomic_write, chrome_trace, json, Event, EventKind, Track};
 use osoffload_system::{CycleProfile, SystemConfig};
 use std::io;
@@ -47,6 +49,63 @@ pub fn write_sweep(sweep: &SweepResult, dir: &Path) -> io::Result<PathBuf> {
     let path = dir.join(format!("{}.json", sweep.name));
     atomic_write(&path, sweep.to_json().as_bytes())?;
     Ok(path)
+}
+
+/// Reads back an archive [`write_sweep`] wrote: its inverse, so
+/// `read_sweep(path)?.to_json()` is the file's bytes. Each row decodes
+/// through the stable-row decoder every restored row goes through,
+/// keeping its verbatim text, and takes the timing fields it carries. A
+/// row that does not decode is an error naming the file and the row.
+pub fn read_sweep(path: &Path) -> Result<SweepResult, String> {
+    let at = |e: String| format!("{}: {e}", path.display());
+    let text = std::fs::read_to_string(path).map_err(|e| at(format!("read failed: {e}")))?;
+    // The header's values are a string and numbers, so the first
+    // `"rows"` key is the archive's own.
+    let rows_at = text
+        .find(",\"rows\":[")
+        .ok_or_else(|| at("not a sweep archive (no rows)".into()))?;
+    let header = json::parse(&format!("{}}}", &text[..rows_at]))
+        .map_err(|e| at(format!("bad archive header: {e}")))?;
+    let count = |key: &str| header.field("archive", key, Value::as_usize).map_err(at);
+    let mut sweep = SweepResult {
+        name: header
+            .field("archive", "experiment", Value::as_str)
+            .map_err(at)?
+            .to_string(),
+        master_seed: header
+            .field("archive", "master_seed", Value::as_u64)
+            .map_err(at)?,
+        workers: count("workers")?,
+        wall_ms: header
+            .field("archive", "wall_ms", Value::as_f64)
+            .map_err(at)?,
+        canonical: false,
+        rows: Vec::new(),
+    };
+    let mut pos = rows_at + ",\"rows\":[".len();
+    while !text[pos..].starts_with(']') {
+        let k = sweep.rows.len();
+        let end = json::value_end(&text, pos).ok_or_else(|| at(format!("row {k} is not JSON")))?;
+        let row = decode_row(&text[pos..end]).map_err(|e| at(format!("row {k}: {e}")))?;
+        sweep.rows.push(row);
+        pos = end + usize::from(text[end..].starts_with(','));
+    }
+    if text[pos..].trim_end() != "]}" || count("points")? != sweep.rows.len() {
+        return Err(at("rows do not match the archive's point count".into()));
+    }
+    Ok(sweep)
+}
+
+/// Decodes one archive row: the stable text the row begins with, then
+/// the timing fields `PointResult::row_json` appends after it. The
+/// timing tail holds no string, so the last `"wall_ms"` key starts it.
+fn decode_row(text: &str) -> Result<PointResult, String> {
+    let Some(at) = text.rfind(",\"wall_ms\":") else {
+        return decode_stable(text);
+    };
+    let mut row = decode_stable(&format!("{}}}", &text[..at]))?;
+    read_timings(&mut row, &json::parse(&format!("{{{}", &text[at + 1..]))?)?;
+    Ok(row)
 }
 
 /// Writes a point's cycle-attribution profile (both files atomic):
@@ -201,6 +260,82 @@ pub fn write_static_table(
 mod tests {
     use super::*;
     use std::fs;
+
+    #[test]
+    fn read_sweep_is_the_inverse_of_write_sweep() {
+        use osoffload_system::{PolicyKind, Simulation};
+        use osoffload_workload::Profile;
+        let cfg = SystemConfig::builder()
+            .profile(Profile::apache())
+            .policy(PolicyKind::HardwarePredictor { threshold: 500 })
+            .instructions(20_000)
+            .warmup(5_000)
+            .seed(7)
+            .build();
+        let row = |index: usize, outcome| PointResult {
+            index,
+            id: format!("p{index}"),
+            seed: 7,
+            config_json: cfg.to_json(),
+            outcome,
+            wall_ms: 1.25 + index as f64,
+            start_ms: 0.5,
+            worker: index % 2,
+            attempts: 2,
+            attempt_ms: vec![0.25, 1.0],
+            injected_faults: 1,
+            restored: None,
+        };
+        let sweep = SweepResult {
+            name: "unit".to_string(),
+            master_seed: 11,
+            workers: 2,
+            wall_ms: 12.345,
+            canonical: false,
+            rows: vec![
+                row(0, Outcome::Ok(Box::new(Simulation::new(cfg.clone()).run()))),
+                row(
+                    1,
+                    Outcome::Failed {
+                        panic: "boom \"quoted\"\nsecond line".to_string(),
+                        attempts: 2,
+                    },
+                ),
+                row(
+                    2,
+                    Outcome::TimedOut {
+                        deadline_ms: 40,
+                        attempts: 2,
+                    },
+                ),
+            ],
+        };
+        let dir = std::env::temp_dir().join(format!("osoff-read-sweep-{}", std::process::id()));
+        let path = write_sweep(&sweep, &dir).expect("write");
+        let written = fs::read_to_string(&path).expect("read");
+        let back = read_sweep(&path).expect("decodes");
+        assert_eq!(back.to_json(), written);
+        assert!(
+            matches!(&back.rows[1].outcome, Outcome::Failed { panic, .. } if panic.contains('\n'))
+        );
+        assert_eq!((back.rows[2].worker, back.rows[2].wall_ms), (0, 3.25));
+
+        // A row that does not decode is an error naming the file and row.
+        fs::write(
+            &path,
+            written.replace("\"status\":\"timeout\"", "\"status\":\"lost\""),
+        )
+        .unwrap();
+        let err = read_sweep(&path).expect_err("bad status");
+        assert!(
+            err.contains("unit.json: row 2: unknown row status"),
+            "{err}"
+        );
+        fs::write(&path, written.replace("\"throughput\":", "\"ipc\":")).unwrap();
+        let err = read_sweep(&path).expect_err("report without throughput");
+        assert!(err.contains("row 0: report missing throughput"), "{err}");
+        fs::remove_dir_all(&dir).ok();
+    }
 
     #[test]
     fn runner_telemetry_writes_trace_and_summary() {

@@ -3,6 +3,9 @@
 //! tolerated, corrupt records are skipped (not poison), duplicates are
 //! last-wins, and eviction compacts the WAL atomically.
 
+mod common;
+
+use common::scratch;
 use osoffload_runner::journal::envelope;
 use osoffload_runner::{record_plan, run_plan, RunnerOptions};
 use osoffload_serve::cache::{read_entries, ResultCache, HEADER_BODY};
@@ -11,18 +14,6 @@ use osoffload_system::experiments::{single_config, Scale};
 use osoffload_system::PolicyKind;
 use osoffload_workload::Profile;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-fn scratch(tag: &str) -> PathBuf {
-    static N: AtomicU64 = AtomicU64::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "osoffload_cachedur_{tag}_{}_{}",
-        std::process::id(),
-        N.fetch_add(1, Ordering::Relaxed)
-    ));
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
-}
 
 /// Computes three real rows (distinct configurations) and their wire
 /// texts — the material every durability scenario is built from.

@@ -9,6 +9,9 @@
 //! 100% from cache, and that archive is byte-identical to a clean
 //! direct canonical run of the same plan.
 
+mod common;
+
+use common::scratch;
 use osoffload_runner::journal::{scan_envelope_lines, ScanMode};
 use osoffload_runner::{record_plan, report, run_plan, RunnerOptions};
 use osoffload_serve::cache::read_entries;
@@ -18,23 +21,11 @@ use osoffload_serve::daemon::{Daemon, ServeOptions};
 use osoffload_system::experiments::{single_config, Evaluator, Scale};
 use osoffload_system::PolicyKind;
 use osoffload_workload::Profile;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::path::Path;
 use std::thread::JoinHandle;
 
 /// The fixed campaign seed; a failure names the schedule to replay.
 const CAMPAIGN_SEED: u64 = 0xC4A0_5C4A;
-
-fn scratch(tag: &str) -> PathBuf {
-    static N: AtomicU64 = AtomicU64::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "osoffload_chaos_{tag}_{}_{}",
-        std::process::id(),
-        N.fetch_add(1, Ordering::Relaxed)
-    ));
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
-}
 
 fn tiny() -> Scale {
     Scale {

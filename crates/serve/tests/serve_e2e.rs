@@ -6,6 +6,9 @@
 //! hostile framing (oversized lines, garbage, vanishing clients,
 //! slow-loris) gets errors or silence — never a panic or a hang.
 
+mod common;
+
+use common::scratch;
 use osoffload_runner::{record_plan, report, run_plan, RunnerOptions};
 use osoffload_serve::client::{self, RetryPolicy, SubmitError};
 use osoffload_serve::daemon::{Daemon, ServeOptions};
@@ -16,21 +19,9 @@ use osoffload_system::{DispatchPolicy, PolicyKind};
 use osoffload_workload::Profile;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::path::Path;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-fn scratch(tag: &str) -> PathBuf {
-    static N: AtomicU64 = AtomicU64::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "osoffload_serve_{tag}_{}_{}",
-        std::process::id(),
-        N.fetch_add(1, Ordering::Relaxed)
-    ));
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
-}
 
 fn tiny() -> Scale {
     Scale {

@@ -46,10 +46,6 @@ use osoffload_workload::Profile;
 /// request could exhaust the host's memory.
 const MAX_CACHE_BYTES: u64 = 16 << 20;
 
-/// Largest predictor table the decoder accepts, in entries; predictor
-/// tables are allocated up front too.
-const MAX_PREDICTOR_ENTRIES: usize = 1 << 20;
-
 fn obj(fields: Vec<(&str, Value)>) -> Value {
     Value::Obj(
         fields
@@ -131,7 +127,7 @@ impl PolicyKind {
         let what = format!("policy {kind:?}");
         let threshold = || v.field(&what, "threshold", Value::as_u64);
         let size = |key: &str| v.field(&what, key, Value::as_usize);
-        let policy = match kind {
+        Ok(match kind {
             "baseline" => PolicyKind::Baseline,
             "always" => PolicyKind::AlwaysOffload,
             "hi" => PolicyKind::HardwarePredictor {
@@ -170,19 +166,7 @@ impl PolicyKind {
                 threshold: threshold()?,
             },
             other => return Err(format!("unknown policy kind {other:?}")),
-        };
-        let entries = match policy {
-            PolicyKind::HardwarePredictorSized { entries, .. }
-            | PolicyKind::HardwarePredictorDmSized { entries, .. } => entries,
-            PolicyKind::HardwarePredictorSetAssoc { sets, ways, .. } => sets.saturating_mul(ways),
-            _ => 0,
-        };
-        if entries > MAX_PREDICTOR_ENTRIES {
-            return Err(format!(
-                "{what} table is larger than {MAX_PREDICTOR_ENTRIES} entries"
-            ));
-        }
-        Ok(policy)
+        })
     }
 }
 

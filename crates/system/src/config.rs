@@ -208,6 +208,11 @@ impl fmt::Display for PolicyKind {
     }
 }
 
+/// Largest predictor table a configuration may ask for, in entries:
+/// tables are allocated up front, so an unbounded size would exhaust
+/// the host's memory instead of failing validation.
+pub const MAX_PREDICTOR_ENTRIES: usize = 1 << 20;
+
 /// Why a [`SystemConfig`] cannot be simulated.
 ///
 /// Every variant corresponds to a degenerate geometry that would
@@ -255,6 +260,12 @@ pub enum ConfigError {
     },
     /// A sized predictor policy was given zero entries / sets / ways.
     ZeroPredictorCapacity,
+    /// A sized predictor policy asks for more than
+    /// [`MAX_PREDICTOR_ENTRIES`] entries; tables are allocated up front.
+    PredictorTooLarge {
+        /// Entries asked for, or `None` when `sets × ways` overflows.
+        entries: Option<usize>,
+    },
     /// The tuner's candidate grid is empty.
     TunerEmptyCandidates,
     /// The tuner's candidate grid is not strictly ascending.
@@ -325,6 +336,14 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::ZeroPredictorCapacity => {
                 write!(f, "SystemConfig: predictor must have at least one entry")
+            }
+            ConfigError::PredictorTooLarge { entries } => {
+                let entries = entries.map_or("an overflowing number of".into(), |n| n.to_string());
+                write!(
+                    f,
+                    "SystemConfig: predictor table of {entries} entries exceeds \
+                     the {MAX_PREDICTOR_ENTRIES}-entry limit"
+                )
             }
             ConfigError::TunerEmptyCandidates => {
                 write!(f, "SystemConfig: tuner candidate grid is empty")
@@ -526,17 +545,20 @@ impl SystemConfig {
                 error,
             })?;
         }
-        match self.policy {
+        let table = match self.policy {
             PolicyKind::HardwarePredictorSized { entries, .. }
-            | PolicyKind::HardwarePredictorDmSized { entries, .. }
-                if entries == 0 =>
-            {
+            | PolicyKind::HardwarePredictorDmSized { entries, .. } => Some((entries, 1)),
+            PolicyKind::HardwarePredictorSetAssoc { sets, ways, .. } => Some((sets, ways)),
+            _ => None,
+        };
+        if let Some((sets, ways)) = table {
+            if sets == 0 || ways == 0 {
                 return Err(ConfigError::ZeroPredictorCapacity);
             }
-            PolicyKind::HardwarePredictorSetAssoc { sets, ways, .. } if sets == 0 || ways == 0 => {
-                return Err(ConfigError::ZeroPredictorCapacity);
+            match sets.checked_mul(ways) {
+                Some(entries) if entries <= MAX_PREDICTOR_ENTRIES => {}
+                entries => return Err(ConfigError::PredictorTooLarge { entries }),
             }
-            _ => {}
         }
         if let Some(tuner) = &self.tuner {
             if tuner.candidates.is_empty() {
@@ -981,6 +1003,41 @@ mod tests {
             })
             .build();
         assert_eq!(cfg.validate(), Err(ConfigError::ZeroPredictorCapacity));
+
+        // Tables are bounded by entries, with `sets × ways` checked.
+        let sized = |sets, ways| {
+            base()
+                .policy(PolicyKind::HardwarePredictorSetAssoc {
+                    threshold: 500,
+                    sets,
+                    ways,
+                })
+                .build()
+                .validate()
+        };
+        assert_eq!(sized(64, MAX_PREDICTOR_ENTRIES / 64), Ok(()));
+        assert_eq!(
+            sized(64, 100_000_000),
+            Err(ConfigError::PredictorTooLarge {
+                entries: Some(6_400_000_000)
+            })
+        );
+        assert_eq!(
+            sized(1 << 40, 1 << 40),
+            Err(ConfigError::PredictorTooLarge { entries: None })
+        );
+        let cfg = base()
+            .policy(PolicyKind::HardwarePredictorDmSized {
+                threshold: 500,
+                entries: MAX_PREDICTOR_ENTRIES + 1,
+            })
+            .build();
+        assert_eq!(
+            cfg.validate(),
+            Err(ConfigError::PredictorTooLarge {
+                entries: Some(MAX_PREDICTOR_ENTRIES + 1)
+            })
+        );
 
         let mut cfg = base().tuner(TunerConfig::paper_default()).build();
         cfg.tuner.as_mut().unwrap().candidates.clear();

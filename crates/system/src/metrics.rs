@@ -2,9 +2,12 @@
 //!
 //! Every number the experiment drivers print comes out of a
 //! [`SimReport`]; the struct serialises to JSON so results can be
-//! archived and diffed across runs.
+//! archived and diffed across runs, and [`SimReport::from_json`] reads
+//! that JSON back for journal resume, the serve cache and `osoffload
+//! inspect`.
 
-use core::fmt;
+use core::fmt::{self, Write as _};
+use osoffload_obs::json::Value;
 
 /// Queueing behaviour at the OS core (§V-C).
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -24,6 +27,17 @@ pub struct QueueReport {
     pub p99_delay: u64,
 }
 
+impl QueueReport {
+    /// The exact queueing-delay percentiles by their JSON keys.
+    pub fn percentiles(&self) -> [(&'static str, u64); 3] {
+        [
+            ("p50_delay", self.p50_delay),
+            ("p95_delay", self.p95_delay),
+            ("p99_delay", self.p99_delay),
+        ]
+    }
+}
+
 /// Predictor accuracy, mirroring the paper's §III-A reporting.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct PredictorReport {
@@ -35,6 +49,18 @@ pub struct PredictorReport {
     pub underestimates: f64,
     /// Fraction of predictions served by a confident local entry.
     pub local_fraction: f64,
+}
+
+impl PredictorReport {
+    /// The accuracy fractions, each in `[0, 1]`, by their JSON keys.
+    pub fn fractions(&self) -> [(&'static str, f64); 4] {
+        [
+            ("exact", self.exact),
+            ("within_5pct", self.within_5pct),
+            ("underestimates", self.underestimates),
+            ("local_fraction", self.local_fraction),
+        ]
+    }
 }
 
 /// Binary off-load decision accuracy at one threshold (Figure 3).
@@ -72,8 +98,24 @@ pub struct CycleBreakdown {
     pub decision: u64,
 }
 
+impl CycleBreakdown {
+    /// The components by their JSON keys, in archive order.
+    pub fn components(&self) -> [(&'static str, u64); 8] {
+        [
+            ("base", self.base),
+            ("fetch", self.fetch),
+            ("data", self.data),
+            ("tlb", self.tlb),
+            ("branch", self.branch),
+            ("migration", self.migration),
+            ("queue_wait", self.queue_wait),
+            ("decision", self.decision),
+        ]
+    }
+}
+
 /// The complete result of one simulation run.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct SimReport {
     /// Workload name.
     pub profile: String,
@@ -175,8 +217,9 @@ impl SimReport {
     /// Renders the report as a JSON object (stable key order), for
     /// machine consumption by scripts and notebooks.
     ///
-    /// The emitter is hand-rolled: the approved dependency set has no
-    /// serialisation framework, and the report is a flat struct.
+    /// Floats are written to six decimals (`mean_delay` to three), so
+    /// [`from_json`](Self::from_json) reads back exactly the values that
+    /// re-encode to these bytes.
     ///
     /// # Examples
     ///
@@ -197,176 +240,205 @@ impl SimReport {
     /// ```
     pub fn to_json(&self) -> String {
         let mut o = String::with_capacity(1024);
-        o.push('{');
-        let field = |o: &mut String, key: &str, value: String| {
-            if o.len() > 1 {
-                o.push(',');
-            }
-            o.push('"');
-            o.push_str(key);
-            o.push_str("\":");
-            o.push_str(&value);
+        let mut put = |key: &str, value: &dyn fmt::Display| {
+            o.push(if o.is_empty() { '{' } else { ',' });
+            let _ = write!(o, "\"{key}\":{value}");
         };
         let s = osoffload_obs::json::quote;
         let opt = |v: Option<u64>| v.map_or("null".to_string(), |n| n.to_string());
-        field(&mut o, "profile", s(&self.profile));
-        field(&mut o, "policy", s(&self.policy));
-        field(&mut o, "threshold", opt(self.threshold));
-        field(&mut o, "final_threshold", opt(self.final_threshold));
-        field(
-            &mut o,
-            "migration_one_way",
-            self.migration_one_way.to_string(),
-        );
-        field(&mut o, "user_cores", self.user_cores.to_string());
-        field(&mut o, "os_cores", self.os_cores.to_string());
-        field(&mut o, "dispatch", s(&self.dispatch));
-        field(&mut o, "threads", self.threads.to_string());
-        field(&mut o, "instructions", self.instructions.to_string());
-        field(&mut o, "cycles", self.cycles.to_string());
-        field(&mut o, "throughput", format!("{:.6}", self.throughput));
-        field(&mut o, "os_share", format!("{:.6}", self.os_share));
-        field(&mut o, "offloads", self.offloads.to_string());
-        field(
-            &mut o,
-            "local_invocations",
-            self.local_invocations.to_string(),
-        );
-        field(
-            &mut o,
-            "decision_overhead_cycles",
-            self.decision_overhead_cycles.to_string(),
-        );
-        field(&mut o, "l1d_hit_rate", format!("{:.6}", self.l1d_hit_rate));
-        field(&mut o, "l1i_hit_rate", format!("{:.6}", self.l1i_hit_rate));
-        field(
-            &mut o,
-            "user_branch_accuracy",
-            format!("{:.6}", self.user_branch_accuracy),
-        );
-        field(
-            &mut o,
-            "l2_user_hit_rate",
-            format!("{:.6}", self.l2_user_hit_rate),
-        );
-        field(
-            &mut o,
-            "l2_os_hit_rate",
-            format!("{:.6}", self.l2_os_hit_rate),
-        );
-        field(
-            &mut o,
-            "l2_mean_hit_rate",
-            format!("{:.6}", self.l2_mean_hit_rate),
-        );
-        field(&mut o, "c2c_transfers", self.c2c_transfers.to_string());
-        field(
-            &mut o,
-            "invalidation_rounds",
-            self.invalidation_rounds.to_string(),
-        );
-        field(&mut o, "l1d_accesses", self.l1d_accesses.to_string());
-        field(&mut o, "l1i_accesses", self.l1i_accesses.to_string());
-        field(&mut o, "l2_accesses", self.l2_accesses.to_string());
-        field(&mut o, "dram_accesses", self.dram_accesses.to_string());
-        field(
-            &mut o,
-            "throttled_cycles",
-            self.throttled_cycles.to_string(),
-        );
-        field(
-            &mut o,
-            "os_core_busy_frac",
-            format!("{:.6}", self.os_core_busy_frac),
-        );
-        field(
-            &mut o,
-            "os_core_busy_cycles",
-            format!(
-                "[{}]",
-                self.os_core_busy_cycles
-                    .iter()
-                    .map(|b| b.to_string())
-                    .collect::<Vec<_>>()
-                    .join(",")
-            ),
-        );
-        field(
-            &mut o,
-            "os_core_utilisation",
-            format!(
-                "[{}]",
-                self.os_core_utilisation
-                    .iter()
-                    .map(|u| format!("{u:.6}"))
-                    .collect::<Vec<_>>()
-                    .join(",")
-            ),
-        );
-        field(
-            &mut o,
-            "user_cores_busy_frac",
-            format!("{:.6}", self.user_cores_busy_frac),
-        );
-        field(
-            &mut o,
+        let frac = |x: f64| format!("{x:.6}");
+        let list = |items: Vec<String>| format!("[{}]", items.join(","));
+        let members = |pairs: &[(&str, u64)]| {
+            let pairs: Vec<String> = pairs.iter().map(|(k, v)| format!("\"{k}\":{v}")).collect();
+            pairs.join(",")
+        };
+        put("profile", &s(&self.profile));
+        put("policy", &s(&self.policy));
+        put("threshold", &opt(self.threshold));
+        put("final_threshold", &opt(self.final_threshold));
+        put("migration_one_way", &self.migration_one_way);
+        put("user_cores", &self.user_cores);
+        put("os_cores", &self.os_cores);
+        put("dispatch", &s(&self.dispatch));
+        put("threads", &self.threads);
+        put("instructions", &self.instructions);
+        put("cycles", &self.cycles);
+        put("throughput", &frac(self.throughput));
+        put("os_share", &frac(self.os_share));
+        put("offloads", &self.offloads);
+        put("local_invocations", &self.local_invocations);
+        put("decision_overhead_cycles", &self.decision_overhead_cycles);
+        put("l1d_hit_rate", &frac(self.l1d_hit_rate));
+        put("l1i_hit_rate", &frac(self.l1i_hit_rate));
+        put("user_branch_accuracy", &frac(self.user_branch_accuracy));
+        put("l2_user_hit_rate", &frac(self.l2_user_hit_rate));
+        put("l2_os_hit_rate", &frac(self.l2_os_hit_rate));
+        put("l2_mean_hit_rate", &frac(self.l2_mean_hit_rate));
+        put("c2c_transfers", &self.c2c_transfers);
+        put("invalidation_rounds", &self.invalidation_rounds);
+        put("l1d_accesses", &self.l1d_accesses);
+        put("l1i_accesses", &self.l1i_accesses);
+        put("l2_accesses", &self.l2_accesses);
+        put("dram_accesses", &self.dram_accesses);
+        put("throttled_cycles", &self.throttled_cycles);
+        put("os_core_busy_frac", &frac(self.os_core_busy_frac));
+        let busy = self.os_core_busy_cycles.iter().map(u64::to_string);
+        put("os_core_busy_cycles", &list(busy.collect()));
+        let utilisation = self.os_core_utilisation.iter().map(|&u| frac(u));
+        put("os_core_utilisation", &list(utilisation.collect()));
+        put("user_cores_busy_frac", &frac(self.user_cores_busy_frac));
+        let q = &self.queue;
+        put(
             "queue",
-            format!(
-                "{{\"requests\":{},\"stalled\":{},\"mean_delay\":{:.3},\
-                 \"p50_delay\":{},\"p95_delay\":{},\"p99_delay\":{}}}",
-                self.queue.requests,
-                self.queue.stalled,
-                self.queue.mean_delay,
-                self.queue.p50_delay,
-                self.queue.p95_delay,
-                self.queue.p99_delay
+            &format_args!(
+                "{{\"requests\":{},\"stalled\":{},\"mean_delay\":{:.3},{}}}",
+                q.requests,
+                q.stalled,
+                q.mean_delay,
+                members(&q.percentiles())
             ),
         );
-        field(
-            &mut o,
-            "predictor",
-            match &self.predictor {
-                None => "null".to_string(),
-                Some(p) => format!(
-                    "{{\"exact\":{:.6},\"within_5pct\":{:.6},\"underestimates\":{:.6},\"local_fraction\":{:.6}}}",
-                    p.exact, p.within_5pct, p.underestimates, p.local_fraction
-                ),
-            },
-        );
-        field(
-            &mut o,
-            "cycle_breakdown",
+        let predictor = self.predictor.as_ref().map_or("null".to_string(), |p| {
+            let fractions = p.fractions().map(|(key, x)| format!("\"{key}\":{x:.6}"));
+            format!("{{{}}}", fractions.join(","))
+        });
+        put("predictor", &predictor);
+        let breakdown = members(&self.cycle_breakdown.components());
+        put("cycle_breakdown", &format_args!("{{{breakdown}}}"));
+        let points = self.binary_accuracy.iter().map(|b| {
             format!(
-                "{{\"base\":{},\"fetch\":{},\"data\":{},\"tlb\":{},\"branch\":{},\
-                 \"migration\":{},\"queue_wait\":{},\"decision\":{}}}",
-                self.cycle_breakdown.base,
-                self.cycle_breakdown.fetch,
-                self.cycle_breakdown.data,
-                self.cycle_breakdown.tlb,
-                self.cycle_breakdown.branch,
-                self.cycle_breakdown.migration,
-                self.cycle_breakdown.queue_wait,
-                self.cycle_breakdown.decision
-            ),
-        );
-        field(
-            &mut o,
-            "binary_accuracy",
-            format!(
-                "[{}]",
-                self.binary_accuracy
-                    .iter()
-                    .map(|b| format!(
-                        "{{\"threshold\":{},\"accuracy\":{:.6}}}",
-                        b.threshold, b.accuracy
-                    ))
-                    .collect::<Vec<_>>()
-                    .join(",")
-            ),
-        );
-        field(&mut o, "tuner_events", self.tuner_events.to_string());
+                "{{\"threshold\":{},\"accuracy\":{:.6}}}",
+                b.threshold, b.accuracy
+            )
+        });
+        put("binary_accuracy", &list(points.collect()));
+        put("tuner_events", &self.tuner_events);
         o.push('}');
         o
+    }
+
+    /// Rebuilds a report from a parsed [`to_json`](Self::to_json)
+    /// document. Every key is required; `threshold`, `final_threshold`
+    /// and `predictor` may be `null`. The floats are the rounded values
+    /// `to_json` wrote, so re-encoding the result reproduces its bytes.
+    pub fn from_json(v: &Value) -> Result<SimReport, String> {
+        let what = "report";
+        let u = |key: &str| v.field(what, key, Value::as_u64);
+        let n = |key: &str| v.field(what, key, Value::as_usize);
+        let f = |key: &str| v.field(what, key, Value::as_f64);
+        let s = |key: &str| v.field(what, key, Value::as_str).map(str::to_string);
+        let opt = |key: &str| match v.get(key) {
+            None | Some(Value::Null) => Ok(None),
+            Some(x) => x
+                .as_u64()
+                .map(Some)
+                .ok_or_else(|| format!("{what} {key} must be null or an integer")),
+        };
+        let list = |key: &str| v.field(what, key, Value::as_arr);
+        let queue = v.field(what, "queue", Some)?;
+        let q = |key: &str| queue.field("report queue", key, Value::as_u64);
+        let cb = v.field(what, "cycle_breakdown", Some)?;
+        let c = |key: &str| cb.field("report cycle_breakdown", key, Value::as_u64);
+        let predictor = match v.get("predictor") {
+            None | Some(Value::Null) => None,
+            Some(p) => {
+                let f = |key: &str| p.field("report predictor", key, Value::as_f64);
+                Some(PredictorReport {
+                    exact: f("exact")?,
+                    within_5pct: f("within_5pct")?,
+                    underestimates: f("underestimates")?,
+                    local_fraction: f("local_fraction")?,
+                })
+            }
+        };
+        Ok(SimReport {
+            profile: s("profile")?,
+            policy: s("policy")?,
+            threshold: opt("threshold")?,
+            final_threshold: opt("final_threshold")?,
+            migration_one_way: u("migration_one_way")?,
+            user_cores: n("user_cores")?,
+            os_cores: n("os_cores")?,
+            dispatch: s("dispatch")?,
+            threads: n("threads")?,
+            instructions: u("instructions")?,
+            cycles: u("cycles")?,
+            throughput: f("throughput")?,
+            os_share: f("os_share")?,
+            offloads: u("offloads")?,
+            local_invocations: u("local_invocations")?,
+            decision_overhead_cycles: u("decision_overhead_cycles")?,
+            l1d_hit_rate: f("l1d_hit_rate")?,
+            l1i_hit_rate: f("l1i_hit_rate")?,
+            user_branch_accuracy: f("user_branch_accuracy")?,
+            l2_user_hit_rate: f("l2_user_hit_rate")?,
+            l2_os_hit_rate: f("l2_os_hit_rate")?,
+            l2_mean_hit_rate: f("l2_mean_hit_rate")?,
+            c2c_transfers: u("c2c_transfers")?,
+            invalidation_rounds: u("invalidation_rounds")?,
+            l1d_accesses: u("l1d_accesses")?,
+            l1i_accesses: u("l1i_accesses")?,
+            l2_accesses: u("l2_accesses")?,
+            dram_accesses: u("dram_accesses")?,
+            throttled_cycles: u("throttled_cycles")?,
+            os_core_busy_frac: f("os_core_busy_frac")?,
+            os_core_busy_cycles: list("os_core_busy_cycles")?
+                .iter()
+                .map(Value::as_u64)
+                .collect::<Option<_>>()
+                .ok_or("report os_core_busy_cycles holds a non-integer")?,
+            os_core_utilisation: list("os_core_utilisation")?
+                .iter()
+                .map(Value::as_f64)
+                .collect::<Option<_>>()
+                .ok_or("report os_core_utilisation holds a non-number")?,
+            user_cores_busy_frac: f("user_cores_busy_frac")?,
+            queue: QueueReport {
+                requests: q("requests")?,
+                stalled: q("stalled")?,
+                mean_delay: queue.field("report queue", "mean_delay", Value::as_f64)?,
+                p50_delay: q("p50_delay")?,
+                p95_delay: q("p95_delay")?,
+                p99_delay: q("p99_delay")?,
+            },
+            predictor,
+            cycle_breakdown: CycleBreakdown {
+                base: c("base")?,
+                fetch: c("fetch")?,
+                data: c("data")?,
+                tlb: c("tlb")?,
+                branch: c("branch")?,
+                migration: c("migration")?,
+                queue_wait: c("queue_wait")?,
+                decision: c("decision")?,
+            },
+            binary_accuracy: list("binary_accuracy")?
+                .iter()
+                .map(|b| {
+                    Ok(BinaryPoint {
+                        threshold: b.field("report binary_accuracy", "threshold", Value::as_u64)?,
+                        accuracy: b.field("report binary_accuracy", "accuracy", Value::as_f64)?,
+                    })
+                })
+                .collect::<Result<_, String>>()?,
+            tuner_events: n("tuner_events")?,
+        })
+    }
+
+    /// The fields that are fractions, each in `[0, 1]` on a well-formed
+    /// report, named by their JSON keys.
+    pub fn fractions(&self) -> [(&'static str, f64); 9] {
+        [
+            ("os_share", self.os_share),
+            ("l1d_hit_rate", self.l1d_hit_rate),
+            ("l1i_hit_rate", self.l1i_hit_rate),
+            ("user_branch_accuracy", self.user_branch_accuracy),
+            ("l2_user_hit_rate", self.l2_user_hit_rate),
+            ("l2_os_hit_rate", self.l2_os_hit_rate),
+            ("l2_mean_hit_rate", self.l2_mean_hit_rate),
+            ("os_core_busy_frac", self.os_core_busy_frac),
+            ("user_cores_busy_frac", self.user_cores_busy_frac),
+        ]
     }
 
     /// This run's throughput normalised to a baseline run.
@@ -526,6 +598,78 @@ mod tests {
         let j = r.to_json();
         assert!(j.contains("\"threshold\":null"));
         assert!(j.contains("\"predictor\":null"));
+    }
+
+    /// `to_json(from_json(parse(to_json(r)))) == to_json(r)` for a real
+    /// report of every shape: no predictor, a predictor, several OS
+    /// cores, resource adaptation and the tuner.
+    #[test]
+    fn json_round_trips_every_report_shape() {
+        use crate::{PolicyKind, Simulation, SystemConfig};
+        use osoffload_core::TunerConfig;
+        use osoffload_workload::Profile;
+
+        let hi = PolicyKind::HardwarePredictor { threshold: 500 };
+        let small = || {
+            SystemConfig::builder()
+                .profile(Profile::apache())
+                .migration_latency(1_000)
+                .instructions(60_000)
+                .warmup(10_000)
+                .seed(3)
+        };
+        let runs = [
+            small().build(),
+            small().policy(hi).build(),
+            small().policy(hi).user_cores(4).os_cores(2).build(),
+            small().policy(hi).resource_adaptation(600).build(),
+            small()
+                .policy(hi)
+                .tuner(TunerConfig::scaled_down(2_000))
+                .build(),
+        ]
+        .map(|cfg| Simulation::new(cfg).run());
+        assert!(runs[0].predictor.is_none() && runs[1].predictor.is_some());
+        assert_eq!(runs[2].os_core_busy_cycles.len(), 2);
+        assert!(runs[2].c2c_transfers > 0 && runs[3].throttled_cycles > 0);
+        assert!(runs[4].tuner_events > 0 && !runs[4].binary_accuracy.is_empty());
+        for report in &runs {
+            let text = report.to_json();
+            let parsed = osoffload_obs::json::parse(&text).expect("to_json writes JSON");
+            let back = SimReport::from_json(&parsed).expect("decodes");
+            assert_eq!(back.to_json(), text);
+        }
+    }
+
+    #[test]
+    fn from_json_names_a_missing_or_mistyped_key() {
+        let text = report(0.7).to_json();
+        let decode = |text: &str| SimReport::from_json(&osoffload_obs::json::parse(text).unwrap());
+        assert!(decode(&text).is_ok());
+        for (needle, replacement, why) in [
+            ("\"cycles\":2000,", "", "report missing cycles"),
+            (
+                "\"threads\":2",
+                "\"threads\":\"2\"",
+                "report missing threads",
+            ),
+            (
+                "\"threshold\":500",
+                "\"threshold\":0.5",
+                "report threshold must be null",
+            ),
+            ("[600]", "[-1]", "os_core_busy_cycles holds a non-integer"),
+            (
+                "\"p99_delay\":0",
+                "\"p99\":0",
+                "report queue missing p99_delay",
+            ),
+        ] {
+            let mutated = text.replacen(needle, replacement, 1);
+            assert_ne!(mutated, text, "{needle} must occur");
+            let err = decode(&mutated).expect_err(needle);
+            assert!(err.contains(why), "{needle}: {err}");
+        }
     }
 
     #[test]
