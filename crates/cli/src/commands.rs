@@ -148,14 +148,17 @@ fn simulate_all(
         .collect())
 }
 
-/// `osoffload compare`: baseline vs SI vs DI vs HI.
-pub fn compare(a: &RunArgs) -> Result<(), ConfigError> {
-    // The dynamic schemes compare at the threshold from --policy (or the
-    // 500-instruction default).
-    let n = match a.policy {
-        PolicyKind::HardwarePredictor { threshold } => threshold,
-        _ => 500,
-    };
+/// `osoffload compare`: baseline vs SI vs DI vs HI. The dynamic schemes
+/// compare at the threshold of `--policy` (default `hi:500`); a policy
+/// without one (the baseline, SI) is refused, as is a configuration
+/// `SystemConfig::validate` refuses.
+pub fn compare(a: &RunArgs) -> Result<(), String> {
+    let n = a.policy.threshold().ok_or_else(|| {
+        format!(
+            "compare needs a --policy with a threshold; {} has none",
+            a.policy.label()
+        )
+    })?;
     let schemes = [
         ("SI", PolicyKind::StaticInstrumentation { stub_cost: 25 }),
         (
@@ -167,7 +170,7 @@ pub fn compare(a: &RunArgs) -> Result<(), ConfigError> {
         ),
         ("HI", PolicyKind::HardwarePredictor { threshold: n }),
     ];
-    let reports = simulate_all(a, schemes.map(|(_, policy)| policy))?;
+    let reports = simulate_all(a, schemes.map(|(_, policy)| policy)).map_err(|e| e.to_string())?;
     let baseline = &reports[0];
     println!(
         "{} @ {} cyc one-way, {} insn (baseline {:.4} insn/cyc)\n",
@@ -335,6 +338,42 @@ mod tests {
         assert_eq!(sweep(&tiny_args()), Ok(()));
     }
 
+    /// `compare` runs at the threshold of any policy that has one and
+    /// refuses the policies that have none.
+    #[test]
+    fn compare_takes_the_threshold_of_every_policy_that_has_one() {
+        for policy in [
+            PolicyKind::DynamicInstrumentation {
+                threshold: 100,
+                cost: 120,
+            },
+            PolicyKind::Oracle { threshold: 100 },
+            PolicyKind::AlwaysOffload,
+        ] {
+            let a = RunArgs {
+                policy,
+                ..tiny_args()
+            };
+            assert_eq!(compare(&a), Ok(()), "{policy}");
+        }
+        for policy in [
+            PolicyKind::Baseline,
+            PolicyKind::StaticInstrumentation { stub_cost: 25 },
+        ] {
+            let a = RunArgs {
+                policy,
+                ..tiny_args()
+            };
+            assert_eq!(
+                compare(&a),
+                Err(format!(
+                    "compare needs a --policy with a threshold; {} has none",
+                    policy.label()
+                ))
+            );
+        }
+    }
+
     #[test]
     fn list_completes() {
         assert_eq!(list(), 0);
@@ -392,14 +431,13 @@ mod tests {
             assert_eq!(trace(&a), Err(expected.clone()));
             // compare and sweep build their baseline first, which has
             // no OS core to count.
-            for command in [compare, sweep] {
-                let e = command(&a).unwrap_err();
-                assert_eq!(
-                    std::mem::discriminant(&e),
-                    std::mem::discriminant(&expected),
-                    "{e}"
-                );
-            }
+            let e = sweep(&a).unwrap_err();
+            assert_eq!(
+                std::mem::discriminant(&e),
+                std::mem::discriminant(&expected),
+                "{e}"
+            );
+            assert_eq!(compare(&a), Err(e.to_string()));
         }
     }
 

@@ -11,7 +11,6 @@ mod inspect;
 mod serve;
 
 use args::Command;
-use osoffload_system::ConfigError;
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -44,9 +43,10 @@ fn main() {
     std::process::exit(code);
 }
 
-/// A configuration that `SystemConfig::validate` refuses is a usage
-/// error like a bad flag: exit 2 with its message, not a panic.
-fn exit_code(result: Result<(), ConfigError>) -> i32 {
+/// A configuration that `SystemConfig::validate` refuses, or a flag
+/// value a subcommand cannot honour, is a usage error like a bad flag:
+/// exit 2 with its message, not a panic.
+fn exit_code(result: Result<(), impl std::fmt::Display>) -> i32 {
     match result {
         Ok(()) => 0,
         Err(e) => {

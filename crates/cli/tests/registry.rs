@@ -239,6 +239,31 @@ fn simulation_subcommands_refuse_flags_they_ignore() {
     assert!(!dir.exists(), "a refused --trace-out wrote files");
 }
 
+/// `compare` runs DI and HI at the threshold of whichever policy
+/// `--policy` names, and refuses a policy that has none.
+#[test]
+fn compare_takes_the_threshold_of_any_policy() {
+    let compare = |policy: &str| {
+        let o = run(&["compare", "--instructions=40000", policy]);
+        assert!(o.status.success(), "{policy}: {o:?}");
+        String::from_utf8(o.stdout).expect("utf-8 table")
+    };
+    let hi_100 = compare("--policy=hi:100");
+    assert_eq!(compare("--policy=di:100"), hi_100);
+    assert_eq!(compare("--policy=oracle:100"), hi_100);
+    assert_ne!(compare("--policy=hi:500"), hi_100);
+    for (spec, label) in [("--policy=si", "SI"), ("--policy=baseline", "baseline")] {
+        let o = run(&["compare", "--instructions=40000", spec]);
+        assert_eq!(o.status.code(), Some(2), "{spec}: {o:?}");
+        let stderr = String::from_utf8_lossy(&o.stderr);
+        assert_eq!(
+            stderr,
+            format!("error: compare needs a --policy with a threshold; {label} has none\n")
+        );
+        assert!(o.stdout.is_empty(), "{spec} printed output");
+    }
+}
+
 /// `--telemetry` with `--trace-out=DIR` writes the run's three telemetry
 /// files under DIR, the same spelling the experiments take.
 #[test]

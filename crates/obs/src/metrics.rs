@@ -6,7 +6,9 @@
 //! Nothing is incremented on the hot path, so enabling metrics cannot
 //! perturb simulated behaviour. The resulting table is schema-stable:
 //! one row per epoch, one column per registered metric, exported as CSV
-//! or stable-key JSON.
+//! or stable-key JSON. A [windowed](MetricsRegistry::windowed) registry
+//! keeps only its newest rows, for a sampler that never stops, such as
+//! the serve daemon's.
 
 use std::fmt::Write as _;
 
@@ -57,12 +59,23 @@ pub struct MetricsRegistry {
     names: Vec<(String, MetricKind)>,
     current: Vec<f64>,
     samples: Vec<SampleRow>,
+    window: Option<usize>,
 }
 
 impl MetricsRegistry {
-    /// Creates an empty registry.
+    /// Creates an empty registry that keeps every committed row.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Creates an empty registry that keeps only the newest `window`
+    /// committed rows, so its memory and every export stay bounded
+    /// however long it samples.
+    pub fn windowed(window: usize) -> Self {
+        MetricsRegistry {
+            window: Some(window),
+            ..Self::default()
+        }
     }
 
     fn register(&mut self, name: &str, kind: MetricKind) -> MetricId {
@@ -95,7 +108,8 @@ impl MetricsRegistry {
         self.current[id.0] = value;
     }
 
-    /// Commits the staged values as one epoch-boundary row.
+    /// Commits the staged values as one epoch-boundary row; a windowed
+    /// registry then drops its oldest row past the window.
     pub fn commit_sample(&mut self, epoch: u64, instructions: u64, cycles: u64) {
         self.samples.push(SampleRow {
             epoch,
@@ -103,6 +117,10 @@ impl MetricsRegistry {
             cycles,
             values: self.current.clone(),
         });
+        if let Some(window) = self.window {
+            let excess = self.samples.len().saturating_sub(window);
+            self.samples.drain(..excess);
+        }
     }
 
     /// Metric names with kinds, in column order.
@@ -110,7 +128,7 @@ impl MetricsRegistry {
         &self.names
     }
 
-    /// Committed rows, oldest first.
+    /// Committed rows still held, oldest first.
     pub fn samples(&self) -> &[SampleRow] {
         &self.samples
     }
@@ -236,6 +254,19 @@ mod tests {
         assert!(json.starts_with("{\"schema\":\"osoffload.metrics.v1\""));
         assert!(json.contains("{\"name\":\"n\",\"kind\":\"counter\"}"));
         assert!(json.contains("\"values\":[2]"));
+    }
+
+    #[test]
+    fn windowed_registry_keeps_the_newest_rows() {
+        let mut reg = MetricsRegistry::windowed(3);
+        let c = reg.register_counter("n");
+        for epoch in 0..5 {
+            reg.set(c, epoch as f64);
+            reg.commit_sample(epoch, 0, 0);
+        }
+        let epochs: Vec<u64> = reg.samples().iter().map(|r| r.epoch).collect();
+        assert_eq!(epochs, [2, 3, 4]);
+        assert_eq!(reg.to_csv().lines().last(), Some("4,0,0,4"));
     }
 
     #[test]

@@ -316,11 +316,32 @@ pub(crate) fn decode_stable(stable_text: &str) -> Result<PointResult, String> {
         },
         other => return Err(format!("unknown row status {other:?}")),
     };
-    Ok(PointResult {
-        index: stable.field(what, "index", Value::as_usize)?,
-        id: stable.field(what, "id", Value::as_str)?.to_string(),
-        seed: stable.field(what, "seed", Value::as_u64)?,
-        config_json: extract_config(stable_text).ok_or("row config does not slice out")?,
+    Ok(restored_row(
+        stable.field(what, "index", Value::as_usize)?,
+        stable.field(what, "id", Value::as_str)?.to_string(),
+        stable.field(what, "seed", Value::as_u64)?,
+        extract_config(stable_text).ok_or("row config does not slice out")?,
+        outcome,
+        stable_text.to_string(),
+    ))
+}
+
+/// A row restored from `stable_text`, given the fields decoded from it:
+/// the non-deterministic fields take their canonical zeros and the text
+/// is kept verbatim.
+fn restored_row(
+    index: usize,
+    id: String,
+    seed: u64,
+    config_json: String,
+    outcome: Outcome,
+    stable_text: String,
+) -> PointResult {
+    PointResult {
+        index,
+        id,
+        seed,
+        config_json,
         outcome,
         wall_ms: 0.0,
         start_ms: 0.0,
@@ -328,8 +349,8 @@ pub(crate) fn decode_stable(stable_text: &str) -> Result<PointResult, String> {
         attempts: 1,
         attempt_ms: vec![0.0],
         injected_faults: 0,
-        restored: Some(stable_text.to_string()),
-    })
+        restored: Some(stable_text),
+    }
 }
 
 /// Restores a result row from a stable-row text alone — the form the
@@ -382,6 +403,24 @@ pub fn rekey_stable(stable: &str, index: usize, id: &str, seed: u64) -> Option<S
         "{{\"index\":{index},\"id\":\"{}\",\"seed\":{seed}{}",
         json::escape(id),
         &stable[pos..]
+    ))
+}
+
+/// Re-keys a row that holds its stable text to a new plan position
+/// without decoding it again: the text goes through [`rekey_stable`],
+/// the configuration and outcome carry over, and the timings take their
+/// canonical zeros — so the row archives byte for byte as the row
+/// [`restore_from_stable`] would rebuild from the re-keyed text. `None`
+/// when the row holds no stable text or the text does not re-key.
+pub fn rekey_row(row: &PointResult, index: usize, id: &str, seed: u64) -> Option<PointResult> {
+    let text = rekey_stable(row.restored.as_deref()?, index, id, seed)?;
+    Some(restored_row(
+        index,
+        id.to_string(),
+        seed,
+        row.config_json.clone(),
+        row.outcome.clone(),
+        text,
     ))
 }
 
@@ -609,6 +648,13 @@ mod tests {
         assert_eq!(moved.config_json, row.config_json);
         assert_eq!(moved.stable_json(), rekeyed);
         assert!(rekey_stable("{\"nope\":1}", 0, "x", 0).is_none());
+        // Re-keying the decoded row gives the row decoding would.
+        let direct = rekey_row(&restored, 7, "moved \"id\"", 42).expect("rekey row");
+        assert_eq!(direct.row_json(), moved.row_json());
+        assert!(
+            rekey_row(&row, 7, "x", 42).is_none(),
+            "a fresh row holds no text"
+        );
     }
 
     #[test]

@@ -13,7 +13,10 @@
 //! encoding, and `digest` is its
 //! [`config_digest`](osoffload_runner::journal::config_digest).
 //! Every insert is an fsynced append, so a killed daemon restarts warm
-//! with everything it ever acknowledged.
+//! with everything it ever acknowledged. Records are decoded once, when
+//! the cache is opened, and each entry keeps its stable text; a hit
+//! re-keys that text and the decoded row to the new plan position
+//! ([`ResultCache::serve`]) without parsing anything.
 //!
 //! Both files share one line reader,
 //! [`osoffload_runner::journal::scan_envelope_lines`]; the cache runs
@@ -52,7 +55,7 @@
 
 use osoffload_obs::atomic_write;
 use osoffload_runner::journal::{
-    envelope, restore_from_stable, scan_envelope_lines, Journal, ScanMode,
+    envelope, rekey_row, restore_from_stable, scan_envelope_lines, Journal, ScanMode,
 };
 use osoffload_runner::PointResult;
 use std::collections::HashMap;
@@ -73,7 +76,9 @@ pub struct CacheEntry {
     pub digest: String,
     /// Monotone insertion stamp (virtual seconds, not wall clock).
     pub stamp: u64,
-    /// The cached row, restored as if resumed from a journal.
+    /// The cached row, holding its stable text in
+    /// [`PointResult::restored`]: decoded once when the WAL is opened,
+    /// or kept as computed when this cache inserted it.
     pub row: PointResult,
 }
 
@@ -309,9 +314,10 @@ impl ResultCache {
     }
 
     /// Serves a cached row re-keyed to a new plan position: the stored
-    /// verbatim stable text gets `index`/`id`/`seed` spliced in, then is
-    /// restored like a journal resume — so the served row's archive text
-    /// is byte-identical to a fresh computation at that position.
+    /// verbatim stable text gets `index`/`id`/`seed` spliced in and the
+    /// already decoded row carries over ([`rekey_row`]), so the served
+    /// row's archive text is byte-identical to a fresh computation at
+    /// that position and nothing is parsed.
     pub fn serve(
         &self,
         digest: &str,
@@ -320,10 +326,7 @@ impl ResultCache {
         id: &str,
         seed: u64,
     ) -> Option<PointResult> {
-        let entry = self.lookup(digest, config)?;
-        let rekeyed =
-            osoffload_runner::journal::rekey_stable(&entry.row.stable_json(), index, id, seed)?;
-        restore_from_stable(&rekeyed)
+        rekey_row(&self.lookup(digest, config)?.row, index, id, seed)
     }
 
     /// Inserts a completed row under its configuration digest, appending
@@ -352,10 +355,15 @@ impl ResultCache {
         if !row.is_ok() {
             return Ok(false);
         }
+        // The entry keeps the stable text it appends to the WAL, so a
+        // hit re-keys that text instead of re-encoding the report.
         let entry = CacheEntry {
             digest: row.config_digest(),
             stamp,
-            row: row.clone(),
+            row: PointResult {
+                restored: Some(row.stable_json()),
+                ..row.clone()
+            },
         };
         self.writer
             .as_mut()
@@ -445,5 +453,91 @@ impl ResultCache {
                 .map_err(|e| format!("cannot reopen cache {}: {e}", self.path.display()))?,
         );
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use osoffload_runner::journal::rekey_stable;
+    use osoffload_runner::{record_plan, run_plan, RunnerOptions};
+    use osoffload_system::experiments::{single_config, Scale};
+    use osoffload_system::PolicyKind;
+    use osoffload_workload::Profile;
+
+    /// One computed row, as the daemon inserts it.
+    fn computed_row() -> PointResult {
+        let scale = Scale {
+            instructions: 30_000,
+            warmup: 10_000,
+            seed: 7,
+            compute_profiles: 1,
+        };
+        let plan = record_plan("cache-unit", scale.seed, |ev| {
+            ev(single_config(
+                Profile::apache(),
+                PolicyKind::HardwarePredictor { threshold: 500 },
+                1_000,
+                1,
+                scale,
+            ));
+        });
+        let opts = RunnerOptions {
+            quiet: true,
+            canonical: true,
+            out_dir: std::env::temp_dir(),
+            ..RunnerOptions::default()
+        };
+        let row = run_plan(&plan, &opts).rows.remove(0);
+        assert!(row.is_ok() && row.restored.is_none());
+        row
+    }
+
+    /// The row re-encoded from its decoded fields alone, ignoring the
+    /// stable text it carries: equal for two rows exactly when their
+    /// position, configuration and outcome agree.
+    fn decoded_fields(row: &PointResult) -> String {
+        PointResult {
+            restored: None,
+            ..row.clone()
+        }
+        .stable_json()
+    }
+
+    /// A hit serves what re-keying the entry's stable text and decoding
+    /// it again would: the same archive row and the same outcome, for an
+    /// entry inserted by this cache, the same entry reloaded from the
+    /// WAL, and an id that needs escaping.
+    #[test]
+    fn a_hit_is_the_rekeyed_stable_row_without_a_parse() {
+        let row = computed_row();
+        let stable = row.stable_json();
+        let dir = std::env::temp_dir().join(format!("osoffload-cache-unit-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let path = dir.join("cache.wal");
+        let digest = row.config_digest();
+        let check = |cache: &ResultCache, index: usize, id: &str, seed: u64| {
+            let served = cache
+                .serve(&digest, &row.config_json, index, id, seed)
+                .expect("hit");
+            let text = rekey_stable(&stable, index, id, seed).expect("rekey");
+            let decoded = restore_from_stable(&text).expect("decode");
+            assert_eq!(served.row_json(), decoded.row_json(), "{id}");
+            assert_eq!(decoded_fields(&served), decoded_fields(&decoded), "{id}");
+            assert_eq!(decoded_fields(&served), text, "{id}");
+        };
+
+        let mut cache = ResultCache::open(&path, 0).expect("open");
+        assert!(cache.insert(&row.config_json, &row).expect("insert"));
+        check(&cache, 5, "moved", 77);
+        check(&cache, 0, "tab\t \"quoted\" back\\slash \u{1}", 3);
+        drop(cache);
+
+        let cache = ResultCache::open(&path, 0).expect("reopen");
+        assert_eq!(cache.len(), 1);
+        check(&cache, 5, "moved", 77);
+        check(&cache, 0, "tab\t \"quoted\" back\\slash \u{1}", 3);
+        assert!(cache.serve(&digest, "{\"other\":1}", 0, "x", 0).is_none());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

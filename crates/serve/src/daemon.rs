@@ -13,9 +13,10 @@
 //!   acknowledgement line is written and the listener closes.
 //! - `{"op":"submit","experiment":..,"master_seed":..,"points":[..]}` →
 //!   an `accepted` event, one `point` event per point as it completes
-//!   (cached points first, announced before any computation starts),
-//!   and a final `done` event carrying hit/miss totals and the archive
-//!   path.
+//!   (cached points first, in plan order and sent with the `accepted`
+//!   line in one write before any computation starts), and a final
+//!   `done` event carrying hit/miss totals and the archive path. The
+//!   metrics export follows `done`, off the reply's path.
 //!
 //! # Concurrency and admission control
 //!
@@ -63,7 +64,9 @@ use osoffload_obs::json::{self, Value};
 use osoffload_obs::{atomic_write, MetricId, MetricsRegistry};
 use osoffload_runner::journal::config_digest;
 use osoffload_runner::report::write_sweep;
-use osoffload_runner::{run_plan_hooked, ExecHooks, ExperimentPlan, Outcome, RunnerOptions};
+use osoffload_runner::{
+    run_plan_hooked, ExecHooks, ExperimentPlan, Outcome, PointResult, RunnerOptions,
+};
 use osoffload_system::SystemConfig;
 use std::collections::VecDeque;
 use std::io::{BufRead, Write};
@@ -81,6 +84,11 @@ pub const DEFAULT_SOCKET_TIMEOUT_MS: u64 = 60_000;
 
 /// Default maximum request line length in bytes (1 MiB).
 pub const DEFAULT_MAX_LINE_BYTES: usize = 1 << 20;
+
+/// Samples the metrics export keeps: the newest this many, one per
+/// submission, shed or refusal. The counters are cumulative, so the
+/// last row always carries the daemon's lifetime totals.
+pub const METRICS_WINDOW: usize = 256;
 
 /// Daemon configuration.
 #[derive(Debug, Clone)]
@@ -194,7 +202,7 @@ struct Metrics {
 
 impl Metrics {
     fn new() -> Metrics {
-        let mut registry = MetricsRegistry::new();
+        let mut registry = MetricsRegistry::windowed(METRICS_WINDOW);
         let hits = registry.register_counter("serve.cache.hits");
         let misses = registry.register_counter("serve.cache.misses");
         let evictions = registry.register_counter("serve.cache.evictions");
@@ -266,12 +274,11 @@ fn valid_experiment_name(name: &str) -> bool {
             .all(|b| b.is_ascii_alphanumeric() || matches!(b, b'.' | b'_' | b'-'))
 }
 
-/// One lowered, validated submission point.
-struct SubmitPoint {
-    id: String,
+/// The cache key of one lowered submission point: its configuration as
+/// the daemon renders it, and that rendering's digest.
+struct PointKey {
     wire: String,
     digest: String,
-    config: SystemConfig,
 }
 
 /// A bounded handoff queue between the accept loop and the worker pool.
@@ -692,7 +699,9 @@ fn submit_entry(shared: &Shared, request: &Value, out: &TcpStream) {
     }
 }
 
-fn lower_submit(request: &Value) -> Result<(String, u64, Vec<SubmitPoint>), String> {
+/// Lowers a submit request into its plan, every configuration rebuilt
+/// through [`SystemConfig::from_json`], and each point's cache key.
+fn lower_submit(request: &Value) -> Result<(ExperimentPlan, Vec<PointKey>), String> {
     let experiment = request.field("submit", "experiment", Value::as_str)?;
     if !valid_experiment_name(experiment) {
         return Err(format!(
@@ -704,7 +713,8 @@ fn lower_submit(request: &Value) -> Result<(String, u64, Vec<SubmitPoint>), Stri
     if raw_points.is_empty() {
         return Err("submit has no points".into());
     }
-    let mut points = Vec::with_capacity(raw_points.len());
+    let mut plan = ExperimentPlan::new(experiment, master_seed);
+    let mut keys = Vec::with_capacity(raw_points.len());
     for (i, p) in raw_points.iter().enumerate() {
         let what = format!("point {i}:");
         let id = p.field(&what, "id", Value::as_str)?;
@@ -713,14 +723,13 @@ fn lower_submit(request: &Value) -> Result<(String, u64, Vec<SubmitPoint>), Stri
         // Re-canonicalise: cache comparisons use the daemon's own
         // rendering, never client-supplied bytes.
         let wire = config.to_json();
-        points.push(SubmitPoint {
-            id: id.to_string(),
+        keys.push(PointKey {
             digest: config_digest(&wire),
             wire,
-            config,
         });
+        plan.push_pinned(id, config);
     }
-    Ok((experiment.to_string(), master_seed, points))
+    Ok((plan, keys))
 }
 
 fn handle_submit(
@@ -730,7 +739,7 @@ fn handle_submit(
     queue_wait: Duration,
 ) -> Result<(), String> {
     let opts = &shared.opts;
-    let (experiment, master_seed, points) = lower_submit(request)?;
+    let (plan, keys) = lower_submit(request)?;
     // Whatever request budget survived the admission queue bounds each
     // point through the runner's watchdog.
     let deadline_ms = if opts.request_deadline_ms > 0 {
@@ -744,18 +753,24 @@ fn handle_submit(
     } else {
         None
     };
-    let mut plan = ExperimentPlan::new(&experiment, master_seed);
-    let mut prefill = Vec::with_capacity(points.len());
-    {
+    let prefill: Vec<Option<PointResult>> = {
         let cache = shared.cache.lock().expect("cache lock");
-        for p in &points {
-            let index = plan.push_pinned(p.id.clone(), p.config.clone());
-            prefill.push(cache.serve(&p.digest, &p.wire, index, &p.id, p.config.seed));
-        }
+        plan.points()
+            .iter()
+            .zip(&keys)
+            .map(|(p, key)| cache.serve(&key.digest, &key.wire, p.index, &p.id, p.config.seed))
+            .collect()
+    };
+    // Every cached point is announced with the `accepted` line, in plan
+    // order and in one write, before any computation starts.
+    let mut head = format!("{{\"event\":\"accepted\",\"points\":{}}}\n", plan.len());
+    let mut hits = 0u64;
+    for row in prefill.iter().flatten() {
+        head.push_str(&point_event(row, &keys[row.index].digest, true));
+        hits += 1;
     }
     let mut writer = out;
-    let _ = writer
-        .write_all(format!("{{\"event\":\"accepted\",\"points\":{}}}\n", points.len()).as_bytes());
+    let _ = writer.write_all(head.as_bytes());
 
     let ropts = RunnerOptions {
         workers: opts.workers,
@@ -768,46 +783,29 @@ fn handle_submit(
         ..RunnerOptions::default()
     };
 
-    let hits = AtomicU64::new(0);
     let misses = AtomicU64::new(0);
     let stream = Mutex::new(out);
-    let wires: Vec<&str> = points.iter().map(|p| p.wire.as_str()).collect();
-    let digests: Vec<&str> = points.iter().map(|p| p.digest.as_str()).collect();
-    let on_point = |row: &osoffload_runner::PointResult, cached: bool| {
+    // Cached points were announced above; only computed ones remain.
+    let on_point = |row: &PointResult, cached: bool| {
         if cached {
-            hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            misses.fetch_add(1, Ordering::Relaxed);
-            // Cache the fresh row before acknowledging it: after a
-            // kill -9 the WAL holds everything the client saw done.
-            match shared
-                .cache
-                .lock()
-                .expect("cache lock")
-                .insert(wires[row.index], row)
-            {
-                Ok(_) => {}
-                Err(why) => eprintln!("serve: {why}"),
-            }
+            return;
         }
-        let status = match &row.outcome {
-            Outcome::Ok(_) => "ok",
-            Outcome::Failed { .. } => "failed",
-            Outcome::TimedOut { .. } => "timeout",
-        };
-        let line = format!(
-            "{{\"event\":\"point\",\"index\":{},\"id\":\"{}\",\"digest\":\"{}\",\
-             \"cached\":{},\"status\":\"{}\"}}\n",
-            row.index,
-            json::escape(&row.id),
-            digests[row.index],
-            cached,
-            status
-        );
+        misses.fetch_add(1, Ordering::Relaxed);
+        let key = &keys[row.index];
+        // Cache the fresh row before acknowledging it: after a kill -9
+        // the WAL holds everything the client saw done.
+        if let Err(why) = shared
+            .cache
+            .lock()
+            .expect("cache lock")
+            .insert(&key.wire, row)
+        {
+            eprintln!("serve: {why}");
+        }
         // A vanished client must not abort the sweep: results still
         // land in the cache for the next submission.
         let mut s = stream.lock().expect("stream lock");
-        let _ = (&mut *s).write_all(line.as_bytes());
+        let _ = (&mut *s).write_all(point_event(row, &key.digest, false).as_bytes());
     };
     let hooks = ExecHooks {
         prefill,
@@ -829,7 +827,6 @@ fn handle_submit(
     let archive =
         write_sweep(&sweep, &opts.out_dir).map_err(|e| format!("cannot write archive: {e}"))?;
 
-    let hits = hits.into_inner();
     let misses = misses.into_inner();
     let failed = sweep.rows.iter().filter(|r| !r.is_ok()).count();
     let evicted = shared.cache.lock().expect("cache lock").enforce_limits()? as u64;
@@ -841,10 +838,10 @@ fn handle_submit(
         totals.evictions += evicted;
         totals.submissions += 1;
     }
-    export_metrics(shared);
     if !opts.quiet {
         eprintln!(
-            "serve: {experiment}: {} points, {hits} hits, {misses} misses, {failed} failed",
+            "serve: {}: {} points, {hits} hits, {misses} misses, {failed} failed",
+            plan.name(),
             sweep.rows.len()
         );
     }
@@ -859,7 +856,25 @@ fn handle_submit(
         )
         .as_bytes(),
     );
+    // After `done`, so the client does not wait for it; still before
+    // the admission slot is released, so a drain waits for it.
+    export_metrics(shared);
     Ok(())
+}
+
+/// One `point` event line.
+fn point_event(row: &PointResult, digest: &str, cached: bool) -> String {
+    let status = match &row.outcome {
+        Outcome::Ok(_) => "ok",
+        Outcome::Failed { .. } => "failed",
+        Outcome::TimedOut { .. } => "timeout",
+    };
+    format!(
+        "{{\"event\":\"point\",\"index\":{},\"id\":\"{}\",\"digest\":\"{digest}\",\
+         \"cached\":{cached},\"status\":\"{status}\"}}\n",
+        row.index,
+        json::escape(&row.id),
+    )
 }
 
 /// Commits one epoch sample and writes `serve-metrics.csv` /

@@ -9,9 +9,10 @@
 mod common;
 
 use common::scratch;
+use osoffload_obs::json::{self, Value};
 use osoffload_runner::{record_plan, report, run_plan, RunnerOptions};
 use osoffload_serve::client::{self, RetryPolicy, SubmitError};
-use osoffload_serve::daemon::{Daemon, ServeOptions};
+use osoffload_serve::daemon::{Daemon, ServeOptions, METRICS_WINDOW};
 use osoffload_system::experiments::{
     fig6_scalability_grid_with, sensitivity_with, single_config, Evaluator, Scale,
 };
@@ -293,6 +294,94 @@ fn cached_rows_rekey_to_new_plan_positions() {
     );
     client::stop(port).expect("stop");
     handle.join().expect("daemon thread").expect("daemon exit");
+}
+
+/// A submission with both hits and misses streams `accepted`, then
+/// every cached point in plan order, then the computed ones, then
+/// `done`, each index exactly once — and still archives byte-identically.
+#[test]
+fn mixed_submission_streams_cached_points_first() {
+    let dir = scratch("mixed");
+    let direct = direct_archive("e2e-mixed", &dir.join("direct"), full_driver);
+    let (port, handle) = start_daemon(serve_opts(&dir));
+    // The subset caches full_driver's points 2 and 0, leaving 1 to run.
+    let subset = submit(port, "e2e-subset", subset_driver);
+    assert_eq!(subset.misses, 2);
+
+    let mut events = Vec::new();
+    let mixed = client::submit(port, &request_line("e2e-mixed", full_driver), |ev| {
+        events.push(ev.to_string())
+    })
+    .expect("submit");
+    assert_eq!((mixed.hits, mixed.misses, mixed.failed), (2, 1, 0));
+    let kinds: Vec<String> = events
+        .iter()
+        .map(|line| {
+            let ev = json::parse(line).expect("event line");
+            match ev.get("event").and_then(Value::as_str).expect("event") {
+                "point" => format!(
+                    "point {} cached={}",
+                    ev.get("index").and_then(Value::as_u64).expect("index"),
+                    ev.get("cached").and_then(Value::as_bool).expect("cached")
+                ),
+                other => other.to_string(),
+            }
+        })
+        .collect();
+    assert_eq!(
+        kinds,
+        [
+            "accepted",
+            "point 0 cached=true",
+            "point 2 cached=true",
+            "point 1 cached=false",
+            "done"
+        ]
+    );
+    assert_eq!(
+        std::fs::read(&mixed.archive).expect("read archive"),
+        direct,
+        "mixed served archive != direct canonical archive"
+    );
+    client::stop(port).expect("stop");
+    handle.join().expect("daemon thread").expect("daemon exit");
+}
+
+/// The metrics export keeps the newest [`METRICS_WINDOW`] samples, and
+/// the newest still carries the lifetime totals.
+#[test]
+fn metrics_export_keeps_a_window_of_samples() {
+    let dir = scratch("window");
+    let (port, handle) = start_daemon(serve_opts(&dir));
+    let line = request_line("e2e-window", |ev| {
+        ev(single_config(
+            Profile::apache(),
+            PolicyKind::Baseline,
+            0,
+            1,
+            tiny(),
+        ));
+    });
+    let submissions = METRICS_WINDOW + 10;
+    for _ in 0..submissions {
+        client::submit(port, &line, |_| {}).expect("submit");
+    }
+    // The drain waits for the last export and commits one more sample.
+    client::stop(port).expect("stop");
+    handle.join().expect("daemon thread").expect("daemon exit");
+
+    let csv =
+        std::fs::read_to_string(dir.join("served/serve-metrics.csv")).expect("metrics exported");
+    let mut lines = csv.lines();
+    let header: Vec<&str> = lines.next().expect("header").split(',').collect();
+    let rows: Vec<&str> = lines.collect();
+    assert_eq!(rows.len(), METRICS_WINDOW);
+    let column = header
+        .iter()
+        .position(|&name| name == "serve.submissions")
+        .expect("submissions column");
+    let last: Vec<&str> = rows[rows.len() - 1].split(',').collect();
+    assert_eq!(last[column], submissions.to_string());
 }
 
 #[test]

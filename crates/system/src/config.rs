@@ -95,6 +95,25 @@ impl PolicyKind {
         matches!(self, PolicyKind::Baseline)
     }
 
+    /// The off-load threshold `N` the policy decides against: `0` for
+    /// [`AlwaysOffload`](PolicyKind::AlwaysOffload), `None` for the
+    /// baseline and for SI, which decide without one.
+    pub fn threshold(&self) -> Option<u64> {
+        match *self {
+            PolicyKind::HardwarePredictor { threshold }
+            | PolicyKind::HardwarePredictorDirectMapped { threshold }
+            | PolicyKind::HardwarePredictorSized { threshold, .. }
+            | PolicyKind::HardwarePredictorDmSized { threshold, .. }
+            | PolicyKind::HardwarePredictorSetAssoc { threshold, .. }
+            | PolicyKind::HardwarePredictorGlobalOnly { threshold }
+            | PolicyKind::HardwarePredictorLastValue { threshold }
+            | PolicyKind::DynamicInstrumentation { threshold, .. }
+            | PolicyKind::Oracle { threshold } => Some(threshold),
+            PolicyKind::AlwaysOffload => Some(0),
+            PolicyKind::Baseline | PolicyKind::StaticInstrumentation { .. } => None,
+        }
+    }
+
     /// Short figure label.
     pub fn label(&self) -> &'static str {
         match self {

@@ -29,7 +29,7 @@ use osoffload_workload::{SharedTape, WorkloadTape};
 use std::rc::Rc;
 
 /// Whether two configurations draw bit-identical workload streams and
-/// can therefore share one [`WorkloadTape`](osoffload_workload::WorkloadTape).
+/// can therefore share one [`WorkloadTape`].
 ///
 /// The stream depends only on the profile, the phase schedule, the
 /// thread count, and the seed — never on policy, topology, latency, or

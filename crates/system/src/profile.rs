@@ -12,7 +12,7 @@
 //! into phases that sum to it exactly. The events hold timing values
 //! the engine has already computed — nothing extra is simulated — so
 //! profiling is purely observational: the
-//! [`SimReport`](crate::SimReport) is bit-identical with the profiler
+//! [`SimReport`] is bit-identical with the profiler
 //! on or off, the same contract the telemetry layer makes.
 //!
 //! At each `Epoch` event of the simulation's 64-epoch observation clock

@@ -36,7 +36,7 @@
 //! configuration enabled. [`Simulation::run_observed`] returns what
 //! they recorded as an [`Observation`].
 
-use crate::config::{PolicyKind, SystemConfig};
+use crate::config::SystemConfig;
 use crate::metrics::{BinaryPoint, PredictorReport, QueueReport, SimReport};
 use crate::migration::OffloadMechanism;
 use crate::observe::{Observation, Observer};
@@ -963,19 +963,7 @@ impl Simulation {
         SimReport {
             profile: self.cfg.profile.name.to_string(),
             policy: self.cfg.policy.label().to_string(),
-            threshold: match self.cfg.policy {
-                PolicyKind::HardwarePredictor { threshold }
-                | PolicyKind::HardwarePredictorDirectMapped { threshold }
-                | PolicyKind::HardwarePredictorSized { threshold, .. }
-                | PolicyKind::HardwarePredictorDmSized { threshold, .. }
-                | PolicyKind::HardwarePredictorSetAssoc { threshold, .. }
-                | PolicyKind::HardwarePredictorGlobalOnly { threshold }
-                | PolicyKind::HardwarePredictorLastValue { threshold }
-                | PolicyKind::DynamicInstrumentation { threshold, .. }
-                | PolicyKind::Oracle { threshold } => Some(threshold),
-                PolicyKind::AlwaysOffload => Some(0),
-                _ => None,
-            },
+            threshold: self.cfg.policy.threshold(),
             final_threshold: self.policies.first().and_then(|p| p.threshold()),
             migration_one_way: self.cfg.migration.one_way().as_u64(),
             user_cores: self.cfg.user_cores,
@@ -1096,6 +1084,7 @@ impl Simulation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::PolicyKind;
     use crate::profile::Phase;
     use osoffload_core::TunerConfig;
     use osoffload_workload::Profile;

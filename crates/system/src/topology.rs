@@ -15,7 +15,7 @@
 //!
 //! ## Warmth model
 //!
-//! Each OS core remembers the most recent [`WARM_CAP`] AStates it
+//! Each OS core remembers the most recent `WARM_CAP` AStates it
 //! served (an MRU list standing in for its private L1/L2 contents).
 //! When `os_cold_penalty` is non-zero, a dispatch whose AState is *not*
 //! in the chosen core's warm set pays that many extra service cycles —
