@@ -8,11 +8,15 @@
 //! flag's name instead of wrapping. Each subcommand starts from its
 //! options type's own `Default` ([`RunnerOptions`], [`ServeOptions`],
 //! [`RetryPolicy`], [`RunArgs`]) and sets only the fields its flags name.
+//! `serve submit <experiment> [scale]` parses to the same command as
+//! `osoffload <experiment> [scale]`, with the daemon as its executor.
 //!
 //! Kept dependency-free on purpose: the parser is a few hundred lines,
 //! fully unit-tested, and easier to audit than a derive macro.
 
-use crate::experiments::{Experiment, EXPERIMENTS};
+use crate::experiments::{Experiment, Run, EXPERIMENTS};
+use crate::harness::Executor;
+use crate::serve::Submit;
 use osoffload_runner::RunnerOptions;
 use osoffload_serve::client::RetryPolicy;
 use osoffload_serve::{ChaosConfig, ServeOptions, DEFAULT_PORT};
@@ -28,14 +32,15 @@ use std::str::FromStr;
 #[derive(Debug, Clone)]
 pub enum Command {
     /// `osoffload <experiment> [quick|full|paper] …` — one registry entry
-    /// through the parallel runner.
+    /// through the parallel runner, or `osoffload serve submit
+    /// <experiment> …` — one through a serve daemon.
     Experiment {
         /// The registry entry.
         experiment: &'static Experiment,
         /// Simulation length preset.
         scale: Scale,
-        /// Runner flags.
-        opts: RunnerOptions,
+        /// Where its plan runs, with that executor's flags.
+        exec: Executor,
     },
     /// `osoffload run …` — one simulation, full report.
     Run(RunArgs),
@@ -147,20 +152,6 @@ pub enum InspectArgs {
 pub enum ServeArgs {
     /// `serve start …` — boot the daemon (foreground).
     Start(ServeOptions),
-    /// `serve submit …` — submit the fig4 sweep and stream progress.
-    Submit {
-        /// Daemon port.
-        port: u16,
-        /// fig4 scale.
-        fig4: Scale,
-        /// Exit 4 unless every point was served from cache.
-        require_cached: bool,
-        /// Retries of retryable refusals (`overloaded`/`draining`) and
-        /// transport failures; the jitter seed is the plan's.
-        retry: RetryPolicy,
-        /// Suppress per-point progress lines.
-        quiet: bool,
-    },
     /// `serve proxy …` — run the chaos fault-injection proxy in the
     /// foreground (CI harness; see `ROBUSTNESS.md`).
     Proxy {
@@ -515,21 +506,50 @@ fn parse_scale(word: &str) -> Result<Scale, ParseArgsError> {
     })
 }
 
-fn parse_experiment_args(
-    experiment: &'static Experiment,
-    args: &[String],
-) -> Result<Command, ParseArgsError> {
-    let (flags, words) = split(args)?;
-    let opts = parse_runner_options(&flags)?;
-    let scale = match words.as_slice() {
-        [] => Scale::full(),
-        [word] => parse_scale(word)?,
-        [_, extra, ..] => return Err(err(format!("unexpected argument '{extra}'"))),
+/// The scale word an experiment command takes after its name.
+fn parse_scale_word(words: &[&str]) -> Result<Scale, ParseArgsError> {
+    match words {
+        [] => Ok(Scale::full()),
+        [word] => parse_scale(word),
+        [_, extra, ..] => Err(err(format!("unexpected argument '{extra}'"))),
+    }
+}
+
+fn find_experiment(name: &str) -> Option<&'static Experiment> {
+    EXPERIMENTS.iter().find(|e| e.name == name)
+}
+
+/// `serve submit <experiment> [scale]`: the experiment's command, run
+/// by the daemon. Only an entry that runs a plan can be served.
+fn parse_submit(flags: &[Flag<'_>], words: &[&str]) -> Result<Command, ParseArgsError> {
+    let mut s = Submit {
+        port: DEFAULT_PORT,
+        require_cached: false,
+        retry: RetryPolicy::default(),
+        quiet: false,
     };
+    for &f in flags {
+        match f.name {
+            "port" => s.port = f.num()?,
+            "require-cached" => s.require_cached = f.switch()?,
+            "retries" => s.retry.retries = f.num()?,
+            "backoff-ms" => s.retry.backoff_ms = f.positive()?,
+            "quiet" => s.quiet = f.switch()?,
+            _ => return Err(f.unknown()),
+        }
+    }
+    let Some((name, rest)) = words.split_first() else {
+        return Err(err("usage: serve submit <experiment> [quick|full|paper] …"));
+    };
+    let experiment =
+        find_experiment(name).ok_or_else(|| err(format!("unknown experiment '{name}'")))?;
+    if let Run::Direct(_) = experiment.run {
+        return Err(err(format!("serve submit: {name} runs no plan to serve")));
+    }
     Ok(Command::Experiment {
         experiment,
-        scale,
-        opts,
+        scale: parse_scale_word(rest)?,
+        exec: Executor::Daemon(s),
     })
 }
 
@@ -606,14 +626,17 @@ fn parse_inspect_args(args: &[String]) -> Result<InspectArgs, ParseArgsError> {
     }
 }
 
-fn parse_serve_args(args: &[String]) -> Result<ServeArgs, ParseArgsError> {
+fn parse_serve_args(args: &[String]) -> Result<Command, ParseArgsError> {
     let (flags, words) = split(args)?;
     let Some((&op, rest)) = words.split_first() else {
         return Err(err("usage: serve <start|submit|proxy|ping|stats|stop> …"));
     };
+    if op == "submit" {
+        return parse_submit(&flags, rest);
+    }
     let parsed = parse_serve_flags(op, &flags)?;
     no_words(rest)?;
-    Ok(parsed)
+    Ok(Command::Serve(parsed))
 }
 
 fn parse_serve_flags(op: &str, flags: &[Flag<'_>]) -> Result<ServeArgs, ParseArgsError> {
@@ -631,7 +654,6 @@ fn parse_serve_flags(op: &str, flags: &[Flag<'_>]) -> Result<ServeArgs, ParseArg
                     "cache-ttl-secs" => o.cache_ttl_secs = f.num()?,
                     "submit-slots" => o.submit_slots = f.positive()?,
                     "admit-queue" => o.admit_queue = f.num()?,
-                    "conn-workers" => o.conn_workers = f.num()?,
                     "read-timeout-ms" => o.read_timeout_ms = f.positive()?,
                     "write-timeout-ms" => o.write_timeout_ms = f.positive()?,
                     "request-deadline-ms" => o.request_deadline_ms = f.num()?,
@@ -642,29 +664,6 @@ fn parse_serve_flags(op: &str, flags: &[Flag<'_>]) -> Result<ServeArgs, ParseArg
                 }
             }
             Ok(ServeArgs::Start(o))
-        }
-        "submit" => {
-            let (mut port, mut fig4, mut require_cached, mut quiet) =
-                (DEFAULT_PORT, None, false, false);
-            let mut retry = RetryPolicy::default();
-            for &f in flags {
-                match f.name {
-                    "port" => port = f.num()?,
-                    "fig4" => fig4 = Some(parse_scale(f.text()?)?),
-                    "require-cached" => require_cached = f.switch()?,
-                    "retries" => retry.retries = f.num()?,
-                    "backoff-ms" => retry.backoff_ms = f.positive()?,
-                    "quiet" => quiet = f.switch()?,
-                    _ => return Err(f.unknown()),
-                }
-            }
-            Ok(ServeArgs::Submit {
-                port,
-                fig4: fig4.ok_or_else(|| err("serve submit needs --fig4=quick|full|paper"))?,
-                require_cached,
-                retry,
-                quiet,
-            })
         }
         "proxy" => {
             let (mut port, mut upstream, mut seed, mut log) = (0, None, 0xC4A05, None);
@@ -729,11 +728,18 @@ pub fn parse(args: &[String]) -> Result<Command, ParseArgsError> {
         "sweep" => Command::Sweep(parse_run_args(first, rest)?),
         "trace" => Command::Trace(parse_run_args(first, rest)?),
         "inspect" => Command::Inspect(parse_inspect_args(rest)?),
-        "serve" => Command::Serve(parse_serve_args(rest)?),
-        name => match EXPERIMENTS.iter().find(|e| e.name == name) {
-            Some(experiment) => parse_experiment_args(experiment, rest)?,
-            None => return Err(err(format!("unknown subcommand or experiment '{name}'"))),
-        },
+        "serve" => parse_serve_args(rest)?,
+        name => {
+            let experiment = find_experiment(name)
+                .ok_or_else(|| err(format!("unknown subcommand or experiment '{name}'")))?;
+            let (flags, words) = split(rest)?;
+            let exec = Executor::Here(parse_runner_options(&flags)?);
+            Command::Experiment {
+                experiment,
+                scale: parse_scale_word(&words)?,
+                exec,
+            }
+        }
     })
 }
 
@@ -826,23 +832,25 @@ SERVE SUBCOMMANDS (see SERVING.md):
     serve start [--port=N] [--cache=FILE] [--out=DIR] [--workers=N]
                 [--retries=N] [--cache-max=N] [--cache-ttl-secs=N]
                 [--submit-slots=N] [--admit-queue=N]
-                [--conn-workers=N] [--read-timeout-ms=N]
-                [--write-timeout-ms=N] [--request-deadline-ms=N]
-                [--max-line-bytes=N] [--inject-faults=SEED] [--quiet]
+                [--read-timeout-ms=N] [--write-timeout-ms=N]
+                [--request-deadline-ms=N] [--max-line-bytes=N]
+                [--inject-faults=SEED] [--quiet]
                                             boot the daemon in the foreground
                                             (port {port}; 0 = ephemeral);
                                             --submit-slots concurrent sweeps
                                             with --admit-queue waiters, the
                                             rest shed with 'overloaded'
                                             (see SERVING.md, overload & drain)
-    serve submit --fig4=quick|full|paper [--port=N] [--require-cached]
-                [--retries=N] [--backoff-ms=N] [--quiet]
-                                            submit the fig4 sweep, stream
-                                            per-point progress; retries
-                                            overloaded/draining/transport
-                                            failures with jittered backoff;
-                                            with --require-cached, exit 4
-                                            unless every point came from cache
+    serve submit <experiment> [quick|full|paper] [--port=N]
+                [--require-cached] [--retries=N] [--backoff-ms=N] [--quiet]
+                                            run any experiment that has a
+                                            plan on the daemon and print its
+                                            table; events echo on stderr;
+                                            retries overloaded/draining/
+                                            transport failures with jittered
+                                            backoff; with --require-cached,
+                                            exit 4 unless every point came
+                                            from cache
     serve proxy --upstream=PORT [--port=N] [--seed=N] [--fault-pct=N]
                 [--log=FILE]                deterministic fault-injecting TCP
                                             proxy for chaos testing: torn
@@ -882,8 +890,23 @@ mod tests {
 
     fn runner_options(s: &str) -> (Scale, RunnerOptions) {
         match parse(&argv(s)) {
-            Ok(Command::Experiment { scale, opts, .. }) => (scale, opts),
+            Ok(Command::Experiment {
+                scale,
+                exec: Executor::Here(opts),
+                ..
+            }) => (scale, opts),
             other => panic!("{s}: expected an experiment, got {other:?}"),
+        }
+    }
+
+    fn submit(s: &str) -> (&'static str, Scale, Submit) {
+        match parse(&argv(s)) {
+            Ok(Command::Experiment {
+                experiment,
+                scale,
+                exec: Executor::Daemon(submit),
+            }) => (experiment.name, scale, submit),
+            other => panic!("{s}: expected a served experiment, got {other:?}"),
         }
     }
 
@@ -1024,10 +1047,7 @@ mod tests {
         for (s, flag) in [
             ("fig4 quick --retries=4294967296", "--retries"),
             ("serve start --retries=4294967296", "--retries"),
-            (
-                "serve submit --fig4=quick --retries=4294967296",
-                "--retries",
-            ),
+            ("serve submit fig4 quick --retries=4294967296", "--retries"),
             ("serve start --port=70000", "--port"),
             ("serve proxy --upstream=65536", "--upstream"),
             ("run --latency=18446744073709551616", "--latency"),
@@ -1172,7 +1192,7 @@ mod tests {
         let ServeArgs::Start(o) = serve_args(
             "serve start --port=0 --cache=c.wal --out=o --workers=2 \
              --retries=3 --cache-max=10 --cache-ttl-secs=3600 --submit-slots=3 \
-             --admit-queue=8 --conn-workers=12 --read-timeout-ms=5000 \
+             --admit-queue=8 --read-timeout-ms=5000 \
              --write-timeout-ms=4000 --request-deadline-ms=30000 \
              --max-line-bytes=65536 --inject-faults=7 --quiet",
         ) else {
@@ -1183,7 +1203,7 @@ mod tests {
         assert_eq!(o.out_dir, PathBuf::from("o"));
         assert_eq!((o.workers, o.retries), (2, 3));
         assert_eq!((o.cache_capacity, o.cache_ttl_secs), (10, 3600));
-        assert_eq!((o.submit_slots, o.admit_queue, o.conn_workers), (3, 8, 12));
+        assert_eq!((o.submit_slots, o.admit_queue), (3, 8));
         assert_eq!((o.read_timeout_ms, o.write_timeout_ms), (5000, 4000));
         assert_eq!((o.request_deadline_ms, o.max_line_bytes), (30000, 65536));
         assert_eq!(o.fault_seed, Some(7));
@@ -1194,28 +1214,38 @@ mod tests {
         let d = ServeOptions::default();
         assert_eq!((o.port, o.submit_slots), (d.port, d.submit_slots));
 
-        let ServeArgs::Submit {
-            port,
-            fig4,
-            require_cached,
-            retry,
-            quiet,
-        } = serve_args(
-            "serve submit --fig4=quick --port=7500 --require-cached --retries=2 --backoff-ms=10",
-        )
-        else {
-            panic!("expected submit")
-        };
         assert_eq!(
-            (port, fig4, require_cached, quiet),
-            (7500, Scale::quick(), true, false)
+            error("serve start --conn-workers=12"),
+            "unknown flag '--conn-workers'"
         );
-        assert_eq!((retry.retries, retry.backoff_ms), (2, 10));
-        let ServeArgs::Submit { port, retry, .. } = serve_args("serve submit --fig4=full") else {
-            panic!("expected submit")
-        };
-        assert_eq!(port, DEFAULT_PORT);
-        assert_eq!(retry, RetryPolicy::default());
+
+        let (name, scale, s) = submit(
+            "serve submit fig4 quick --port=7500 --require-cached --retries=2 --backoff-ms=10",
+        );
+        assert_eq!(
+            (name, s.port, scale, s.require_cached, s.quiet),
+            ("fig4", 7500, Scale::quick(), true, false)
+        );
+        assert_eq!((s.retry.retries, s.retry.backoff_ms), (2, 10));
+        let (name, scale, s) = submit("serve submit table3 --quiet");
+        assert_eq!((name, scale, s.quiet), ("table3", Scale::full(), true));
+        assert_eq!(s.port, DEFAULT_PORT);
+        assert_eq!(s.retry, RetryPolicy::default());
+        // Any entry with a plan can be served; the five without one,
+        // and the dropped fig4-only flag, are refused by name.
+        for e in EXPERIMENTS {
+            let line = format!("serve submit {} quick", e.name);
+            match e.run {
+                Run::Plan(_) => assert_eq!(submit(&line).0, e.name),
+                Run::Direct(_) => assert_eq!(
+                    error(&line),
+                    format!("serve submit: {} runs no plan to serve", e.name)
+                ),
+            }
+        }
+        assert_eq!(error("serve submit --fig4=quick"), "unknown flag '--fig4'");
+        assert_eq!(error("serve submit fig7"), "unknown experiment 'fig7'");
+        assert!(error("serve submit fig4 quick extra").contains("unexpected argument 'extra'"));
 
         let ServeArgs::Proxy {
             port,
@@ -1241,9 +1271,12 @@ mod tests {
             serve_args("serve stop --port=7500"),
             ServeArgs::Stop { port: 7500 }
         ));
-        assert!(parse(&argv("serve submit")).is_err(), "submit needs --fig4");
+        assert!(
+            parse(&argv("serve submit")).is_err(),
+            "submit needs an experiment"
+        );
         assert!(parse(&argv("serve start --lanes=1")).is_err());
-        assert!(parse(&argv("serve submit --fig4=huge")).is_err());
+        assert!(parse(&argv("serve submit fig4 huge")).is_err());
         assert!(parse(&argv("serve frobnicate")).is_err());
         assert!(parse(&argv("serve ping extra")).is_err());
         // Zero would disable the corresponding protection entirely —
@@ -1253,7 +1286,7 @@ mod tests {
             "serve start --read-timeout-ms=0",
             "serve start --write-timeout-ms=0",
             "serve start --max-line-bytes=0",
-            "serve submit --fig4=quick --backoff-ms=0",
+            "serve submit fig4 quick --backoff-ms=0",
         ] {
             assert!(error(s).contains("must be positive"), "{s}");
         }

@@ -5,16 +5,18 @@
 //! entry by name; `osoffload help` lists them all.
 //!
 //! [`EXPERIMENTS`] is the registry. Every experiment that simulates more
-//! than one point runs through [`harness::run`], so each is parallel,
-//! archived as `results/<name>.json`, and honours `--canonical`,
-//! `--journal` and `--resume`. Drivers return reports; scoring and table
-//! rendering happen after the runner returns, because the runner's
-//! enumeration pass feeds each driver placeholder reports. `tuner_trace`
-//! runs one traced simulation directly, and `calibration`, `table1`,
-//! `table2` and `fig2` simulate nothing. The per-invocation trace is the
+//! than one point is a [`Run::Plan`] through [`harness::run`], so each
+//! is parallel, archived as `results/<name>.json`, honours
+//! `--canonical`, `--journal` and `--resume`, can be served with
+//! `osoffload serve submit <name>`, and prints its table from the
+//! archived rows. Drivers return reports; scoring and table rendering
+//! happen after the runner returns, because the runner's enumeration
+//! pass feeds each driver placeholder reports. `tuner_trace` runs one
+//! traced simulation directly, and `calibration`, `table1`, `table2`
+//! and `fig2` simulate nothing. The per-invocation trace is the
 //! `osoffload trace` subcommand.
 
-use crate::harness::{self, pct, render_table, spark};
+use crate::harness::{self, pct, render_table, spark, Executor};
 use osoffload_core::{CamPredictor, DirectMappedPredictor, RunLengthPredictor};
 use osoffload_cpu::{CoreParams, Tlb};
 use osoffload_energy::{evaluate, EnergyParams};
@@ -36,7 +38,18 @@ pub struct Experiment {
     /// The paper artefact (or extension) it regenerates.
     pub artefact: &'static str,
     /// Runs the experiment and prints its table on stdout.
-    pub run: fn(Scale, &RunnerOptions),
+    pub run: Run,
+}
+
+/// How a registry entry makes its table.
+#[derive(Debug, Clone, Copy)]
+pub enum Run {
+    /// Records a plan, has the executor run it, and renders the rows
+    /// replayed from its archive ([`harness::run`]); `serve submit` can
+    /// run any such entry.
+    Plan(fn(Scale, &Executor)),
+    /// Prints without a plan: a static table, or one traced simulation.
+    Direct(fn(Scale, &RunnerOptions)),
 }
 
 /// Every experiment: the paper's artefacts, then extensions and checks.
@@ -44,107 +57,107 @@ pub const EXPERIMENTS: &[Experiment] = &[
     Experiment {
         name: "table1",
         artefact: "Table I: distinct system calls per OS",
-        run: table1,
+        run: Run::Direct(table1),
     },
     Experiment {
         name: "table2",
         artefact: "Table II: simulator parameters",
-        run: table2,
+        run: Run::Direct(table2),
     },
     Experiment {
         name: "fig1",
         artefact: "Figure 1: software-instrumentation overhead",
-        run: fig1,
+        run: Run::Plan(fig1),
     },
     Experiment {
         name: "fig2",
         artefact: "Figure 2: run-length predictor structure",
-        run: fig2,
+        run: Run::Direct(fig2),
     },
     Experiment {
         name: "fig3",
         artefact: "Figure 3: binary decision accuracy vs N",
-        run: fig3,
+        run: Run::Plan(fig3),
     },
     Experiment {
         name: "fig4",
         artefact: "Figure 4: normalized IPC vs N per migration latency",
-        run: fig4,
+        run: Run::Plan(fig4),
     },
     Experiment {
         name: "fig5",
         artefact: "Figure 5: SI vs DI vs HI",
-        run: fig5,
+        run: Run::Plan(fig5),
     },
     Experiment {
         name: "table3",
         artefact: "Table III: OS-core utilisation vs N",
-        run: table3,
+        run: Run::Plan(table3),
     },
     Experiment {
         name: "predictor_accuracy",
         artefact: "§III-A: run-length predictor accuracy and sizing",
-        run: predictor_accuracy,
+        run: Run::Plan(predictor_accuracy),
     },
     Experiment {
         name: "tuner_trace",
         artefact: "§III-B: dynamic threshold estimation log",
-        run: tuner_trace,
+        run: Run::Direct(tuner_trace),
     },
     Experiment {
         name: "half_l2",
         artefact: "§V-B: two 512 KB L2s vs the 1 MB baseline",
-        run: half_l2,
+        run: Run::Plan(half_l2),
     },
     Experiment {
         name: "scalability",
         artefact: "§V-C: user cores sharing one OS core",
-        run: scalability,
+        run: Run::Plan(scalability),
     },
     Experiment {
         name: "fig6_scalability",
         artefact: "extension: N user x M OS cores per dispatch policy",
-        run: fig6_scalability,
+        run: Run::Plan(fig6_scalability),
     },
     Experiment {
         name: "energy",
         artefact: "extension: energy and EDP",
-        run: energy,
+        run: Run::Plan(energy),
     },
     Experiment {
         name: "adaptation",
         artefact: "extension (§VI-B): resource adaptation",
-        run: adaptation,
+        run: Run::Plan(adaptation),
     },
     Experiment {
         name: "mechanism",
         artefact: "extension (§II): RPC vs thread migration",
-        run: mechanism,
+        run: Run::Plan(mechanism),
     },
     Experiment {
         name: "smt_os_core",
         artefact: "extension (§V-C): SMT OS core",
-        run: smt_os_core,
+        run: Run::Plan(smt_os_core),
     },
     Experiment {
         name: "ablation",
         artefact: "extension: predictor design ablation",
-        run: ablation,
+        run: Run::Plan(ablation),
     },
     Experiment {
         name: "sensitivity",
         artefact: "extension: memory-substrate sensitivity",
-        run: sensitivity,
+        run: Run::Plan(sensitivity),
     },
     Experiment {
         name: "outliers",
         artefact: "extension: per-benchmark compute group",
-        run: outliers,
+        run: Run::Plan(outliers),
     },
     Experiment {
         name: "calibration",
         artefact: "model check: workload calibration",
-        run: calibration,
+        run: Run::Direct(calibration),
     },
 ];
 
@@ -231,11 +244,11 @@ fn table2(_: Scale, opts: &RunnerOptions) {
 
 /// Figure 1: runtime overhead of dynamic software instrumentation for
 /// all possible OS off-loading points.
-fn fig1(scale: Scale, opts: &RunnerOptions) {
+fn fig1(scale: Scale, exec: &Executor) {
     println!("Figure 1: overhead of software-instrumenting every OS entry point");
     println!("(off-loading disabled; overhead relative to uninstrumented baseline)\n");
     let costs = [50u64, 100, 200, 400];
-    let rows = harness::run("fig1", scale, opts, |ev| fig1_with(scale, &costs, ev));
+    let rows = harness::run("fig1", scale, exec, |ev| fig1_with(scale, &costs, ev));
     print_rows(&["workload", "per-entry cost", "slowdown"], &rows, |r| {
         vec![
             r.workload.clone(),
@@ -274,9 +287,9 @@ fn fig2(_: Scale, opts: &RunnerOptions) {
 
 /// Figure 3: binary prediction hit rate for core-migration trigger
 /// thresholds.
-fn fig3(scale: Scale, opts: &RunnerOptions) {
+fn fig3(scale: Scale, exec: &Executor) {
     println!("Figure 3: binary off-load decision accuracy vs threshold N\n");
-    let rows = harness::run("fig3", scale, opts, |ev| fig3_with(scale, ev));
+    let rows = harness::run("fig3", scale, exec, |ev| fig3_with(scale, ev));
     let headers: Vec<String> = std::iter::once("workload".to_string())
         .chain(rows[0].points.iter().map(|p| format!("N={}", p.threshold)))
         .collect();
@@ -294,9 +307,9 @@ fn fig3(scale: Scale, opts: &RunnerOptions) {
 /// Figure 4: normalized IPC relative to the uni-processor baseline when
 /// varying the off-loading overhead (curves) and the switch trigger
 /// threshold N (x-axis); one panel per workload group.
-fn fig4(scale: Scale, opts: &RunnerOptions) {
+fn fig4(scale: Scale, exec: &Executor) {
     println!("Figure 4: normalized IPC vs threshold N, one curve per one-way latency\n");
-    let cells = harness::run("fig4", scale, opts, |ev| {
+    let cells = harness::run("fig4", scale, exec, |ev| {
         fig4_grid_with(scale, FIG4_LATENCIES, FIG4_THRESHOLDS, ev)
     });
     for workload in ["apache", "specjbb2005", "derby", "compute"] {
@@ -332,9 +345,9 @@ fn fig4(scale: Scale, opts: &RunnerOptions) {
 /// instrumentation (SI), dynamic software instrumentation (DI), and the
 /// hardware predictor (HI), at the conservative (5,000-cycle) and
 /// aggressive (100-cycle) migration design points.
-fn fig5(scale: Scale, opts: &RunnerOptions) {
+fn fig5(scale: Scale, exec: &Executor) {
     println!("Figure 5: SI vs DI vs HI, normalized to the single-core baseline\n");
-    let rows = harness::run("fig5", scale, opts, |ev| fig5_with(scale, ev));
+    let rows = harness::run("fig5", scale, exec, |ev| fig5_with(scale, ev));
     for label in ["conservative", "aggressive"] {
         println!("--- {label} ---");
         let panel: Vec<_> = rows.iter().filter(|r| r.latency_label == label).collect();
@@ -360,9 +373,9 @@ fn fig5(scale: Scale, opts: &RunnerOptions) {
 /// Table III: percentage of total execution time spent on the OS core
 /// using selective migration based on threshold N (5,000-cycle
 /// off-loading overhead).
-fn table3(scale: Scale, opts: &RunnerOptions) {
+fn table3(scale: Scale, exec: &Executor) {
     println!("Table III: OS-core utilisation vs threshold N (5,000-cycle overhead)\n");
-    let rows = harness::run("table3", scale, opts, |ev| table3_with(scale, ev));
+    let rows = harness::run("table3", scale, exec, |ev| table3_with(scale, ev));
     let headers: Vec<String> = std::iter::once("benchmark".to_string())
         .chain(TABLE3_THRESHOLDS.iter().map(|n| format!("N={n}")))
         .collect();
@@ -377,7 +390,7 @@ fn table3(scale: Scale, opts: &RunnerOptions) {
 
 /// §III-A: exact / ±5% prediction rates, the CAM-vs-direct-mapped
 /// organisation comparison, and table sizing.
-fn predictor_accuracy(scale: Scale, opts: &RunnerOptions) {
+fn predictor_accuracy(scale: Scale, exec: &Executor) {
     println!("Section III-A: run-length predictor accuracy\n");
     let cam = CamPredictor::paper_default();
     let dm = DirectMappedPredictor::paper_default();
@@ -385,7 +398,7 @@ fn predictor_accuracy(scale: Scale, opts: &RunnerOptions) {
         "storage: {}-entry CAM = {} B (paper ~2 KB); {}-entry direct-mapped = {} B (paper ~3.3 KB)\n",
         cam.capacity(), cam.storage_bytes(), dm.capacity(), dm.storage_bytes()
     );
-    let rows = harness::run("predictor_accuracy", scale, opts, |ev| {
+    let rows = harness::run("predictor_accuracy", scale, exec, |ev| {
         experiments::predictor_accuracy(scale, &[25, 50, 100, 200, 400], &[375, 1500], ev)
     });
     let headers = [
@@ -438,9 +451,9 @@ fn tuner_trace(scale: Scale, _: &RunnerOptions) {
 /// §V-B cache-budget comparison: off-loading with two half-size (512 KB)
 /// L2s vs two full-size (1 MB) L2s, both normalized to the single-core
 /// 1 MB baseline.
-fn half_l2(scale: Scale, opts: &RunnerOptions) {
+fn half_l2(scale: Scale, exec: &Executor) {
     println!("Section V-B: equal-silicon comparison (N = 100)\n");
-    let rows = harness::run("half_l2", scale, opts, |ev| {
+    let rows = harness::run("half_l2", scale, exec, |ev| {
         experiments::half_l2(scale, &[0, 100, 500, 1_000, 5_000], ev)
     });
     let headers = ["workload", "latency", "2 x 1 MB L2", "2 x 512 KB L2"];
@@ -458,9 +471,9 @@ fn half_l2(scale: Scale, opts: &RunnerOptions) {
 
 /// §V-C scalability: 1, 2 and 4 user cores sharing a single OS core
 /// (SPECjbb2005, N=100, 1,000-cycle overhead).
-fn scalability(scale: Scale, opts: &RunnerOptions) {
+fn scalability(scale: Scale, exec: &Executor) {
     println!("Section V-C: user-core scaling against one OS core (SPECjbb, N=100, 1,000 cyc)\n");
-    let rows = harness::run("scalability", scale, opts, |ev| scalability_with(scale, ev));
+    let rows = harness::run("scalability", scale, exec, |ev| scalability_with(scale, ev));
     let headers = [
         "ratio",
         "mean queue delay",
@@ -492,9 +505,9 @@ fn scalability(scale: Scale, opts: &RunnerOptions) {
 /// overhead, 500-cycle cold penalty). The paper's §V-C stops at 4 user
 /// cores sharing one OS core; this extends it to the ratios its
 /// conclusion speculates about.
-fn fig6_scalability(scale: Scale, opts: &RunnerOptions) {
+fn fig6_scalability(scale: Scale, exec: &Executor) {
     println!("\"Figure 6\": N user x M OS cores per dispatch policy (HI, N=100, 1,000 cyc, 500-cyc cold penalty)\n");
-    let rows = harness::run("fig6_scalability", scale, opts, |ev| {
+    let rows = harness::run("fig6_scalability", scale, exec, |ev| {
         fig6_scalability_with(scale, ev)
     });
     let headers = [
@@ -531,13 +544,13 @@ fn fig6_scalability(scale: Scale, opts: &RunnerOptions) {
 /// of the predictor for OS energy optimizations"): baseline vs
 /// off-loading under a homogeneous CMP and under a Mogul-style
 /// heterogeneous CMP whose OS core runs at 0.6x frequency and 0.3x power.
-fn energy(scale: Scale, opts: &RunnerOptions) {
+fn energy(scale: Scale, exec: &Executor) {
     println!("Energy / EDP extension (HI, N = 100, 1,000-cycle migration)\n");
     let profiles = [Profile::apache(), Profile::specjbb(), Profile::derby()];
     let hi = PolicyKind::HardwarePredictor { threshold: 100 };
     // The efficiency OS core is slower (simulated) and cheaper (scored).
     let hetero_params = EnergyParams::heterogeneous();
-    let runs: Vec<[SimReport; 3]> = harness::run("energy", scale, opts, |ev| {
+    let runs: Vec<[SimReport; 3]> = harness::run("energy", scale, exec, |ev| {
         profiles
             .iter()
             .map(|profile| {
@@ -598,7 +611,7 @@ fn energy(scale: Scale, opts: &RunnerOptions) {
 /// to a low-power mode while executing them locally — quantifying the
 /// paper's claim that its decision engine "could be utilized effectively
 /// for the type of reconfiguration proposed by Li et al.".
-fn adaptation(scale: Scale, opts: &RunnerOptions) {
+fn adaptation(scale: Scale, exec: &Executor) {
     println!("Resource adaptation vs off-loading (HI decisions, N = 1,000)\n");
     let profiles = [Profile::apache(), Profile::derby()];
     let hi = PolicyKind::HardwarePredictor { threshold: 1_000 };
@@ -609,7 +622,7 @@ fn adaptation(scale: Scale, opts: &RunnerOptions) {
         ("adapt 1.25x slower", hi, Some(1_250)),
         ("adapt 1.5x slower", hi, Some(1_500)),
     ];
-    let runs: Vec<Vec<SimReport>> = harness::run("adaptation", scale, opts, |ev| {
+    let runs: Vec<Vec<SimReport>> = harness::run("adaptation", scale, exec, |ev| {
         profiles
             .iter()
             .map(|profile| {
@@ -664,9 +677,9 @@ fn adaptation(scale: Scale, opts: &RunnerOptions) {
 /// Ablation of the off-load transport (§II "Migration Implementations"):
 /// full thread migration (the paper's scheme) vs RPC-style message
 /// passing, the design point the paper notes "we do not consider".
-fn mechanism(scale: Scale, opts: &RunnerOptions) {
+fn mechanism(scale: Scale, exec: &Executor) {
     println!("Off-load transport ablation (N = 100)\n");
-    let rows = harness::run("mechanism", scale, opts, |ev| {
+    let rows = harness::run("mechanism", scale, exec, |ev| {
         experiments::mechanism_ablation(scale, &[100, 1_000, 5_000], ev)
     });
     let headers = [
@@ -697,14 +710,14 @@ fn mechanism(scale: Scale, opts: &RunnerOptions) {
 /// re-runs the scaling study (SPECjbb, N = 100, 1,000-cycle overhead).
 /// The context model is optimistic (no pipeline interference), so this
 /// bounds what SMT could buy.
-fn smt_os_core(scale: Scale, opts: &RunnerOptions) {
+fn smt_os_core(scale: Scale, exec: &Executor) {
     println!("SMT OS core vs user-core scaling (SPECjbb, N = 100, 1,000 cyc)\n");
     let user_core_counts = [2usize, 4];
     let context_counts = [1usize, 2, 4];
     let hi = PolicyKind::HardwarePredictor { threshold: 100 };
     // Per user-core count: the no-offload baseline, then one run per
     // OS-core context count.
-    let runs: Vec<(SimReport, Vec<SimReport>)> = harness::run("smt_os_core", scale, opts, |ev| {
+    let runs: Vec<(SimReport, Vec<SimReport>)> = harness::run("smt_os_core", scale, exec, |ev| {
         user_core_counts
             .iter()
             .map(|&user_cores| {
@@ -762,7 +775,7 @@ fn smt_os_core(scale: Scale, opts: &RunnerOptions) {
 /// one idea removed each — no per-AState table (global-only), and no
 /// confidence filter / fallback (infinite last-value) — plus the two
 /// hardware organisations.
-fn ablation(scale: Scale, opts: &RunnerOptions) {
+fn ablation(scale: Scale, exec: &Executor) {
     println!("Predictor design ablation (Apache, N = 500, 1,000-cycle migration)\n");
     let variants: &[(&str, PolicyKind)] = &[
         (
@@ -791,7 +804,7 @@ fn ablation(scale: Scale, opts: &RunnerOptions) {
         ),
         ("oracle", PolicyKind::Oracle { threshold: 500 }),
     ];
-    let (base, runs): (SimReport, Vec<SimReport>) = harness::run("ablation", scale, opts, |ev| {
+    let (base, runs): (SimReport, Vec<SimReport>) = harness::run("ablation", scale, exec, |ev| {
         let base = ev(single_config(
             Profile::apache(),
             PolicyKind::Baseline,
@@ -852,9 +865,9 @@ fn ablation(scale: Scale, opts: &RunnerOptions) {
 /// parameters around it: L2 capacity, DRAM latency, and the
 /// cache-to-cache transfer cost (the knob §IV says must be modelled
 /// independently).
-fn sensitivity(scale: Scale, opts: &RunnerOptions) {
+fn sensitivity(scale: Scale, exec: &Executor) {
     println!("Sensitivity of the Apache off-loading benefit (HI, N=100, 1,000 cyc)\n");
-    let rows = harness::run("sensitivity", scale, opts, |ev| {
+    let rows = harness::run("sensitivity", scale, exec, |ev| {
         sensitivity_with(scale, Profile::apache(), ev)
     });
     print_rows(&["parameter", "value", "normalized IPC"], &rows, |r| {
@@ -872,9 +885,9 @@ fn sensitivity(scale: Scale, opts: &RunnerOptions) {
 /// Per-benchmark breakdown of the compute group. The paper averages its
 /// six compute applications into one curve but promises to "note any
 /// outlier behavior" (§II); this shows each one individually.
-fn outliers(scale: Scale, opts: &RunnerOptions) {
+fn outliers(scale: Scale, exec: &Executor) {
     println!("Compute-group breakdown (HI, N = 1,000, 1,000-cycle migration)\n");
-    let runs: Vec<(SimReport, SimReport)> = harness::run("outliers", scale, opts, |ev| {
+    let runs: Vec<(SimReport, SimReport)> = harness::run("outliers", scale, exec, |ev| {
         Profile::all_compute()
             .into_iter()
             .map(|p| {

@@ -11,6 +11,8 @@ mod inspect;
 mod serve;
 
 use args::Command;
+use experiments::Run;
+use harness::Executor;
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -23,9 +25,13 @@ fn main() {
         Ok(Command::Experiment {
             experiment,
             scale,
-            opts,
+            exec,
         }) => {
-            (experiment.run)(scale, &opts);
+            match (experiment.run, &exec) {
+                (Run::Plan(run), exec) => run(scale, exec),
+                (Run::Direct(run), Executor::Here(opts)) => run(scale, opts),
+                (Run::Direct(_), Executor::Daemon(_)) => unreachable!("only plans are served"),
+            }
             0
         }
         Ok(Command::Run(a)) => exit_code(commands::run(&a)),

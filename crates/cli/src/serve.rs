@@ -1,19 +1,66 @@
 //! The `osoffload serve` subcommand: daemon and client front ends for
 //! the cached experiment service (see `SERVING.md`), plus the chaos
 //! proxy used by the nightly fault-injection campaign.
+//!
+//! `serve submit <experiment>` is not a subcommand of its own here: it
+//! parses to the experiment's command with a [`Submit`] executor, and
+//! [`submit`] is that executor.
 
 use crate::args::ServeArgs;
-use osoffload_runner::record_plan;
+use osoffload_runner::ExperimentPlan;
 use osoffload_serve::chaos::ChaosProxy;
 use osoffload_serve::client::{self, RetryPolicy};
 use osoffload_serve::daemon::Daemon;
-use osoffload_system::experiments::{fig4_grid_with, FIG4_LATENCIES, FIG4_THRESHOLDS};
 use std::io::Write;
 use std::net::SocketAddr;
+use std::path::PathBuf;
 
 /// Exit code of `serve submit --require-cached` when any point had to
 /// be computed fresh.
 pub const EXIT_NOT_CACHED: i32 = 4;
+
+/// How `serve submit` reaches the daemon.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Submit {
+    /// Daemon port.
+    pub port: u16,
+    /// Exit 4 unless every point was served from cache.
+    pub require_cached: bool,
+    /// Retries of retryable refusals (`overloaded`/`draining`) and
+    /// transport failures; the jitter seed is the plan's.
+    pub retry: RetryPolicy,
+    /// Suppress the per-point events on stderr.
+    pub quiet: bool,
+}
+
+/// Runs `plan` on the daemon and returns the path of the archive its
+/// `done` event names. Events echo on stderr unless `quiet`, then a
+/// summary line. With `require_cached`, a submission that computed any
+/// point exits 4 here, unless a point failed.
+pub fn submit(plan: &ExperimentPlan, s: &Submit) -> Result<PathBuf, String> {
+    let request = client::submit_request_line(plan)?;
+    let policy = RetryPolicy {
+        seed: plan.master_seed(),
+        ..s.retry
+    };
+    let o = client::submit_with_retry(s.port, &request, policy, |event| {
+        if !s.quiet {
+            eprintln!("{event}");
+        }
+    })?;
+    eprintln!(
+        "serve submit: {} points, {} hits, {} misses, {} failed -> {}",
+        o.points, o.hits, o.misses, o.failed, o.archive
+    );
+    if s.require_cached && o.misses > 0 && o.failed == 0 {
+        eprintln!(
+            "serve submit: --require-cached but {} points were computed fresh",
+            o.misses
+        );
+        std::process::exit(EXIT_NOT_CACHED);
+    }
+    Ok(PathBuf::from(o.archive))
+}
 
 /// Runs one `serve` subcommand, returning the process exit code.
 pub fn serve(args: ServeArgs) -> i32 {
@@ -34,56 +81,6 @@ pub fn serve(args: ServeArgs) -> i32 {
                 Ok(()) => {
                     println!("serve: shutdown");
                     0
-                }
-                Err(why) => {
-                    eprintln!("error: {why}");
-                    1
-                }
-            }
-        }
-        ServeArgs::Submit {
-            port,
-            fig4,
-            require_cached,
-            retry,
-            quiet,
-        } => {
-            let plan = record_plan("fig4", fig4.seed, |ev| {
-                fig4_grid_with(fig4, FIG4_LATENCIES, FIG4_THRESHOLDS, ev)
-            });
-            let request = match client::submit_request_line(&plan) {
-                Ok(line) => line,
-                Err(why) => {
-                    eprintln!("error: {why}");
-                    return 1;
-                }
-            };
-            let policy = RetryPolicy {
-                seed: plan.master_seed(),
-                ..retry
-            };
-            let outcome = client::submit_with_retry(port, &request, policy, |event| {
-                if !quiet {
-                    println!("{event}");
-                }
-            });
-            match outcome {
-                Ok(o) => {
-                    eprintln!(
-                        "serve submit: {} points, {} hits, {} misses, {} failed -> {}",
-                        o.points, o.hits, o.misses, o.failed, o.archive
-                    );
-                    if o.failed > 0 {
-                        1
-                    } else if require_cached && o.misses > 0 {
-                        eprintln!(
-                            "serve submit: --require-cached but {} points were computed fresh",
-                            o.misses
-                        );
-                        EXIT_NOT_CACHED
-                    } else {
-                        0
-                    }
                 }
                 Err(why) => {
                     eprintln!("error: {why}");

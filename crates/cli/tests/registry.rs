@@ -286,3 +286,88 @@ fn run_telemetry_writes_its_files_under_trace_out() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A resume from a complete journal prints the table the uninterrupted
+/// run printed: both render from the archived rows.
+#[test]
+fn a_resumed_run_prints_the_direct_run_table() {
+    let out = scratch("resume");
+    let journal = out.join("fig1.journal");
+    let out_flag = format!("--out={}", out.display());
+    let run_fig1 = |flag: String| {
+        let o = run(&["fig1", "quick", "--workers=2", "--quiet", &out_flag, &flag]);
+        assert!(o.status.success(), "{flag}: {o:?}");
+        o.stdout
+    };
+    let direct = run_fig1(format!("--journal={}", journal.display()));
+    let resumed = run_fig1(format!("--resume={}", journal.display()));
+    assert!(!direct.is_empty());
+    assert_eq!(
+        String::from_utf8_lossy(&resumed),
+        String::from_utf8_lossy(&direct)
+    );
+    std::fs::remove_dir_all(&out).ok();
+}
+
+/// `serve submit <name> [scale]` is the experiment's own command with
+/// the daemon as executor: cold and warm, it prints the direct run's
+/// table and archives the direct canonical bytes. Entries without a
+/// plan, and the dropped `--fig4` flag, exit 2 before printing.
+#[test]
+fn a_served_experiment_prints_the_direct_table() {
+    use std::io::{BufRead, BufReader};
+    let out = scratch("served");
+    let direct = run(&[
+        "table3",
+        "quick",
+        "--workers=2",
+        "--quiet",
+        "--canonical",
+        &format!("--out={}", out.join("direct").display()),
+    ]);
+    assert!(direct.status.success(), "{direct:?}");
+    let mut daemon = Command::new(BIN)
+        .args(["serve", "start", "--port=0", "--workers=2", "--quiet"])
+        .arg(format!("--cache={}", out.join("cache.wal").display()))
+        .arg(format!("--out={}", out.join("served").display()))
+        .stdout(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawn daemon");
+    // Kept open until the daemon exits: it prints its shutdown line.
+    let mut stdout = BufReader::new(daemon.stdout.take().expect("daemon stdout"));
+    let mut line = String::new();
+    stdout.read_line(&mut line).expect("listening line");
+    let port = line.trim().rsplit(':').next().expect("port").to_string();
+    let port_flag = format!("--port={port}");
+    for extra in [None, Some("--require-cached")] {
+        let mut args = vec!["serve", "submit", "table3", "quick", "--quiet", &port_flag];
+        args.extend(extra);
+        let o = run(&args);
+        assert_eq!(o.status.code(), Some(0), "{args:?}: {o:?}");
+        assert_eq!(
+            String::from_utf8_lossy(&o.stdout),
+            String::from_utf8_lossy(&direct.stdout),
+            "{args:?}"
+        );
+        assert_eq!(
+            std::fs::read(out.join("served/table3.json")).expect("served archive"),
+            std::fs::read(out.join("direct/table3.json")).expect("direct archive"),
+            "{args:?}"
+        );
+    }
+    for (args, named) in [
+        (&["serve", "submit", "table1", &port_flag][..], "table1"),
+        (&["serve", "submit", "--fig4=quick", &port_flag], "'--fig4'"),
+    ] {
+        let o = run(args);
+        assert_eq!(o.status.code(), Some(2), "{args:?}");
+        assert!(o.stdout.is_empty(), "{args:?} printed a table");
+        let stderr = String::from_utf8_lossy(&o.stderr);
+        assert!(stderr.contains(named), "{args:?}: {stderr}");
+    }
+    let stop = run(&["serve", "stop", &port_flag]);
+    assert!(stop.status.success(), "{stop:?}");
+    daemon.wait().expect("daemon exits");
+    drop(stdout);
+    std::fs::remove_dir_all(&out).ok();
+}

@@ -8,15 +8,16 @@
 //! 1. **Record** — the evaluator captures each requested
 //!    [`SystemConfig`] into an [`ExperimentPlan`] and returns a
 //!    placeholder report (the driver's outputs are discarded).
-//! 2. **Execute** — the plan runs on the parallel executor.
+//! 2. **Execute** — the plan runs on the parallel executor, here or
+//!    behind `osoffload serve`.
 //! 3. **Replay** — the driver runs again with an evaluator serving the
-//!    precomputed reports in the same order, producing exactly the rows
-//!    the sequential path would have.
+//!    executed reports in the same order, producing exactly the rows
+//!    the sequential path would have over those reports.
 //!
-//! The replay step is skipped when any point failed; callers get the
-//! sweep (with per-point failure rows) and `None` instead of rows.
+//! [`record_plan`] and [`replay`] are the two halves; there is no replay
+//! when any point failed.
 
-use crate::executor::{run_plan, Outcome, RunnerOptions, SweepResult};
+use crate::executor::SweepResult;
 use crate::plan::ExperimentPlan;
 use osoffload_system::experiments::Evaluator;
 use osoffload_system::{SimReport, SystemConfig};
@@ -28,8 +29,7 @@ use osoffload_system::{SimReport, SystemConfig};
 /// [`SimReport::normalized_to`]. Every other field (including
 /// `cycle_breakdown`) is zeroed on purpose: the record pass only
 /// captures configurations, and its outputs never reach an archive —
-/// real values flow from the execute pass, which serialises and
-/// restores reports losslessly.
+/// real values flow from the execute pass.
 pub fn placeholder_report() -> SimReport {
     SimReport {
         throughput: 1.0,
@@ -47,11 +47,11 @@ fn point_id(index: usize, cfg: &SystemConfig) -> String {
     )
 }
 
-/// The record pass alone: runs `driver` once with a capturing evaluator
-/// and returns the plan [`run_driver`] would execute — identical ids,
-/// pinned seeds, and configurations. `osoffload serve`'s client uses
-/// this to submit a bench sweep whose canonical archive is
-/// byte-comparable to the direct runner's.
+/// The record pass: runs `driver` once with a capturing evaluator and
+/// returns its plan — one pinned point per request, in request order.
+/// Execute the plan anywhere (with [`run_plan`](crate::run_plan), or
+/// through `osoffload serve`, whose canonical archive of it is
+/// byte-comparable to the runner's), then hand the sweep to [`replay`].
 pub fn record_plan<R>(
     name: &str,
     master_seed: u64,
@@ -65,57 +65,32 @@ pub fn record_plan<R>(
     plan
 }
 
-/// Runs an experiment driver with its simulation points executed in
-/// parallel.
+/// The replay pass: runs `driver` again, serving it the reports of
+/// `sweep` — the executed [`record_plan`] of the same driver — in
+/// request order, and returns its rows. `None` if any point failed.
 ///
-/// `driver` is called with an [`Evaluator`] and must request the same
-/// configurations in the same order every time it runs (true of all
-/// `*_with` drivers). Returns the driver's rows (or `None` if any point
-/// failed) together with the executed sweep. Point seeds are pinned to
-/// whatever the driver put in each configuration, so results are
-/// identical to the sequential path; `master_seed` is recorded in the
-/// sweep metadata.
-pub fn run_driver<R>(
-    name: &str,
-    master_seed: u64,
-    opts: &RunnerOptions,
-    driver: impl Fn(Evaluator<'_>) -> R,
-) -> (Option<R>, SweepResult) {
-    // Record pass: capture the configurations in request order.
-    let plan = record_plan(name, master_seed, &driver);
-
-    // Execute the plan on the parallel executor.
-    let sweep = run_plan(&plan, opts);
-    if sweep.failures().next().is_some() {
-        return (None, sweep);
-    }
-
-    // Replay pass: serve the precomputed reports in request order.
-    let mut next = 0usize;
+/// The reports are served as the sweep holds them, so rows decoded
+/// from an archive ([`report::read_sweep`](crate::report::read_sweep))
+/// replay to the same rows whichever way the archive was produced.
+pub fn replay<R>(driver: impl Fn(Evaluator<'_>) -> R, sweep: &SweepResult) -> Option<R> {
+    let mut reports = sweep.reports()?.into_iter();
     let rows = driver(&mut |_cfg: SystemConfig| {
-        let row = sweep
-            .rows
-            .get(next)
-            .expect("replay requested more runs than were recorded");
-        next += 1;
-        match &row.outcome {
-            Outcome::Ok(report) => (**report).clone(),
-            Outcome::Failed { .. } | Outcome::TimedOut { .. } => {
-                unreachable!("failures handled above")
-            }
-        }
+        reports
+            .next()
+            .expect("replay requested more runs than were recorded")
+            .clone()
     });
-    assert_eq!(
-        next,
-        sweep.rows.len(),
+    assert!(
+        reports.next().is_none(),
         "replay requested fewer runs than were recorded"
     );
-    (Some(rows), sweep)
+    Some(rows)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::executor::{run_plan, RunnerOptions};
     use osoffload_system::experiments::{single_config, Scale};
     use osoffload_system::PolicyKind;
     use osoffload_workload::Profile;
@@ -155,10 +130,10 @@ mod tests {
             quiet: true,
             ..RunnerOptions::default()
         };
-        let (parallel, sweep) = run_driver("unit-driver", scale.seed, &opts, driver);
+        let sweep = run_plan(&record_plan("unit-driver", scale.seed, driver), &opts);
         assert_eq!(sweep.rows.len(), 2);
         assert!(sweep.failures().next().is_none());
-        assert_eq!(parallel, Some(sequential));
+        assert_eq!(replay(driver, &sweep), Some(sequential));
     }
 
     #[test]

@@ -18,9 +18,10 @@
 //!   panic message; the sweep always completes), retry with exponential
 //!   backoff and deterministic jitter, and optional per-point watchdog
 //!   deadlines ([`Outcome::TimedOut`]).
-//! - [`run_driver`] — record/replay bridge that executes an unmodified
-//!   `*_with` experiment driver in parallel and returns exactly the
-//!   rows the sequential path would produce.
+//! - [`record_plan`] / [`replay`] — the record/replay bridge: an
+//!   unmodified `*_with` experiment driver records its plan, and once
+//!   the plan has run, here or behind `osoffload serve`, replays over
+//!   the sweep to exactly the rows the sequential path would produce.
 //! - [`report`] — schema-stable JSON results written atomically into
 //!   `results/` and read back as typed rows by [`report::read_sweep`];
 //!   rows are bit-identical across worker counts except for the
@@ -34,16 +35,21 @@
 //!   chaos-testing the recovery machinery itself (see `ROBUSTNESS.md`).
 //!
 //! ```
-//! use osoffload_runner::{run_driver, RunnerOptions};
+//! use osoffload_runner::{record_plan, replay, report, run_plan, RunnerOptions};
 //! use osoffload_system::experiments::{self, Scale};
 //!
 //! let scale = Scale { instructions: 30_000, warmup: 10_000, seed: 1, compute_profiles: 1 };
-//! let opts = RunnerOptions { workers: 2, quiet: true, ..RunnerOptions::default() };
-//! let (rows, sweep) = run_driver("doc-fig4", scale.seed, &opts, |ev| {
+//! let driver = |ev: experiments::Evaluator<'_>| {
 //!     experiments::fig4_grid_with(scale, &[1_000], &[500], ev)
-//! });
-//! assert!(sweep.failures().next().is_none());
+//! };
+//! let plan = record_plan("doc-fig4", scale.seed, driver);
+//! let out = std::env::temp_dir().join(format!("osoffload-doc-{}", std::process::id()));
+//! let opts = RunnerOptions { workers: 2, quiet: true, ..RunnerOptions::default() };
+//! let archive = report::write_sweep(&run_plan(&plan, &opts), &out).unwrap();
+//! // Tables replay from the archive, as `osoffload <experiment>` prints them.
+//! let rows = replay(driver, &report::read_sweep(&archive).unwrap());
 //! assert_eq!(rows.expect("no failures").len(), 4);
+//! # std::fs::remove_dir_all(&out).ok();
 //! ```
 
 #![forbid(unsafe_code)]
@@ -58,7 +64,7 @@ pub mod plan;
 mod progress;
 pub mod report;
 
-pub use driver::{record_plan, run_driver};
+pub use driver::{record_plan, replay};
 pub use executor::{
     backoff_delay_ms, run_plan, run_plan_hooked, run_plan_with, ExecHooks, Outcome, PointResult,
     RunnerOptions, SweepResult, WorkerProfile,

@@ -115,9 +115,6 @@ pub struct ServeOptions {
     /// Submissions allowed to wait behind the running ones; anything
     /// beyond is shed with an `overloaded` response.
     pub admit_queue: usize,
-    /// Connection-handling threads (`0` = sized from
-    /// `submit_slots + admit_queue` with headroom for quick ops).
-    pub conn_workers: usize,
     /// Socket read timeout in milliseconds (must be positive).
     pub read_timeout_ms: u64,
     /// Socket write timeout in milliseconds (must be positive).
@@ -145,7 +142,6 @@ impl Default for ServeOptions {
             fault_seed: None,
             submit_slots: 2,
             admit_queue: 4,
-            conn_workers: 0,
             read_timeout_ms: DEFAULT_SOCKET_TIMEOUT_MS,
             write_timeout_ms: DEFAULT_SOCKET_TIMEOUT_MS,
             request_deadline_ms: 0,
@@ -161,17 +157,12 @@ impl ServeOptions {
     }
 
     /// The connection pool is always large enough that every runnable
-    /// and queued submission can hold a connection while at least one
-    /// thread stays free for quick ops (`ping`/`stats`/`shutdown`) — a
-    /// drain request must never be starved by the very load it is meant
-    /// to resolve.
+    /// and queued submission can hold a connection while two threads
+    /// stay free for quick ops (`ping`/`stats`/`shutdown`) — a drain
+    /// request must never be starved by the very load it is meant to
+    /// resolve.
     fn pool(&self) -> usize {
-        let floor = self.slots() + self.admit_queue + 1;
-        if self.conn_workers == 0 {
-            floor + 1
-        } else {
-            self.conn_workers.max(floor)
-        }
+        self.slots() + self.admit_queue + 2
     }
 }
 
@@ -349,13 +340,16 @@ enum RefuseKind {
 
 impl Daemon {
     /// Opens the cache and binds the listener on `127.0.0.1`.
-    pub fn bind(opts: ServeOptions) -> Result<Daemon, String> {
+    pub fn bind(mut opts: ServeOptions) -> Result<Daemon, String> {
         if opts.read_timeout_ms == 0 || opts.write_timeout_ms == 0 {
             return Err("socket timeouts must be positive".into());
         }
         if opts.max_line_bytes == 0 {
             return Err("max_line_bytes must be positive".into());
         }
+        // Absolute, so the `done` event's archive path resolves from
+        // any client's working directory.
+        opts.out_dir = std::path::absolute(&opts.out_dir).map_err(|e| format!("--out: {e}"))?;
         let cache =
             ResultCache::open_limited(&opts.cache, opts.cache_capacity, opts.cache_ttl_secs)?;
         for warning in cache.warnings() {

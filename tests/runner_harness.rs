@@ -4,7 +4,7 @@
 use osoffload::obs::json;
 use osoffload::runner::journal::config_digest;
 use osoffload::runner::{
-    record_plan, run_driver, run_plan_with, ExperimentPlan, Outcome, RunnerOptions,
+    record_plan, replay, run_plan, run_plan_with, ExperimentPlan, Outcome, RunnerOptions,
 };
 use osoffload::system::experiments::{self, fig4_grid_with, simulate, single_config, Scale};
 use osoffload::system::{PolicyKind, SystemConfig};
@@ -80,13 +80,15 @@ fn sweep_rows_identical_across_worker_counts() {
 }
 
 /// Runs `driver` sequentially and through the runner's record/replay
-/// bridge, asserting identical rows; returns the sweep's point count.
+/// bridge (`record_plan` → `run_plan` → `replay`), asserting identical
+/// rows; returns the sweep's point count.
 fn assert_parity<R: PartialEq + std::fmt::Debug>(
     name: &str,
     driver: impl Fn(experiments::Evaluator<'_>) -> R,
 ) -> usize {
     let sequential = driver(&mut simulate);
-    let (parallel, sweep) = run_driver(name, tiny().seed, &quiet(4), &driver);
+    let sweep = run_plan(&record_plan(name, tiny().seed, &driver), &quiet(4));
+    let parallel = replay(&driver, &sweep);
     assert!(sweep.failures().next().is_none(), "{name}");
     assert_eq!(parallel, Some(sequential), "{name}");
     sweep.rows.len()
@@ -205,8 +207,8 @@ fn digests_name_exactly_one_configuration() {
     }
 }
 
-/// Records `name`'s plan as `osoffload <name>` does (`record_plan`, the
-/// first step of `run_driver`) and runs it twice, canonical on two
+/// Records `name`'s plan as `osoffload <name>` does (`record_plan`)
+/// and runs it twice, canonical on two
 /// workers: through `run_plan`, where every shape with several points
 /// replays a tape, and through a live evaluator. The archives must be
 /// byte-equal.
