@@ -73,13 +73,11 @@ pub fn serve(args: ServeArgs) -> i32 {
                     return 1;
                 }
             };
-            // The smoke scripts wait for this line before submitting;
-            // flush so it is visible even through a pipe.
-            println!("serve: listening on {}", daemon.local_addr());
-            let _ = std::io::stdout().flush();
+            // The smoke scripts wait for this line before submitting.
+            status(format_args!("serve: listening on {}", daemon.local_addr()));
             match daemon.run() {
                 Ok(()) => {
-                    println!("serve: shutdown");
+                    status(format_args!("serve: shutdown"));
                     0
                 }
                 Err(why) => {
@@ -105,11 +103,10 @@ pub fn serve(args: ServeArgs) -> i32 {
             };
             // Same contract as `serve start`: scripts wait for this
             // line, then point clients at the proxy port.
-            println!(
+            status(format_args!(
                 "proxy: listening on {} -> 127.0.0.1:{upstream}",
                 proxy.local_addr()
-            );
-            let _ = std::io::stdout().flush();
+            ));
             // The proxy runs until the process is killed (the chaos CI
             // job tears it down with the daemon).
             loop {
@@ -120,6 +117,14 @@ pub fn serve(args: ServeArgs) -> i32 {
         ServeArgs::Stats { port } => one_shot(client::stats(port)),
         ServeArgs::Stop { port } => one_shot(client::stop(port)),
     }
+}
+
+/// Prints a daemon or proxy status line and flushes it, so it shows
+/// through a pipe. A write error is ignored: whoever read the listening
+/// line may have closed the pipe long before the shutdown line.
+fn status(line: std::fmt::Arguments) {
+    let mut out = std::io::stdout().lock();
+    let _ = writeln!(out, "{line}").and_then(|()| out.flush());
 }
 
 fn one_shot(response: Result<String, String>) -> i32 {

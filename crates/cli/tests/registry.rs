@@ -311,49 +311,72 @@ fn a_resumed_run_prints_the_direct_run_table() {
 
 /// `serve submit <name> [scale]` is the experiment's own command with
 /// the daemon as executor: cold and warm, it prints the direct run's
-/// table and archives the direct canonical bytes. Entries without a
-/// plan, and the dropped `--fig4` flag, exit 2 before printing.
+/// table and archives the direct canonical bytes, for fig1's spill/fill
+/// profiles too. Entries without a plan, and the dropped `--fig4` flag,
+/// exit 2 before printing. The daemon's stdout is closed right after
+/// its listening line, and it still shuts down cleanly.
 #[test]
 fn a_served_experiment_prints_the_direct_table() {
     use std::io::{BufRead, BufReader};
     let out = scratch("served");
-    let direct = run(&[
-        "table3",
-        "quick",
-        "--workers=2",
-        "--quiet",
-        "--canonical",
-        &format!("--out={}", out.join("direct").display()),
-    ]);
-    assert!(direct.status.success(), "{direct:?}");
-    let mut daemon = Command::new(BIN)
-        .args(["serve", "start", "--port=0", "--workers=2", "--quiet"])
-        .arg(format!("--cache={}", out.join("cache.wal").display()))
-        .arg(format!("--out={}", out.join("served").display()))
-        .stdout(std::process::Stdio::piped())
-        .spawn()
-        .expect("spawn daemon");
-    // Kept open until the daemon exits: it prints its shutdown line.
-    let mut stdout = BufReader::new(daemon.stdout.take().expect("daemon stdout"));
+    let experiments = ["table3", "fig1"];
+    let direct: Vec<Output> = experiments
+        .iter()
+        .map(|name| {
+            let o = run(&[
+                name,
+                "quick",
+                "--workers=2",
+                "--quiet",
+                "--canonical",
+                &format!("--out={}", out.join("direct").display()),
+            ]);
+            assert!(o.status.success(), "{name}: {o:?}");
+            o
+        })
+        .collect();
+    /// Kills the daemon if an assertion fails before `serve stop`, so a
+    /// failing run does not leave it running.
+    struct Daemon(std::process::Child);
+    impl Drop for Daemon {
+        fn drop(&mut self) {
+            let _ = self.0.kill();
+            let _ = self.0.wait();
+        }
+    }
+    let mut daemon = Daemon(
+        Command::new(BIN)
+            .args(["serve", "start", "--port=0", "--workers=2", "--quiet"])
+            .arg(format!("--cache={}", out.join("cache.wal").display()))
+            .arg(format!("--out={}", out.join("served").display()))
+            .stdout(std::process::Stdio::piped())
+            .spawn()
+            .expect("spawn daemon"),
+    );
     let mut line = String::new();
-    stdout.read_line(&mut line).expect("listening line");
+    BufReader::new(daemon.0.stdout.take().expect("daemon stdout"))
+        .read_line(&mut line)
+        .expect("listening line");
     let port = line.trim().rsplit(':').next().expect("port").to_string();
     let port_flag = format!("--port={port}");
-    for extra in [None, Some("--require-cached")] {
-        let mut args = vec!["serve", "submit", "table3", "quick", "--quiet", &port_flag];
-        args.extend(extra);
-        let o = run(&args);
-        assert_eq!(o.status.code(), Some(0), "{args:?}: {o:?}");
-        assert_eq!(
-            String::from_utf8_lossy(&o.stdout),
-            String::from_utf8_lossy(&direct.stdout),
-            "{args:?}"
-        );
-        assert_eq!(
-            std::fs::read(out.join("served/table3.json")).expect("served archive"),
-            std::fs::read(out.join("direct/table3.json")).expect("direct archive"),
-            "{args:?}"
-        );
+    for (name, direct) in experiments.iter().zip(&direct) {
+        let archive = format!("{name}.json");
+        for extra in [None, Some("--require-cached")] {
+            let mut args = vec!["serve", "submit", name, "quick", "--quiet", &port_flag];
+            args.extend(extra);
+            let o = run(&args);
+            assert_eq!(o.status.code(), Some(0), "{args:?}: {o:?}");
+            assert_eq!(
+                String::from_utf8_lossy(&o.stdout),
+                String::from_utf8_lossy(&direct.stdout),
+                "{args:?}"
+            );
+            assert_eq!(
+                std::fs::read(out.join("served").join(&archive)).expect("served archive"),
+                std::fs::read(out.join("direct").join(&archive)).expect("direct archive"),
+                "{args:?}"
+            );
+        }
     }
     for (args, named) in [
         (&["serve", "submit", "table1", &port_flag][..], "table1"),
@@ -367,7 +390,7 @@ fn a_served_experiment_prints_the_direct_table() {
     }
     let stop = run(&["serve", "stop", &port_flag]);
     assert!(stop.status.success(), "{stop:?}");
-    daemon.wait().expect("daemon exits");
-    drop(stdout);
+    let status = daemon.0.wait().expect("daemon exits");
+    assert_eq!(status.code(), Some(0), "daemon with a closed stdout");
     std::fs::remove_dir_all(&out).ok();
 }

@@ -7,7 +7,9 @@
 //! up duplicates, and two identical campaigns produce byte-identical
 //! corpora.
 //!
-//! An archive is *self-contained*: it embeds the full [`FuzzCase`], not
+//! An archive is *self-contained*: it embeds the full configuration in
+//! the system codec's encoding ([`SystemConfig::to_json`], the bytes an
+//! archive row, a journal record and a serve cache entry carry), not
 //! just the seed, so it keeps replaying even if the generator's seed →
 //! case mapping changes later. Once the underlying bug is fixed the
 //! file stays in the corpus as a regression test (`tests/fuzz_corpus.rs`
@@ -17,15 +19,16 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::case::FuzzCase;
 use crate::oracle::{OracleFailure, OracleKind};
 use osoffload_obs::json::{self, Value};
+use osoffload_system::SystemConfig;
 
-/// Bumped if the archive layout ever changes shape.
-pub const FORMAT_VERSION: u64 = 1;
+/// Bumped if the archive layout ever changes shape; version 2 stores
+/// the configuration under `"config"` in the system codec's encoding.
+pub const FORMAT_VERSION: u64 = 2;
 
 /// One archived repro.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct CorpusEntry {
     /// Oracle the case failed when it was archived.
     pub oracle: OracleKind,
@@ -33,8 +36,8 @@ pub struct CorpusEntry {
     pub case_seed: u64,
     /// Failure detail at archive time.
     pub detail: String,
-    /// The shrunk failing case.
-    pub case: FuzzCase,
+    /// The shrunk failing configuration.
+    pub config: SystemConfig,
 }
 
 impl CorpusEntry {
@@ -59,7 +62,10 @@ impl CorpusEntry {
             ("case_seed".into(), Value::UInt(self.case_seed)),
             ("detail".into(), Value::Str(self.detail.clone())),
             ("replay".into(), Value::Str(self.replay_command())),
-            ("case".into(), self.case.to_value()),
+            (
+                "config".into(),
+                json::parse(&self.config.to_json()).expect("the codec writes JSON"),
+            ),
         ])
     }
 
@@ -78,12 +84,12 @@ impl CorpusEntry {
         let detail = v
             .field("corpus entry", "detail", Value::as_str)?
             .to_string();
-        let case = FuzzCase::from_value(v.field("corpus entry", "case", Some)?)?;
+        let config = SystemConfig::from_json(v.field("corpus entry", "config", Some)?)?;
         Ok(CorpusEntry {
             oracle,
             case_seed,
             detail,
-            case,
+            config,
         })
     }
 }
@@ -126,57 +132,52 @@ pub fn list(dir: &Path) -> io::Result<Vec<PathBuf>> {
 /// Replays an entry through **all** oracles (not just the one it was
 /// archived under: a fixed bug must leave the case clean everywhere).
 pub fn replay(entry: &CorpusEntry) -> Vec<OracleFailure> {
-    crate::oracle::check_all(&entry.case)
+    crate::oracle::check_all(&entry.config)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shrink::target;
 
     fn sample_entry() -> CorpusEntry {
-        let case = FuzzCase {
-            user_cores: 3,
-            seed: 0x8000_0000_0000_0003, // > 2^63: exercises u64 fidelity
-            ..FuzzCase::default()
-        };
         CorpusEntry {
             oracle: OracleKind::Differential,
             case_seed: 0xDEAD_F00D,
             detail: "reports diverge in keys: offload".into(),
-            case,
+            config: SystemConfig {
+                user_cores: 3,
+                seed: 0x8000_0000_0000_0003, // > 2^63: exercises u64 fidelity
+                ..target()
+            },
         }
+    }
+
+    fn text(entry: &CorpusEntry) -> String {
+        entry.to_value().to_json_pretty()
     }
 
     #[test]
     fn entry_round_trips_through_json() {
         let entry = sample_entry();
-        let text = entry.to_value().to_json_pretty();
-        let back = CorpusEntry::from_value(&json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back, entry);
-        assert_eq!(back.case.seed, 0x8000_0000_0000_0003);
+        let back = CorpusEntry::from_value(&json::parse(&text(&entry)).unwrap()).unwrap();
+        assert_eq!(format!("{back:?}"), format!("{entry:?}"));
+        assert_eq!(back.config.seed, 0x8000_0000_0000_0003);
     }
 
     /// The checked-in corpus is the writer's own output, so reading and
-    /// re-writing each file reproduces it byte for byte. Repros archived
-    /// before the topology fields existed load those as defaults and
-    /// gain them when re-written, so for them only the JSON layer is an
-    /// identity.
+    /// re-writing each file reproduces it byte for byte.
     #[test]
     fn checked_in_corpus_round_trips_byte_identically() {
         let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../fuzz/corpus");
         let paths = list(&dir).unwrap();
         assert!(!paths.is_empty(), "no corpus under {}", dir.display());
         for path in paths {
-            let text = fs::read_to_string(&path).unwrap();
-            let value = json::parse(&text).unwrap();
-            assert_eq!(value.to_json_pretty(), text, "{}", path.display());
+            let file = fs::read_to_string(&path).unwrap();
+            let value = json::parse(&file).unwrap();
+            assert_eq!(value.to_json_pretty(), file, "{}", path.display());
             let entry = CorpusEntry::from_value(&value).unwrap();
-            let rewritten = entry.to_value().to_json_pretty();
-            let reread = CorpusEntry::from_value(&json::parse(&rewritten).unwrap()).unwrap();
-            assert_eq!(reread, entry, "{}", path.display());
-            if value.get("case").and_then(|c| c.get("os_cores")).is_some() {
-                assert_eq!(rewritten, text, "{}", path.display());
-            }
+            assert_eq!(text(&entry), file, "{}", path.display());
         }
     }
 
@@ -197,7 +198,7 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
         let entry = sample_entry();
         let path = archive(&dir, &entry).unwrap();
-        assert_eq!(load(&path).unwrap(), entry);
+        assert_eq!(text(&load(&path).unwrap()), text(&entry));
         assert_eq!(list(&dir).unwrap(), vec![path.clone()]);
         // Re-archiving the same failure overwrites, never duplicates.
         archive(&dir, &entry).unwrap();
@@ -213,11 +214,23 @@ mod tests {
 
     #[test]
     fn version_mismatch_is_rejected() {
-        let mut v = sample_entry().to_value();
-        if let Value::Obj(fields) = &mut v {
-            fields[0].1 = Value::UInt(999);
+        for version in [1, 999] {
+            let mut v = sample_entry().to_value();
+            if let Value::Obj(fields) = &mut v {
+                fields[0].1 = Value::UInt(version);
+            }
+            let err = CorpusEntry::from_value(&v).unwrap_err();
+            assert!(
+                err.contains(&format!("unsupported corpus format {version}")),
+                "{err}"
+            );
         }
-        let err = CorpusEntry::from_value(&v).unwrap_err();
-        assert!(err.contains("unsupported corpus format 999"), "{err}");
+    }
+
+    #[test]
+    fn an_entry_naming_an_unknown_profile_is_refused() {
+        let hostile = text(&sample_entry()).replacen("\"apache\"", "\"no-such-workload\"", 1);
+        let err = CorpusEntry::from_value(&json::parse(&hostile).unwrap()).unwrap_err();
+        assert!(err.contains("unknown profile"), "{err}");
     }
 }

@@ -9,12 +9,15 @@
 //! * any single case replays from just its case seed (which is what the
 //!   corpus archives), without re-running the cases before it.
 
-use crate::case::FuzzCase;
+use osoffload_core::TunerConfig;
+use osoffload_mem::MemConfig;
 use osoffload_sim::{Rng64, SeedSequence};
-use osoffload_system::{DispatchPolicy, PolicyKind};
+use osoffload_system::{
+    DispatchPolicy, MigrationModel, OffloadMechanism, PolicyKind, SystemConfig,
+};
 use osoffload_workload::Profile;
 
-/// Streams [`FuzzCase`]s derived from a master seed.
+/// Streams configurations derived from a master seed.
 #[derive(Debug)]
 pub struct CaseGen {
     seeder: SeedSequence,
@@ -29,14 +32,14 @@ impl CaseGen {
     }
 
     /// The next case and the seed it was derived from.
-    pub fn next_case(&mut self) -> (u64, FuzzCase) {
+    pub fn next_case(&mut self) -> (u64, SystemConfig) {
         let case_seed = self.seeder.next_seed();
         (case_seed, generate(case_seed))
     }
 }
 
-fn pick<T: Copy>(rng: &mut Rng64, options: &[T]) -> T {
-    options[(rng.next_u64() % options.len() as u64) as usize]
+fn pick<T: Clone>(rng: &mut Rng64, options: &[T]) -> T {
+    options[(rng.next_u64() % options.len() as u64) as usize].clone()
 }
 
 /// One-in-`n` event.
@@ -44,17 +47,27 @@ fn rare(rng: &mut Rng64, n: u64) -> bool {
     rng.next_u64().is_multiple_of(n)
 }
 
+/// Sizes a memory override for the configuration's own core count, so
+/// an edit that adds or removes a core (a policy or resource-adaptation
+/// change) keeps the override valid.
+pub fn fit_memory(cfg: &mut SystemConfig) {
+    let cores = cfg.total_cores().clamp(1, 64);
+    if let Some(mem) = &mut cfg.mem_override {
+        mem.cores = cores;
+    }
+}
+
 /// Builds the case for `case_seed` — a pure function, so an archived
-/// seed reproduces its case forever.
-pub fn generate(case_seed: u64) -> FuzzCase {
+/// seed reproduces its case forever. Every case passes
+/// [`SystemConfig::validate`].
+pub fn generate(case_seed: u64) -> SystemConfig {
     let mut rng = Rng64::seed_from(case_seed);
-    let profiles: Vec<&'static str> = Profile::all_server()
+    let profiles: Vec<Profile> = Profile::all_server()
         .into_iter()
         .chain(Profile::all_compute())
-        .map(|p| p.name)
         .collect();
 
-    let profile = pick(&mut rng, &profiles).to_string();
+    let profile = pick(&mut rng, &profiles);
     let threshold = pick(&mut rng, &[0u64, 100, 500, 1_000, 5_000, 10_000]);
     let policy = match rng.next_u64() % 10 {
         0 => PolicyKind::Baseline,
@@ -86,34 +99,35 @@ pub fn generate(case_seed: u64) -> FuzzCase {
         _ => instructions / 2,
     };
 
+    // Drawn in this order (the RNG order is the seed → case mapping);
+    // every field not drawn starts at the shrinker's target.
     let offloading = !policy.is_baseline();
-    let mut case = FuzzCase {
+    let mut cfg = SystemConfig {
         profile,
-        phases: Vec::new(),
         policy,
-        migration_one_way: pick(&mut rng, &[100u64, 1_000, 5_000]),
-        remote_call: offloading && rare(&mut rng, 4),
+        migration: MigrationModel::new(pick(&mut rng, &[100u64, 1_000, 5_000])),
+        mechanism: if offloading && rare(&mut rng, 4) {
+            OffloadMechanism::RemoteCall
+        } else {
+            OffloadMechanism::ThreadMigration
+        },
         os_core_slowdown_milli: pick(&mut rng, &[600u64, 1_000, 1_667]),
         os_core_contexts: if rare(&mut rng, 8) { 2 } else { 1 },
-        os_cores: 1,
-        dispatch: DispatchPolicy::LeastLoaded,
-        os_cold_penalty: 0,
-        resource_adaptation: None,
         user_cores: 1 + (rng.next_u64() % 4) as usize,
         instructions,
         warmup,
         seed: rng.next_u64(),
-        tuner_scale: None,
-        half_l2: rare(&mut rng, 8),
+        ..crate::shrink::target()
     };
+    let half_l2 = rare(&mut rng, 8);
 
     if offloading && rare(&mut rng, 8) {
-        case.resource_adaptation = Some(pick(&mut rng, &[600u64, 800]));
-        case.remote_call = false;
+        cfg.resource_adaptation = Some(pick(&mut rng, &[600u64, 800]));
+        cfg.mechanism = OffloadMechanism::ThreadMigration;
     }
     // The tuner only composes with threshold policies.
     if matches!(
-        case.policy,
+        cfg.policy,
         PolicyKind::HardwarePredictor { .. }
             | PolicyKind::HardwarePredictorDirectMapped { .. }
             | PolicyKind::HardwarePredictorSized { .. }
@@ -121,22 +135,29 @@ pub fn generate(case_seed: u64) -> FuzzCase {
     {
         // paper epochs / 2500 ≈ 10k-instruction sample epochs — several
         // tuner decisions inside one short run.
-        case.tuner_scale = Some(pick(&mut rng, &[2_500u64, 10_000]));
+        cfg.tuner = Some(TunerConfig::scaled_down(pick(
+            &mut rng,
+            &[2_500u64, 10_000],
+        )));
     }
     if rare(&mut rng, 6) {
-        let other = pick(&mut rng, &profiles).to_string();
-        case.phases.push((instructions / 2, other));
+        let other = pick(&mut rng, &profiles);
+        cfg.phases.push((instructions / 2, other));
     }
     // Multi-OS-core topologies, so every oracle exercises the dispatch
     // pool (the single-core default reduces to the legacy queue).
     if offloading && rare(&mut rng, 3) {
-        case.os_cores = 2 + (rng.next_u64() % 3) as usize; // 2..=4
-        case.dispatch = pick(&mut rng, &DispatchPolicy::ALL);
+        cfg.os_cores = 2 + (rng.next_u64() % 3) as usize; // 2..=4
+        cfg.dispatch = pick(&mut rng, &DispatchPolicy::ALL);
         if rare(&mut rng, 2) {
-            case.os_cold_penalty = pick(&mut rng, &[100u64, 500, 2_000]);
+            cfg.os_cold_penalty = pick(&mut rng, &[100u64, 500, 2_000]);
         }
     }
-    case
+    // The §V-B half-size-L2 variant, sized for the final topology.
+    if half_l2 {
+        cfg.mem_override = Some(MemConfig::half_l2_variant(cfg.total_cores().clamp(1, 64)));
+    }
+    cfg
 }
 
 #[cfg(test)]
@@ -151,8 +172,12 @@ mod tests {
             let (s1, c1) = g1.next_case();
             let (s2, c2) = g2.next_case();
             assert_eq!(s1, s2);
-            assert_eq!(c1, c2);
-            assert_eq!(generate(s1), c1, "case must replay from its seed alone");
+            assert_eq!(format!("{c1:?}"), format!("{c2:?}"));
+            assert_eq!(
+                format!("{:?}", generate(s1)),
+                format!("{c1:?}"),
+                "case must replay from its seed alone"
+            );
         }
     }
 
@@ -171,10 +196,11 @@ mod tests {
     fn every_generated_case_is_valid() {
         let mut gen = CaseGen::new(0xF00D);
         for i in 0..300 {
-            let (seed, case) = gen.next_case();
+            let (seed, cfg) = gen.next_case();
             assert!(
-                case.to_config().is_ok(),
-                "case {i} (seed {seed:#x}) invalid: {case:?}"
+                cfg.validate().is_ok(),
+                "case {i} (seed {seed:#x}) invalid: {}",
+                cfg.to_json()
             );
         }
     }
@@ -182,11 +208,16 @@ mod tests {
     #[test]
     fn generation_covers_the_config_space() {
         let mut gen = CaseGen::new(1);
-        let cases: Vec<FuzzCase> = (0..400).map(|_| gen.next_case().1).collect();
+        let cases: Vec<SystemConfig> = (0..400).map(|_| gen.next_case().1).collect();
         assert!(cases.iter().any(|c| !c.phases.is_empty()), "phases");
-        assert!(cases.iter().any(|c| c.tuner_scale.is_some()), "tuner");
-        assert!(cases.iter().any(|c| c.half_l2), "half_l2");
-        assert!(cases.iter().any(|c| c.remote_call), "remote_call");
+        assert!(cases.iter().any(|c| c.tuner.is_some()), "tuner");
+        assert!(cases.iter().any(|c| c.mem_override.is_some()), "half_l2");
+        assert!(
+            cases
+                .iter()
+                .any(|c| c.mechanism == OffloadMechanism::RemoteCall),
+            "remote_call"
+        );
         assert!(
             cases.iter().any(|c| c.resource_adaptation.is_some()),
             "adaptation"

@@ -1,9 +1,10 @@
 //! Deterministic differential fuzzer for the off-loading simulator.
 //!
-//! The fuzzer draws arbitrary-but-valid system configurations, workload
-//! mixes and seeds from a master-seeded RNG (the same splitting scheme
-//! the experiment runner uses, so campaigns replay bit-identically) and
-//! executes each case under seven oracles:
+//! The fuzzer draws arbitrary-but-valid system configurations
+//! ([`SystemConfig`] values: workload mixes, topologies, policies and
+//! seeds) from a master-seeded RNG (the same splitting scheme the
+//! experiment runner uses, so campaigns replay bit-identically) and
+//! executes each case under eight oracles:
 //!
 //! 1. **differential** — the batched fast path ([`run`]) against the
 //!    retained per-instruction reference stepper ([`run_reference`]);
@@ -21,22 +22,24 @@
 //! 7. **profile** — the cycle-attribution profiler must not change the
 //!    report, and its phase totals must reconcile with the report's
 //!    cycle accounting (see `TELEMETRY.md`).
+//! 8. **lane-stepper** — the lane engine at widths 1, 2, 4 and 8, on one
+//!    tape with variants of the case, against scalar runs.
 //!
 //! Failures are automatically shrunk ([`shrink`]) to a locally-minimal
-//! case and archived as self-contained JSON repros ([`corpus`]) with an
-//! exact replay command. See `FUZZING.md` at the repo root.
+//! case and archived as self-contained JSON repros ([`corpus`]), the
+//! configuration in the system codec's encoding, with an exact replay
+//! command. See `FUZZING.md` at the repo root.
 //!
 //! [`run`]: osoffload_system::Simulation::run
 //! [`run_reference`]: osoffload_system::Simulation::run_reference
 //! [`shrink`]: shrink::shrink
+//! [`SystemConfig`]: osoffload_system::SystemConfig
 
-pub mod case;
 pub mod corpus;
 pub mod gen;
 pub mod oracle;
 pub mod shrink;
 
-pub use case::FuzzCase;
 pub use corpus::CorpusEntry;
 pub use gen::CaseGen;
 pub use oracle::{OracleFailure, OracleKind};

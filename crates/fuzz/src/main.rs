@@ -181,22 +181,22 @@ fn cmd_fuzz(opts: &FuzzOptions) -> ExitCode {
         if deadline.is_some_and(|d| Instant::now() >= d) {
             break;
         }
-        let (case_seed, case) = generator.next_case();
+        let (case_seed, cfg) = generator.next_case();
         executed += 1;
         for &kind in &opts.oracles {
-            let Err(failure) = oracle::check(&case, kind) else {
+            let Err(failure) = oracle::check(&cfg, kind) else {
                 continue;
             };
             failures += 1;
             println!("FAIL case seed {case_seed:#018x}: {failure}");
-            let shrunk = shrink::shrink(&case, kind);
+            let shrunk = shrink::shrink(&cfg, kind);
             // Re-check for the detail of the *minimal* case (the
             // original detail may mention machinery the shrink removed).
-            let detail = match oracle::check(&shrunk.case, kind) {
+            let detail = match oracle::check(&shrunk.config, kind) {
                 Err(f) => f.detail,
                 Ok(()) => failure.detail, // unreachable: shrink preserves failure
             };
-            let diff = shrunk.case.diff_from_default();
+            let diff = shrink::off_target(&shrunk.config);
             println!(
                 "  shrunk in {} step(s) ({} candidate(s)) to {} field(s) off default:",
                 shrunk.steps,
@@ -210,7 +210,7 @@ fn cmd_fuzz(opts: &FuzzOptions) -> ExitCode {
                 oracle: kind,
                 case_seed,
                 detail,
-                case: shrunk.case,
+                config: shrunk.config,
             };
             match corpus::archive(&opts.corpus_dir, &entry) {
                 Ok(path) => {
@@ -252,7 +252,7 @@ fn cmd_repro(args: &[String]) -> ExitCode {
         file, entry.case_seed, entry.oracle
     );
     println!("  archived detail: {}", entry.detail);
-    let diff = entry.case.diff_from_default();
+    let diff = shrink::off_target(&entry.config);
     println!("  {} field(s) off default:", diff.len());
     for (field, value) in &diff {
         println!("    {field} = {value}");

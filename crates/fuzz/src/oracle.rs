@@ -36,11 +36,13 @@
 //!    the measured regions must also allocate nothing, although replay
 //!    records the tape inside them.
 
-use crate::case::FuzzCase;
+use crate::gen::fit_memory;
 use osoffload_core::{AState, CamPredictor, ReferenceCamPredictor, RunLengthPredictor};
 use osoffload_obs::{json, TelemetryMode};
 use osoffload_sim::alloc_audit;
-use osoffload_system::{LaneStepper, PolicyKind, SimReport, Simulation};
+use osoffload_system::{
+    LaneStepper, MigrationModel, PolicyKind, SimReport, Simulation, SystemConfig,
+};
 use osoffload_workload::{Segment, ThreadWorkload};
 
 /// Which oracle to run.
@@ -126,16 +128,17 @@ impl core::fmt::Display for OracleFailure {
     }
 }
 
-/// Runs one oracle over `case`.
+/// Runs one oracle over `cfg`.
 ///
-/// A case that does not lower to a valid configuration fails whichever
-/// oracle it was checked under (relevant only for hand-edited corpus
-/// files — the generator and the shrinker produce valid cases).
-pub fn check(case: &FuzzCase, oracle: OracleKind) -> Result<(), OracleFailure> {
+/// A configuration that fails [`SystemConfig::validate`] fails
+/// whichever oracle it was checked under, naming the `ConfigError`
+/// (relevant only for library callers — the generator, the shrinker and
+/// the corpus reader produce valid configurations).
+pub fn check(cfg: &SystemConfig, oracle: OracleKind) -> Result<(), OracleFailure> {
     let fail = |detail: String| OracleFailure { oracle, detail };
-    let cfg = case
-        .to_config()
-        .map_err(|e| fail(format!("case does not lower to a valid config: {e}")))?;
+    cfg.validate()
+        .map_err(|e| fail(format!("not a valid config: {e}")))?;
+    let cfg = cfg.clone();
     match oracle {
         OracleKind::Differential => {
             let batched = Simulation::new(cfg.clone()).run();
@@ -148,7 +151,7 @@ pub fn check(case: &FuzzCase, oracle: OracleKind) -> Result<(), OracleFailure> {
             }
             Ok(())
         }
-        OracleKind::Predictor => check_predictor(case).map_err(fail),
+        OracleKind::Predictor => check_predictor(&cfg).map_err(fail),
         OracleKind::Invariants => {
             let report = Simulation::new(cfg.clone()).run();
             check_invariants(&cfg, &report).map_err(fail)
@@ -170,12 +173,11 @@ pub fn check(case: &FuzzCase, oracle: OracleKind) -> Result<(), OracleFailure> {
             // Phase switches and tuner decisions rebuild state at epoch
             // boundaries by design; the allocation-free contract covers
             // the steady-state stepper, so normalise those options away.
-            let mut normalized = case.clone();
-            normalized.phases.clear();
-            normalized.tuner_scale = None;
-            let cfg = normalized
-                .to_config()
-                .map_err(|e| fail(format!("normalised case invalid: {e}")))?;
+            let cfg = SystemConfig {
+                phases: Vec::new(),
+                tuner: None,
+                ..cfg
+            };
             let _ = alloc_audit::take_region_allocs();
             let report = Simulation::new(cfg).run();
             let allocs = alloc_audit::take_region_allocs();
@@ -187,8 +189,8 @@ pub fn check(case: &FuzzCase, oracle: OracleKind) -> Result<(), OracleFailure> {
             }
             Ok(())
         }
-        OracleKind::CrashRecovery => check_crash_recovery(case).map_err(fail),
-        OracleKind::LaneStepper => check_lane_stepper(case).map_err(fail),
+        OracleKind::CrashRecovery => check_crash_recovery(&cfg).map_err(fail),
+        OracleKind::LaneStepper => check_lane_stepper(&cfg).map_err(fail),
         OracleKind::Profile => {
             let base = Simulation::new(cfg.clone()).run();
             let mut prof_cfg = cfg.clone();
@@ -212,18 +214,15 @@ pub fn check(case: &FuzzCase, oracle: OracleKind) -> Result<(), OracleFailure> {
 /// resume it. The resumed archive must be byte-identical to the
 /// uninterrupted faulty run, and fault recovery must not have changed
 /// any result relative to the reference.
-fn check_crash_recovery(case: &FuzzCase) -> Result<(), String> {
+fn check_crash_recovery(case: &SystemConfig) -> Result<(), String> {
     use osoffload_runner::{run_plan, ExperimentPlan, FaultConfig, FaultPlan, RunnerOptions};
     use std::sync::atomic::{AtomicU64, Ordering};
 
     // Clamp the case to oracle-sized runs: the property under test is
     // journal/resume correctness, not simulation scale.
-    let mut base = case.clone();
-    base.instructions = base.instructions.clamp(5_000, 30_000);
-    base.warmup = base.warmup.min(base.instructions / 4);
-    let cfg = base
-        .to_config()
-        .map_err(|e| format!("clamped case invalid: {e}"))?;
+    let mut cfg = case.clone();
+    cfg.instructions = cfg.instructions.clamp(5_000, 30_000);
+    cfg.warmup = cfg.warmup.min(cfg.instructions / 4);
 
     const POINTS: usize = 3;
     let mut plan = ExperimentPlan::new("crash-recovery", case.seed);
@@ -325,8 +324,9 @@ fn check_crash_recovery(case: &FuzzCase) -> Result<(), String> {
 /// Lane-engine differential check: the case and three variants of it
 /// (a different threshold, an always-offload lane, and a different
 /// migration latency — all [`tape_compatible`] with the original, none
-/// identical in behaviour) are packed into lanes at widths 1, 2, 4 and
-/// 8 and compared against memoised scalar runs. Mixing variants makes
+/// identical in behaviour, each with its memory override resized to its
+/// own core count) are packed into lanes at widths 1, 2, 4 and 8 and
+/// compared against memoised scalar runs. Mixing variants makes
 /// the lanes *diverge* (different offload decisions at the same tape
 /// position) and *rejoin* (identical drawn segments either side), which
 /// is exactly the sharing the tape replay must never let leak between
@@ -335,40 +335,44 @@ fn check_crash_recovery(case: &FuzzCase) -> Result<(), String> {
 /// keeps on-demand recording off the heap.
 ///
 /// [`tape_compatible`]: osoffload_system::tape_compatible
-fn check_lane_stepper(case: &FuzzCase) -> Result<(), String> {
+fn check_lane_stepper(case: &SystemConfig) -> Result<(), String> {
     // Clamp to oracle scale: the property under test is lane/scalar
     // identity, not simulation scale.
     let mut base = case.clone();
     base.instructions = base.instructions.clamp(2_000, 30_000);
     base.warmup = base.warmup.min(base.instructions / 4);
 
-    // Variants sharing the base case's workload shape.
-    // Variants that fail to lower (a policy the rest of the case
-    // rejects) are skipped; the base case itself must lower.
-    let mut variant_cases = vec![base.clone()];
-    variant_cases.push(FuzzCase {
-        policy: PolicyKind::AlwaysOffload,
-        ..base.clone()
-    });
-    variant_cases.push(FuzzCase {
-        policy: PolicyKind::HardwarePredictor { threshold: 100 },
-        ..base.clone()
-    });
-    variant_cases.push(FuzzCase {
-        migration_one_way: base.migration_one_way / 2 + 1,
-        ..base.clone()
-    });
-    base.to_config()
-        .map_err(|e| format!("clamped case invalid: {e}"))?;
-    let variants: Vec<osoffload_system::SystemConfig> = variant_cases
-        .iter()
-        .filter_map(|c| c.to_config().ok())
-        .collect();
+    // Variants sharing the base case's workload shape. Variants that
+    // are not valid (a policy the rest of the case rejects) are
+    // skipped; the base case itself is valid.
+    let one_way = base.migration.one_way().as_u64();
+    let variants: Vec<SystemConfig> = [
+        base.clone(),
+        SystemConfig {
+            policy: PolicyKind::AlwaysOffload,
+            ..base.clone()
+        },
+        SystemConfig {
+            policy: PolicyKind::HardwarePredictor { threshold: 100 },
+            ..base.clone()
+        },
+        SystemConfig {
+            migration: MigrationModel::new(one_way / 2 + 1),
+            ..base.clone()
+        },
+    ]
+    .into_iter()
+    .map(|mut v| {
+        fit_memory(&mut v);
+        v
+    })
+    .filter(|v| v.validate().is_ok())
+    .collect();
 
     // Memoised scalar references, one per variant, computed on first
     // use (width 1 only ever needs the first).
     let mut scalar: Vec<Option<SimReport>> = vec![None; variants.len()];
-    let audited = base.phases.is_empty() && base.tuner_scale.is_none();
+    let audited = base.phases.is_empty() && base.tuner.is_none();
     for width in [1usize, 2, 4, 8] {
         let configs: Vec<_> = (0..width)
             .map(|i| variants[i % variants.len()].clone())
@@ -398,29 +402,27 @@ fn check_lane_stepper(case: &FuzzCase) -> Result<(), String> {
     Ok(())
 }
 
-/// Runs `case` through every oracle, collecting all failures.
-pub fn check_all(case: &FuzzCase) -> Vec<OracleFailure> {
+/// Runs `cfg` through every oracle, collecting all failures.
+pub fn check_all(cfg: &SystemConfig) -> Vec<OracleFailure> {
     OracleKind::ALL
         .into_iter()
-        .filter_map(|o| check(case, o).err())
+        .filter_map(|o| check(cfg, o).err())
         .collect()
 }
 
 /// Differential check of the two CAM organisations, driven by the
-/// case's own workload stream (AState images and observed run lengths
-/// exactly as the simulator would see them).
-fn check_predictor(case: &FuzzCase) -> Result<(), String> {
-    let profile = osoffload_workload::Profile::by_name(&case.profile)
-        .ok_or_else(|| format!("unknown profile {:?}", case.profile))?;
+/// configuration's own workload stream (AState images and observed run
+/// lengths exactly as the simulator would see them).
+fn check_predictor(cfg: &SystemConfig) -> Result<(), String> {
     // Small capacities stress eviction; the paper's 200 entries stress
     // steady state. Derive from the case seed so campaigns cover both.
-    let capacity = [1usize, 2, 8, 200][(case.seed % 4) as usize];
+    let capacity = [1usize, 2, 8, 200][(cfg.seed % 4) as usize];
     let mut cam = CamPredictor::new(capacity);
     let mut reference = ReferenceCamPredictor::new(capacity);
-    let mut wl = ThreadWorkload::new(profile, 0, case.seed);
+    let mut wl = ThreadWorkload::new(cfg.profile.clone(), 0, cfg.seed);
     let mut generated = 0u64;
     let mut invocations = 0u64;
-    while generated < case.instructions && invocations < 2_000 {
+    while generated < cfg.instructions && invocations < 2_000 {
         match wl.next_segment() {
             Segment::User { len } => generated += len,
             Segment::Os(inv) => {
@@ -454,7 +456,7 @@ fn check_predictor(case: &FuzzCase) -> Result<(), String> {
 }
 
 /// Conservation and range invariants every report must satisfy.
-fn check_invariants(cfg: &osoffload_system::SystemConfig, r: &SimReport) -> Result<(), String> {
+fn check_invariants(cfg: &SystemConfig, r: &SimReport) -> Result<(), String> {
     let mut problems: Vec<String> = Vec::new();
     let mut require = |ok: bool, what: String| {
         if !ok {
@@ -654,6 +656,7 @@ fn report_diff(a: &SimReport, b: &SimReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shrink::target;
 
     #[test]
     fn oracle_names_round_trip() {
@@ -664,25 +667,42 @@ mod tests {
     }
 
     #[test]
-    fn default_case_passes_every_oracle() {
-        let failures = check_all(&FuzzCase::default());
+    fn the_target_passes_every_oracle() {
+        let failures = check_all(&target());
         assert!(failures.is_empty(), "{failures:?}");
     }
 
     #[test]
-    fn invalid_case_fails_with_a_typed_message() {
-        let case = FuzzCase {
-            profile: "no-such".into(),
-            ..FuzzCase::default()
-        };
-        let err = check(&case, OracleKind::Invariants).unwrap_err();
-        assert_eq!(err.oracle, OracleKind::Invariants);
-        assert!(err.detail.contains("valid config"), "{err}");
+    fn invalid_config_fails_with_a_typed_message() {
+        for (cfg, error) in [
+            (
+                SystemConfig {
+                    instructions: 0,
+                    ..target()
+                },
+                "need a measured region",
+            ),
+            (
+                SystemConfig {
+                    policy: PolicyKind::HardwarePredictorSized {
+                        threshold: 500,
+                        entries: 0,
+                    },
+                    ..target()
+                },
+                "at least one entry",
+            ),
+        ] {
+            let err = check(&cfg, OracleKind::Invariants).unwrap_err();
+            assert_eq!(err.oracle, OracleKind::Invariants);
+            assert!(err.detail.contains("valid config"), "{err}");
+            assert!(err.detail.contains(error), "{err}");
+        }
     }
 
     #[test]
     fn invariant_violations_are_reported() {
-        let cfg = FuzzCase::default().to_config().unwrap();
+        let cfg = target();
         let mut report = Simulation::new(cfg.clone()).run();
         report.os_share = 1.5;
         report.queue.p95_delay = report.queue.p99_delay + 1;
@@ -693,7 +713,7 @@ mod tests {
 
     #[test]
     fn report_diff_names_the_differing_fields() {
-        let cfg = FuzzCase::default().to_config().unwrap();
+        let cfg = target();
         let a = Simulation::new(cfg).run();
         let mut b = a.clone();
         b.offloads += 1;

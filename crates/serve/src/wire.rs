@@ -4,7 +4,8 @@
 //! encoding ([`SystemConfig::to_json`] / [`SystemConfig::from_json`]),
 //! the same bytes that archive rows, journal records and the cache key
 //! use. This module adds the client-side refusal: the encoding names
-//! profiles instead of embedding them and leaves out the observation
+//! profiles instead of embedding them (recording only whether one
+//! includes the spill/fill traps) and leaves out the observation
 //! settings, so a configuration that relies on either would not arrive
 //! as sent.
 
@@ -21,8 +22,9 @@ pub fn digest(cfg: &SystemConfig) -> String {
 
 /// Renders a configuration as wire JSON, or an error unless the daemon
 /// would decode exactly this configuration from it. That refuses
-/// profiles outside the catalog, observation settings (tracing,
-/// telemetry, profiling) and configurations that fail validation.
+/// profiles other than a catalog profile with or without its spill/fill
+/// traps, observation settings (tracing, telemetry, profiling) and
+/// configurations that fail validation.
 pub fn config_to_json(cfg: &SystemConfig) -> Result<String, String> {
     let text = cfg.to_json();
     let back = SystemConfig::from_json(&json::parse(&text)?)?;
@@ -73,5 +75,14 @@ mod tests {
         let mut foreign = Profile::derby();
         foreign.name = "custom";
         assert!(config_to_json(&base().phase(5_000, foreign).build()).is_err());
+    }
+
+    #[test]
+    fn spill_fill_configurations_are_expressible() {
+        let mut traps = Profile::apache();
+        traps.include_spill_fill = true;
+        let cfg = base().profile(traps).build();
+        assert_eq!(config_to_json(&cfg), Ok(cfg.to_json()));
+        assert_ne!(digest(&cfg), digest(&base().build()));
     }
 }

@@ -15,9 +15,13 @@
 //! ```
 //!
 //! `tuner` and `mem` are `null` or carry every field of
-//! [`TunerConfig`] / [`MemConfig`]. Profiles are named, not embedded:
-//! a profile that differs from the catalog entry of its name encodes
-//! like that entry, which is why the serve client refuses such
+//! [`TunerConfig`] / [`MemConfig`]. Profiles are named, not embedded.
+//! The one edit the program makes to a catalog profile, switching on
+//! the register-window spill/fill traps (Figure 1, paper §IV), is
+//! recorded as `"spill_fill":true` right after that profile's name, in
+//! the base profile and in each phase; the key is absent otherwise. Any
+//! other difference from the catalog entry of its name encodes like
+//! that entry, which is why the serve client refuses such
 //! configurations. The observation settings (`trace_capacity`,
 //! `telemetry`, `profiling`) are left out because they cannot change a
 //! report.
@@ -73,6 +77,26 @@ fn optional<'a, T>(
 
 fn catalog_profile(name: &str) -> Result<Profile, String> {
     Profile::by_name(name).ok_or_else(|| format!("unknown profile {name:?}"))
+}
+
+/// Appends a profile's keys to `fields`: its name, then
+/// `"spill_fill":true` when it includes the spill/fill traps.
+fn push_profile(fields: &mut Vec<(&str, Value)>, p: &Profile) {
+    fields.push(("profile", Value::Str(p.name.into())));
+    if p.include_spill_fill {
+        fields.push(("spill_fill", Value::Bool(true)));
+    }
+}
+
+/// `profile` with the spill/fill traps `v`'s [`push_profile`] keys ask
+/// for; an absent `spill_fill` is `false`.
+fn with_spill_fill(mut profile: Profile, v: &Value) -> Result<Profile, String> {
+    profile.include_spill_fill = optional(v, "spill_fill", |b| {
+        b.as_bool()
+            .ok_or_else(|| "spill_fill must be a boolean".to_string())
+    })?
+    .unwrap_or(false);
+    Ok(profile)
 }
 
 impl PolicyKind {
@@ -290,18 +314,19 @@ impl SystemConfig {
             .phases
             .iter()
             .map(|(at, p)| {
-                obj(vec![
-                    ("at", Value::UInt(*at)),
-                    ("profile", Value::Str(p.name.into())),
-                ])
+                let mut fields = Vec::with_capacity(3);
+                fields.push(("at", Value::UInt(*at)));
+                push_profile(&mut fields, p);
+                obj(fields)
             })
             .collect();
         let mechanism = match self.mechanism {
             OffloadMechanism::ThreadMigration => "thread-migration",
             OffloadMechanism::RemoteCall => "remote-call",
         };
-        obj(vec![
-            ("profile", Value::Str(self.profile.name.into())),
+        let mut fields = Vec::with_capacity(19); // 18 keys and `spill_fill`
+        push_profile(&mut fields, &self.profile);
+        fields.extend([
             ("phases", Value::Arr(phases)),
             ("policy", self.policy.to_value()),
             ("mechanism", Value::Str(mechanism.into())),
@@ -333,14 +358,14 @@ impl SystemConfig {
                 "mem",
                 self.mem_override.as_ref().map_or(Value::Null, mem_value),
             ),
-        ])
-        .to_json()
+        ]);
+        obj(fields).to_json()
     }
 
     /// Rebuilds a configuration from a parsed [`to_json`](Self::to_json)
     /// document and checks it with [`validate`](Self::validate).
-    /// `tuner`, `mem` and `resource_adaptation` may be absent (= `null`);
-    /// every other key is required.
+    /// `tuner`, `mem` and `resource_adaptation` may be absent (= `null`),
+    /// and `spill_fill` (= `false`); every other key is required.
     pub fn from_json(v: &Value) -> Result<SystemConfig, String> {
         let s = |key: &str| v.field("config", key, Value::as_str);
         let u = |key: &str| v.field("config", key, Value::as_u64);
@@ -353,7 +378,7 @@ impl SystemConfig {
         // Fields are assigned, not passed through the builder's
         // asserting setters; `validate` then checks the whole config.
         let mut cfg = SystemConfig::builder()
-            .profile(catalog_profile(s("profile")?)?)
+            .profile(with_spill_fill(catalog_profile(s("profile")?)?, v)?)
             .build();
         for (i, phase) in v
             .field("config", "phases", Value::as_arr)?
@@ -364,7 +389,9 @@ impl SystemConfig {
             let name = phase.field(&what, "profile", Value::as_str)?;
             cfg.phases.push((
                 phase.field(&what, "at", Value::as_u64)?,
-                catalog_profile(name).map_err(|e| format!("{what}: {e}"))?,
+                catalog_profile(name)
+                    .and_then(|p| with_spill_fill(p, phase))
+                    .map_err(|e| format!("{what}: {e}"))?,
             ));
         }
         cfg.policy = PolicyKind::from_value(v.field("config", "policy", Some)?)?;
@@ -485,6 +512,35 @@ mod tests {
                 .build(),
         );
         round_trip(&small().resource_adaptation(1_500).build());
+    }
+
+    #[test]
+    fn spill_fill_profiles_round_trip_with_their_own_encoding() {
+        let traps = |mut p: Profile| {
+            p.include_spill_fill = true;
+            p
+        };
+        let catalog = small().phase(5_000, Profile::mcf()).build();
+        let as_base = small()
+            .profile(traps(Profile::apache()))
+            .phase(5_000, Profile::mcf())
+            .build();
+        let as_phase = small().phase(5_000, traps(Profile::mcf())).build();
+        for cfg in [&as_base, &as_phase] {
+            round_trip(cfg);
+            assert_ne!(cfg.to_json(), catalog.to_json());
+        }
+        assert!(as_base
+            .to_json()
+            .starts_with(r#"{"profile":"apache","spill_fill":true,"phases":"#));
+        assert!(as_phase
+            .to_json()
+            .contains(r#"{"at":5000,"profile":"mcf","spill_fill":true}"#));
+        assert!(!catalog.to_json().contains("spill_fill"));
+        let hostile = as_base
+            .to_json()
+            .replace("\"spill_fill\":true", "\"spill_fill\":1");
+        assert!(decode(&hostile).is_err());
     }
 
     #[test]

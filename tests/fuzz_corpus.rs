@@ -1,11 +1,12 @@
 //! Replays every archived fuzz repro on plain `cargo test`.
 //!
-//! `fuzz/corpus/` holds the shrunk, self-contained failing cases the
-//! differential fuzzer has found (see `FUZZING.md`). Once the bug
-//! behind an archive is fixed, the archive stays in the corpus and this
-//! test keeps it fixed: each entry is replayed through **all five**
-//! oracles — differential, predictor, invariants, telemetry and alloc —
-//! and must pass every one.
+//! `fuzz/corpus/` holds the shrunk, self-contained failing
+//! configurations the differential fuzzer has found (see `FUZZING.md`).
+//! Once the bug behind an archive is fixed, the archive stays in the
+//! corpus and this test keeps it fixed: each entry is replayed through
+//! **all eight** oracles — differential, predictor, invariants,
+//! telemetry, alloc, crash-recovery, profile and lane-stepper — and
+//! must pass every one.
 //!
 //! Like `tests/alloc_audit.rs`, the test installs a counting
 //! `#[global_allocator]` so the alloc oracle actually counts instead of
